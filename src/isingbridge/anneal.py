@@ -4,9 +4,13 @@ The master equation with a time-dependent temperature, dP/dt = W(t) P,
 transforms under phi(t) = exp(beta(t) H0 / 2) P(t) into an
 imaginary-time flow -dphi/dt = (H(t) - beta_dot(t) H0 / 2) phi, and
 replacing -d/dt by i d/dt gives the real-time flow. All three engines
-integrate with fixed-step classic RK4 and sample ground-state
+run on the RK4 driver `markov._rk4` with stage operators
+y -> diag * y + sum_j off_j * y[flip_j], and sample ground-state
 probability and overlap with the instantaneous ground state, which for
 mapped Hamiltonians is the square-root Boltzmann vector in closed form.
+Per-step guards: master |sum P - 1| <= 1e-8; imaginary renormalizes and
+accumulates the log-norm decrement; real aborts if the norm leaves 1 by
+over 1e-4. Stability: max(dt, h) * max rate <= 0.1, max over 33 probes.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spins
-from .markov import RateRule, flip_index_table
+from .markov import RateRule, _check_probability, _flip_tables, _rk4
 from .spins import IsingModel
 
 MAX_ANNEAL_SPINS = 10
@@ -44,12 +48,12 @@ class LinearBeta(Schedule):
     t_final: float
 
     def __post_init__(self):
-        if self.t_final <= 0:
+        if not self.t_final > 0:
             raise ValueError(f"t_final must be positive, got {self.t_final}")
         if self.beta1 < self.beta0:
             raise ValueError("beta must be nondecreasing: beta1 < beta0")
-        if self.beta0 < 0:
-            raise ValueError(f"beta0 must be nonnegative, got {self.beta0}")
+        spins._check_beta(self.beta0, "beta0")
+        spins._check_beta(self.beta1, "beta1")
 
     def beta(self, t):
         return self.beta0 + (self.beta1 - self.beta0) * t / self.t_final
@@ -67,10 +71,11 @@ class ExponentialBeta(Schedule):
     t_final: float
 
     def __post_init__(self):
-        if self.t_final <= 0:
+        if not self.t_final > 0:
             raise ValueError(f"t_final must be positive, got {self.t_final}")
-        if self.beta0 < 0 or self.rate < 0:
-            raise ValueError("beta0 and rate must be nonnegative")
+        spins._check_beta(self.beta0, "beta0")
+        if not (math.isfinite(self.rate) and self.rate >= 0):
+            raise ValueError(f"rate must be finite and nonnegative, got {self.rate}")
 
     def beta(self, t):
         return self.beta0 * math.exp(self.rate * t)
@@ -93,11 +98,11 @@ class GemanGeman(Schedule):
     t_offset: float = 1.0
 
     def __post_init__(self):
-        if self.t_final <= 0:
+        if not self.t_final > 0:
             raise ValueError(f"t_final must be positive, got {self.t_final}")
-        if self.p <= 0:
+        if not self.p > 0:
             raise ValueError(f"p must be positive, got {self.p}")
-        if self.t_offset < 1.0:
+        if not self.t_offset >= 1.0:
             raise ValueError(f"t_offset must be >= 1, got {self.t_offset}")
 
     def beta(self, t):
@@ -130,36 +135,35 @@ class AnnealTrajectory:
 
 
 class _FlipSystem:
-    """Precomputed flip tables shared by the three engines."""
+    """Flip tables and stage operators y -> diag * y + sum_j off[j] * y[flip_j]."""
 
     def __init__(self, model: IsingModel, rule: RateRule):
         if model.n_spins > MAX_ANNEAL_SPINS:
             raise ValueError(
                 f"anneal engines need n_spins <= {MAX_ANNEAL_SPINS}, got {model.n_spins}")
-        self.model = model
         self.rule = rule
         self.n = model.n_spins
-        self.size = model.n_states
-        self.energies = spins.energy_table(model)
-        self.flips = flip_index_table(self.n)
-        # delta[j, c] = H0(flip(c, j)) - H0(c)
-        self.deltas = self.energies[self.flips] - self.energies[None, :]
+        self.energies, self.flips, self.deltas = _flip_tables(model)
         self.ground = spins.ground_states(model)
 
     def rates(self, beta: float) -> np.ndarray:
         return np.asarray(self.rule.rates(beta, self.deltas, self.n))
 
-    def apply_generator(self, rates: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """(W p) using the flip tables; rates as returned by self.rates."""
-        incoming = (np.take_along_axis(rates, self.flips, axis=1)
-                    * p[self.flips]).sum(axis=0)
-        return incoming - rates.sum(axis=0) * p
+    def _operator(self, diag: np.ndarray, off: np.ndarray):
+        flips = self.flips
+        return lambda y: diag * y + (off * y[flips]).sum(axis=0)
 
-    def apply_hamiltonian(self, beta: float, rates: np.ndarray,
-                          phi: np.ndarray) -> np.ndarray:
-        """(H phi) for the mapped Hamiltonian at this beta."""
+    def master_operator(self, beta: float):
+        """y -> W y: minus the outflow on the diagonal, in-rates along the flips."""
+        rates = self.rates(beta)
+        return self._operator(-rates.sum(axis=0),
+                              np.take_along_axis(rates, self.flips, axis=1))
+
+    def schrodinger_operator(self, beta: float, beta_dot: float, phase: complex):
+        """y -> -phase (H - beta_dot H0 / 2) y; phase 1 is imaginary time, -1j real."""
+        diag = 0.5 * beta_dot * self.energies - self.rates(beta).sum(axis=0)
         weights = np.asarray(self.rule.weights(beta, self.deltas, self.n))
-        return rates.sum(axis=0) * phi - (weights * phi[self.flips]).sum(axis=0)
+        return self._operator(phase * diag, phase * weights)
 
     def sqrt_boltzmann(self, beta: float) -> np.ndarray:
         """Instantaneous ground state of the mapped Hamiltonian, unit norm."""
@@ -172,20 +176,12 @@ class _FlipSystem:
         return max(self.rates(schedule.beta(t)).sum(axis=0).max() for t in probes)
 
 
-def _steps_and_stride(t_final: float, dt: float, n_samples: int) -> tuple[int, float, int]:
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    n_steps = max(1, int(round(t_final / dt)))
-    h = t_final / n_steps
-    stride = max(1, n_steps // max(1, n_samples))
-    return n_steps, h, stride
-
-
-def _check_stability(dt: float, max_rate: float) -> None:
-    if dt * max_rate > 0.1:
-        raise ValueError(
-            f"dt={dt} too large: dt * max attempt rate = {dt * max_rate:.3g} > 0.1; "
-            f"use dt <= {0.1 / max_rate:.3g}")
+def _unit_state(phi0: np.ndarray, dtype) -> np.ndarray:
+    phi = np.array(phi0, dtype=dtype)
+    nrm = np.linalg.norm(phi)
+    if nrm == 0:
+        raise ValueError("phi0 must be nonzero")
+    return phi / nrm
 
 
 def evolve_master_timedep(model: IsingModel, rule: RateRule, schedule: Schedule,
@@ -194,28 +190,16 @@ def evolve_master_timedep(model: IsingModel, rule: RateRule, schedule: Schedule,
     """Integrate dP/dt = W(beta(t)) P with the generator rebuilt per stage."""
     sys = _FlipSystem(model, rule)
     spins.check_probability_vector(p0)
-    n_steps, h, stride = _steps_and_stride(schedule.t_final, dt, n_samples)
-    _check_stability(h, sys.max_diag_rate(schedule))
-
     p = np.array(p0, dtype=float)
-    samples = _SampleBuffer(sys, "master")
-    samples.add(0.0, schedule.beta(0.0), p, 0.0)
-    for step in range(1, n_steps + 1):
-        t = (step - 1) * h
-        r0 = sys.rates(schedule.beta(t))
-        r1 = sys.rates(schedule.beta(t + 0.5 * h))
-        r2 = sys.rates(schedule.beta(t + h))
-        k1 = sys.apply_generator(r0, p)
-        k2 = sys.apply_generator(r1, p + 0.5 * h * k1)
-        k3 = sys.apply_generator(r1, p + 0.5 * h * k2)
-        k4 = sys.apply_generator(r2, p + h * k3)
-        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step % stride == 0 or step == n_steps:
-            total = p.sum()
-            if abs(total - 1.0) > 1e-6:
-                raise RuntimeError(
-                    f"probability drifted to {total} at t={step * h}; reduce dt")
-            samples.add(step * h, schedule.beta(step * h), p, 0.0)
+    samples = _SampleBuffer(sys, "master", schedule, n_samples, p)
+
+    def on_step(step, n_steps, t, p):
+        _check_probability(p, t)
+        samples.at_step(step, n_steps, t, p)
+        return p
+
+    _rk4(lambda t: sys.master_operator(schedule.beta(t)), p, schedule.t_final, dt,
+         sys.max_diag_rate(schedule), on_step)
     return samples.build()
 
 
@@ -230,36 +214,21 @@ def evolve_imaginary_schrodinger(model: IsingModel, rule: RateRule, schedule: Sc
     the stationary-mapping approximation.
     """
     sys = _FlipSystem(model, rule)
-    n_steps, h, stride = _steps_and_stride(schedule.t_final, dt, n_samples)
-    _check_stability(h, sys.max_diag_rate(schedule))
-
-    def flow(t: float, phi: np.ndarray) -> np.ndarray:
-        beta = schedule.beta(t)
-        out = -sys.apply_hamiltonian(beta, sys.rates(beta), phi)
-        if include_beta_derivative:
-            out += 0.5 * schedule.beta_dot(t) * sys.energies * phi
-        return out
-
-    phi = np.array(phi0, dtype=float)
-    nrm = np.linalg.norm(phi)
-    if nrm == 0:
-        raise ValueError("phi0 must be nonzero")
-    phi /= nrm
+    phi = _unit_state(phi0, float)
     log_decrement = 0.0
-    samples = _SampleBuffer(sys, "imaginary")
-    samples.add(0.0, schedule.beta(0.0), phi, log_decrement)
-    for step in range(1, n_steps + 1):
-        t = (step - 1) * h
-        k1 = flow(t, phi)
-        k2 = flow(t + 0.5 * h, phi + 0.5 * h * k1)
-        k3 = flow(t + 0.5 * h, phi + 0.5 * h * k2)
-        k4 = flow(t + h, phi + h * k3)
-        phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    samples = _SampleBuffer(sys, "imaginary", schedule, n_samples, phi)
+    beta_dot = schedule.beta_dot if include_beta_derivative else lambda t: 0.0
+
+    def on_step(step, n_steps, t, phi):
+        nonlocal log_decrement
         nrm = np.linalg.norm(phi)
         phi /= nrm
         log_decrement -= math.log(nrm)
-        if step % stride == 0 or step == n_steps:
-            samples.add(step * h, schedule.beta(step * h), phi, log_decrement)
+        samples.at_step(step, n_steps, t, phi, log_decrement)
+        return phi
+
+    _rk4(lambda t: sys.schrodinger_operator(schedule.beta(t), beta_dot(t), 1.0),
+         phi, schedule.t_final, dt, sys.max_diag_rate(schedule), on_step)
     return samples.build()
 
 
@@ -272,50 +241,46 @@ def evolve_real_schrodinger(model: IsingModel, rule: RateRule, schedule: Schedul
     suggestion; at reasonable dt it is conserved to better than 1e-6.
     """
     sys = _FlipSystem(model, rule)
-    n_steps, h, stride = _steps_and_stride(schedule.t_final, dt, n_samples)
-    _check_stability(h, sys.max_diag_rate(schedule))
+    phi = _unit_state(phi0, complex)
+    samples = _SampleBuffer(sys, "real", schedule, n_samples, phi)
 
-    def flow(t: float, phi: np.ndarray) -> np.ndarray:
-        beta = schedule.beta(t)
-        out = sys.apply_hamiltonian(beta, sys.rates(beta), phi)
-        out -= 0.5 * schedule.beta_dot(t) * sys.energies * phi
-        return -1j * out
-
-    phi = np.array(phi0, dtype=complex)
-    nrm = np.linalg.norm(phi)
-    if nrm == 0:
-        raise ValueError("phi0 must be nonzero")
-    phi /= nrm
-    samples = _SampleBuffer(sys, "real")
-    samples.add(0.0, schedule.beta(0.0), phi, 0.0)
-    for step in range(1, n_steps + 1):
-        t = (step - 1) * h
-        k1 = flow(t, phi)
-        k2 = flow(t + 0.5 * h, phi + 0.5 * h * k1)
-        k3 = flow(t + 0.5 * h, phi + 0.5 * h * k2)
-        k4 = flow(t + h, phi + h * k3)
-        phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def on_step(step, n_steps, t, phi):
         drift = abs(np.linalg.norm(phi) - 1.0)
-        if drift > 1e-4:
+        if not drift <= 1e-4:
             raise RuntimeError(
-                f"norm drifted by {drift:.3g} at t={step * h}; reduce dt "
-                f"(try dt <= {h / 4:.3g})")
-        if step % stride == 0 or step == n_steps:
-            samples.add(step * h, schedule.beta(step * h), phi, 0.0)
+                f"norm drifted by {drift:.3g} at t={t}; reduce dt "
+                f"(try dt <= {schedule.t_final / n_steps / 4:.3g})")
+        samples.at_step(step, n_steps, t, phi)
+        return phi
+
+    _rk4(lambda t: sys.schrodinger_operator(schedule.beta(t), schedule.beta_dot(t), -1j),
+         phi, schedule.t_final, dt, sys.max_diag_rate(schedule), on_step)
     return samples.build()
 
 
 class _SampleBuffer:
-    """Collects per-sample diagnostics for an engine run."""
+    """Collects per-sample diagnostics for an engine run, from its initial state on."""
 
-    def __init__(self, sys: _FlipSystem, engine: str):
+    def __init__(self, sys: _FlipSystem, engine: str, schedule: Schedule,
+                 n_samples: int, initial: np.ndarray):
         self.sys = sys
         self.engine = engine
+        self.schedule = schedule
+        self.n_samples = n_samples
         self.times, self.betas, self.states = [], [], []
         self.ground_probability, self.overlap, self.log_norm = [], [], []
+        self.add(0.0, initial)
 
-    def add(self, t: float, beta: float, state: np.ndarray, log_norm: float):
+    def at_step(self, step: int, n_steps: int, t: float, state: np.ndarray,
+                log_norm: float = 0.0):
+        """Record every (n_steps // n_samples)-th step and the last."""
+        stride = max(1, n_steps // max(1, self.n_samples))
+        if step % stride == 0 or step == n_steps:
+            self.add(t, state, log_norm)
+
+    def add(self, t: float, state: np.ndarray, log_norm: float = 0.0):
         sys = self.sys
+        beta = self.schedule.beta(t)
         if self.engine == "master":
             probs = state
             x = 0.5 * beta * sys.energies

@@ -128,7 +128,10 @@ def _resolve_model(args, max_spins: int = MAX_CLI_SPINS) -> spins.IsingModel:
     if (args.model is None) == (args.chain is None):
         raise UsageError("specify exactly one of --model PATH or --chain N")
     if args.model is not None:
-        model = spins.load_model(args.model)
+        try:
+            model = spins.load_model(args.model)
+        except (OSError, KeyError, TypeError) as exc:
+            raise UsageError(f"cannot read --model file {args.model}: {exc!r}") from exc
     else:
         if args.chain < 3:
             raise UsageError("--chain needs N >= 3")
@@ -139,12 +142,15 @@ def _resolve_model(args, max_spins: int = MAX_CLI_SPINS) -> spins.IsingModel:
     return model
 
 
-def _parse_schedule(text: str) -> anneal.Schedule:
+def _parse_schedule(text: str, model: spins.IsingModel) -> anneal.Schedule:
     kind, _, rest = text.partition(":")
     values = [float(v) for v in rest.split(",")] if rest else []
     if kind == "linear" and len(values) == 3:
         return anneal.LinearBeta(values[0], values[1], values[2])
     if kind == "geman" and len(values) == 3:
+        if values[1] != model.n_spins:
+            raise UsageError(f"geman schedule N={values[1]:g} does not match the "
+                             f"model's {model.n_spins} spins")
         return anneal.GemanGeman(p=values[0], n_spins=int(values[1]), t_final=values[2])
     raise UsageError(
         f"cannot parse schedule {text!r}; use linear:BETA0,BETA1,T or geman:P,N,T")
@@ -319,7 +325,7 @@ def cmd_reverse(args) -> int:
 def cmd_anneal(args) -> int:
     model = _resolve_model(args)
     rule = markov.parse_rule(args.rule)
-    schedule = _parse_schedule(args.schedule)
+    schedule = _parse_schedule(args.schedule, model)
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
     unknown = set(engines) - {"master", "imaginary", "real"}
     if unknown or not engines:
@@ -370,7 +376,7 @@ def cmd_anneal(args) -> int:
 def cmd_mc(args) -> int:
     model = _resolve_model(args, max_spins=spins.MAX_SPINS)
     rule = markov.parse_rule(args.rule)
-    schedule = _parse_schedule(args.schedule)
+    schedule = _parse_schedule(args.schedule, model)
     report = montecarlo.mc_simulated_annealing(
         model, rule, schedule, n_sweeps=args.sweeps, n_seeds=args.seeds,
         seed0=args.seed, ground_energy=args.ground_energy)
@@ -457,24 +463,30 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, commands
 
 
-def _apply_config_file(commands: dict[str, _Parser], argv: list[str]) -> None:
-    """Preload subcommand defaults from --config JSON; explicit flags still win."""
-    if "--config" not in argv or not argv:
-        return
-    path = argv[argv.index("--config") + 1]
-    with open(path) as fh:
-        config = json.load(fh)
+def _apply_config_file(parser: _Parser, args) -> None:
+    """Preload subcommand defaults from --config JSON keys that name its flags."""
+    try:
+        with open(args.config) as fh:
+            config = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read --config file: {exc!r}") from exc
+    if not isinstance(config, dict):
+        raise UsageError("--config file must hold a JSON object")
     defaults = {k.replace("-", "_"): v for k, v in config.items()}
-    if argv[0] in commands:
-        commands[argv[0]].set_defaults(**defaults)
+    unknown = sorted(set(defaults) - (set(vars(args)) - {"command", "func"}))
+    if unknown:
+        raise UsageError(f"--config keys that match no flag: {', '.join(unknown)}")
+    parser.set_defaults(**defaults)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
     try:
-        _apply_config_file(commands, argv)
         args = parser.parse_args(argv)
+        if args.config is not None:  # explicit flags win over the file
+            _apply_config_file(commands[args.command], args)
+            args = parser.parse_args(argv)
         os.makedirs(args.out, exist_ok=True)
         return args.func(args)
     except ValueError as exc:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spins
+
 MAX_ENUMERATION_SPINS = 16
 
 
@@ -34,8 +36,7 @@ class FermionChainParams:
     def __post_init__(self):
         if self.n < 4 or self.n % 2:
             raise ValueError(f"free-fermion solution needs even n >= 4, got {self.n}")
-        if self.k < 0:
-            raise ValueError(f"K must be nonnegative, got {self.k}")
+        spins._check_beta(self.k, "K")
 
     @property
     def constant(self) -> float:
@@ -75,8 +76,7 @@ def dispersion(k: float, p) -> np.ndarray | float:
     |field + hop e^{ip} + hop2 e^{2ip}| and insists the two expressions
     agree to 1e-12; eps_p >= 0 for all p since tanh 2K < 1.
     """
-    if k < 0:
-        raise ValueError(f"K must be nonnegative, got {k}")
+    spins._check_beta(k, "K")
     p_arr = np.asarray(p, dtype=float)
     cosine_form = 0.5 * (1.0 + math.tanh(2 * k) * np.cos(p_arr))
 
@@ -161,8 +161,7 @@ def random_single_particle_matrix(couplings, beta: float):
     n = couplings.size
     if n < 4 or n % 2:
         raise ValueError(f"random chain needs even n >= 4, got {n}")
-    if beta < 0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
+    spins._check_beta(beta)
     if np.abs(beta * couplings).max() > 350:
         raise ValueError("beta*|J| above 350 would overflow cosh; rescale the problem")
 

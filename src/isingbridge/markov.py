@@ -5,6 +5,10 @@ delta = H0(dest) - H0(src) and a symmetric factor w fixed by the update
 rule. Time is normalized to one flip attempt per site per unit time, so
 relaxation times are directly comparable with the spectral gap of the
 mapped Hamiltonian.
+
+`_rk4` is the one RK4 driver of `evolve_master` here and of the three
+`anneal` engines. Both master engines check |sum P - 1| <= 1e-8 after
+every step.
 """
 
 from __future__ import annotations
@@ -123,8 +127,7 @@ def local_rate(rule: RateRule, beta: float, delta: float,
     delta is H0(destination) - H0(source). Returns (rate, w) where
     rate = w * exp(-beta*delta/2).
     """
-    if beta < 0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
+    spins._check_beta(beta)
     rate = float(rule.rates(beta, delta, n_spins))
     w = float(rule.weights(beta, delta, n_spins))
     return rate, w
@@ -152,10 +155,11 @@ class MarkovGenerator:
         self.energies.setflags(write=False)
 
 
-def flip_index_table(n_spins: int) -> np.ndarray:
-    """(N, 2^N) array: row j holds each index with bit j toggled."""
-    idx = np.arange(1 << n_spins)
-    return idx[None, :] ^ (1 << np.arange(n_spins))[:, None]
+def _flip_tables(model: IsingModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """H0 table, flips[j, c] = c with bit j toggled, and deltas = H0[flips] - H0."""
+    energies = spins.energy_table(model)
+    flips = np.arange(model.n_states)[None, :] ^ (1 << np.arange(model.n_spins))[:, None]
+    return energies, flips, energies[flips] - energies[None, :]
 
 
 def build_generator(model: IsingModel, beta: float, rule: RateRule) -> MarkovGenerator:
@@ -164,17 +168,14 @@ def build_generator(model: IsingModel, beta: float, rule: RateRule) -> MarkovGen
     One attempt channel per site with unit attempt rate; columns sum
     to zero by construction.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
+    spins._check_beta(beta)
     if model.n_spins > MAX_DENSE_SPINS:
         raise ValueError(
             f"dense generator needs n_spins <= {MAX_DENSE_SPINS}, got {model.n_spins}; "
             "use the Monte Carlo sampler for larger systems")
     n = model.n_spins
     size = model.n_states
-    energies = spins.energy_table(model)
-    flips = flip_index_table(n)
-    deltas = energies[flips] - energies[None, :]
+    energies, flips, deltas = _flip_tables(model)
     rates = np.asarray(rule.rates(beta, deltas, n))
 
     matrix = np.zeros((size, size))
@@ -214,43 +215,67 @@ class MasterTrajectory:
         return iter(zip(self.times, self.states))
 
 
-def evolve_master(generator: MarkovGenerator, p0: np.ndarray, t_final: float,
-                  dt: float, record_stride: int | None = None) -> MasterTrajectory:
-    """Integrate the fixed-temperature master equation with classic RK4.
+def _rk4(operator_at, y: np.ndarray, t_final: float, dt: float, max_rate: float, on_step):
+    """Integrate dy/dt = A(t) y over [0, t_final] in round(t_final / dt) RK4 steps.
 
-    Requires dt * max|diagonal| <= 0.1. Probability conservation is
-    asserted (not enforced) after every step, to 1e-8.
+    operator_at(t) returns y -> A(t) y; it is built at t = 0, (step - 0.5) h
+    and step h, each end-of-step map starting the next step. on_step(step,
+    n_steps, step * h, y) gets each new y and returns the state to go on
+    from. Raises ValueError for a dt that is not finite and positive, and
+    when max(dt, h) * max_rate > 0.1 (max_rate: largest total outflow rate).
     """
-    spins.check_probability_vector(p0)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    max_diag = np.abs(np.diag(generator.matrix)).max()
-    if dt * max_diag > 0.1:
-        raise ValueError(
-            f"dt={dt} too large for stability: dt * max|diag| = {dt * max_diag:.3g} "
-            f"> 0.1; use dt <= {0.1 / max_diag:.3g}")
+    if not (math.isfinite(dt) and dt > 0 and math.isfinite(t_final)):
+        raise ValueError("dt must be finite and positive and t_final finite, "
+                         f"got dt={dt}, t_final={t_final}")
     n_steps = max(1, int(round(t_final / dt)))
     h = t_final / n_steps
-    if record_stride is None:
-        record_stride = max(1, n_steps // 1024)
-
-    w = generator.matrix
-    p = np.array(p0, dtype=float)
-    times = [0.0]
-    states = [p.copy()]
+    margin = max(dt, h) * max_rate
+    if not margin <= 0.1:  # NaN rates fail too
+        raise ValueError(
+            f"dt={dt} too large for stability: max(dt, h) * max rate = {margin:.3g} "
+            f"> 0.1; use dt <= {0.1 / max_rate:.3g}")
+    start = operator_at(0.0)
     for step in range(1, n_steps + 1):
-        k1 = w @ p
-        k2 = w @ (p + 0.5 * h * k1)
-        k3 = w @ (p + 0.5 * h * k2)
-        k4 = w @ (p + h * k3)
-        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        total = p.sum()
-        if abs(total - 1.0) > 1e-8:
-            raise RuntimeError(
-                f"probability drifted to {total} at step {step}; reduce dt")
-        if step % record_stride == 0 or step == n_steps:
-            times.append(step * h)
-            states.append(p.copy())
+        mid = operator_at((step - 0.5) * h)
+        end = operator_at(step * h)
+        k1 = start(y)
+        k2 = mid(y + 0.5 * h * k1)
+        k3 = mid(y + 0.5 * h * k2)
+        k4 = end(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = on_step(step, n_steps, step * h, y)
+        start = end
+
+
+def _check_probability(p: np.ndarray, t: float) -> None:
+    """Probability guard of both master engines: |sum P - 1| <= 1e-8."""
+    total = p.sum()
+    if not abs(total - 1.0) <= 1e-8:
+        raise RuntimeError(f"probability drifted to {total} at t={t}; reduce dt")
+
+
+def evolve_master(generator: MarkovGenerator, p0: np.ndarray, t_final: float,
+                  dt: float, record_stride: int | None = None) -> MasterTrajectory:
+    """Integrate the fixed-temperature master equation, W constant, with `_rk4`.
+
+    Requires max(dt, h) * max|diagonal| <= 0.1. Probability conservation
+    is asserted (not enforced) after every step, to 1e-8.
+    """
+    spins.check_probability_vector(p0)
+    w = generator.matrix
+    times = [0.0]
+    states = [np.array(p0, dtype=float)]
+
+    def on_step(step, n_steps, t, p):
+        _check_probability(p, t)
+        stride = record_stride if record_stride is not None else max(1, n_steps // 1024)
+        if step % stride == 0 or step == n_steps:
+            times.append(t)
+            states.append(p)
+        return p
+
+    _rk4(lambda t: w.__matmul__, states[0], t_final, dt,
+         np.abs(np.diag(w)).max(), on_step)
     return MasterTrajectory(times=np.array(times), states=np.array(states))
 
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spins
-from .markov import (HEAT_BATH, METROPOLIS, MarkovGenerator, RateRule,
-                     build_generator, flip_index_table)
+from . import spectral, spins
+from .markov import (HEAT_BATH, METROPOLIS, MarkovGenerator, RateRule, _flip_tables,
+                     build_generator)
 from .spins import IsingModel
 
 PROVENANCE_MAPPED = "mapped-from-W"
@@ -46,15 +46,13 @@ class QuantumHamiltonian:
 def classical_to_quantum(generator: MarkovGenerator) -> QuantumHamiltonian:
     """Map a generator to its symmetric Hamiltonian, entry by entry.
 
-    H[a,b] = -exp(beta*H0(a)/2) W[a,b] exp(-beta*H0(b)/2), computed only
-    on the nonzero pattern of W. Asymmetry beyond 1e-8 relative is
-    reported as a detailed-balance failure of the input.
+    H[a,b] = -exp(beta*H0(a)/2) W[a,b] exp(-beta*H0(b)/2): the negated
+    spectral.symmetrized_generator. Zero entries stay +0.0. Asymmetry
+    beyond 1e-8 relative is reported as a detailed-balance failure of the
+    input.
     """
-    w = generator.matrix
-    half = 0.5 * generator.beta * generator.energies
-    h = np.zeros_like(w)
-    rows, cols = np.nonzero(w)
-    h[rows, cols] = -np.exp(half[rows] - half[cols]) * w[rows, cols]
+    h = spectral.symmetrized_generator(generator)
+    np.negative(h, out=h, where=h != 0)
     scale = np.abs(h).max()
     if scale > 0 and np.abs(h - h.T).max() > 1e-8 * scale:
         raise ValueError(
@@ -72,17 +70,14 @@ def assemble_direct(model: IsingModel, beta: float, rule: RateRule) -> QuantumHa
     collects the total outflow rate of each configuration. Equals
     classical_to_quantum(build_generator(...)) to near machine precision.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
+    spins._check_beta(beta)
     if model.n_spins > spins.MAX_DENSE_SPINS:
         raise ValueError(
             f"dense Hamiltonian needs n_spins <= {spins.MAX_DENSE_SPINS}, "
             f"got {model.n_spins}")
     n = model.n_spins
     size = model.n_states
-    energies = spins.energy_table(model)
-    flips = flip_index_table(n)
-    deltas = energies[flips] - energies[None, :]
+    _, flips, deltas = _flip_tables(model)
     rates = np.asarray(rule.rates(beta, deltas, n))
     weights = np.asarray(rule.weights(beta, deltas, n))
 
@@ -104,8 +99,7 @@ def _z_columns(n: int) -> np.ndarray:
 def _check_chain_args(n: int, coupling_scale: float) -> None:
     if n < 4 or n % 2:
         raise ValueError(f"explicit chain builders need even n >= 4, got {n}")
-    if coupling_scale < 0:
-        raise ValueError(f"coupling constant must be nonnegative, got {coupling_scale}")
+    spins._check_beta(coupling_scale, "coupling constant")
 
 
 def chain_heatbath_hamiltonian(n: int, k: float) -> QuantumHamiltonian:
@@ -173,8 +167,7 @@ def chain_random_heatbath_hamiltonian(couplings, beta: float) -> QuantumHamilton
     n = couplings.size
     if n < 4 or n % 2:
         raise ValueError(f"random chain builder needs even n >= 4, got {n}")
-    if beta < 0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
+    spins._check_beta(beta)
     if np.abs(beta * couplings).max() > 350:
         raise ValueError("beta*|J| above 350 would overflow cosh; rescale the problem")
 

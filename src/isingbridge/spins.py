@@ -73,6 +73,8 @@ class IsingModel:
                 raise ValueError(f"term {sites} has a site outside [0, {self.n_spins})")
             if sites in seen:
                 raise ValueError(f"duplicate term for sites {sites}")
+            if not math.isfinite(coeff):
+                raise ValueError(f"term {sites} has a non-finite coefficient {coeff}")
             seen.add(sites)
             normalized.append((sites, float(coeff)))
         object.__setattr__(self, "terms", tuple(normalized))
@@ -170,16 +172,19 @@ def flip_delta(model: IsingModel, config: int, site: int) -> float:
     return delta
 
 
+def _check_beta(beta: float, name: str = "beta") -> None:
+    """Reject an inverse temperature that is NaN, infinite or negative."""
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {beta}")
+
+
 def boltzmann(model: IsingModel, beta: float) -> np.ndarray:
     """Boltzmann distribution exp(-beta H0) / Z over configuration indices.
 
     Shifted by the minimum energy before exponentiating, so beta*|H0| up
     to ~700 cannot overflow.
     """
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta}")
-    if beta < 0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
+    _check_beta(beta)
     table = energy_table(model)
     weights = np.exp(-beta * (table - table.min()))
     return weights / weights.sum()

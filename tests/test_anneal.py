@@ -10,6 +10,22 @@ UNIFORM16 = np.full(16, 1.0 / 16.0)
 FLAT16 = np.full(16, 0.25)
 
 
+class CountingHeatBath(markov.HeatBath):
+    """Heat-bath rule that counts its rate and weight evaluations."""
+
+    def __init__(self):
+        self.rate_calls = 0
+        self.weight_calls = 0
+
+    def rates(self, beta, delta, n_spins=None):
+        self.rate_calls += 1
+        return super().rates(beta, delta, n_spins)
+
+    def weights(self, beta, delta, n_spins=None):
+        self.weight_calls += 1
+        return super().weights(beta, delta, n_spins)
+
+
 class TestSchedules:
     @pytest.mark.parametrize("schedule", [
         anneal.LinearBeta(0.0, 2.0, 10.0),
@@ -49,16 +65,25 @@ class TestSchedules:
             anneal.GemanGeman(p=1.0, n_spins=4, t_final=10.0, t_offset=0.5)
         with pytest.raises(ValueError):
             anneal.ExponentialBeta(-0.1, 0.2, 5.0)
+        for make in (lambda: anneal.LinearBeta(0.0, math.nan, 10.0),
+                     lambda: anneal.LinearBeta(0.0, 1.0, math.nan),
+                     lambda: anneal.ExponentialBeta(0.1, math.inf, 5.0),
+                     lambda: anneal.GemanGeman(p=math.nan, n_spins=4, t_final=10.0)):
+            with pytest.raises(ValueError):
+                make()
 
 
 class TestMasterEngine:
-    def test_frozen_schedule_matches_fixed_temperature_integrator(self):
+    @pytest.mark.parametrize(
+        "rule", [markov.HEAT_BATH, markov.METROPOLIS, markov.UniformRate(0.1)],
+        ids=["heatbath", "metropolis", "uniform"])
+    def test_frozen_schedule_matches_fixed_temperature_integrator(self, rule):
         beta = 0.8
-        gen = markov.build_generator(CHAIN4, beta, markov.HEAT_BATH)
+        gen = markov.build_generator(CHAIN4, beta, rule)
         p0 = np.zeros(16)
         p0[2] = 1.0
         fixed = markov.evolve_master(gen, p0, t_final=3.0, dt=0.005)
-        frozen = anneal.evolve_master_timedep(CHAIN4, markov.HEAT_BATH,
+        frozen = anneal.evolve_master_timedep(CHAIN4, rule,
                                               anneal.frozen_schedule(beta, 3.0),
                                               p0, 0.005, n_samples=10)
         assert np.abs(frozen.states[-1] - fixed.states[-1]).max() <= 1e-10
@@ -221,6 +246,47 @@ class TestRealEngine:
             anneal.evolve_real_schrodinger(CHAIN4, markov.HEAT_BATH,
                                            anneal.frozen_schedule(0.0, 600.0),
                                            top, 0.0249)
+
+
+class TestSharedDriver:
+    ENGINES = {
+        "master": lambda rule, schedule, dt: anneal.evolve_master_timedep(
+            CHAIN4, rule, schedule, UNIFORM16, dt),
+        "imaginary": lambda rule, schedule, dt: anneal.evolve_imaginary_schrodinger(
+            CHAIN4, rule, schedule, FLAT16, dt),
+        "real": lambda rule, schedule, dt: anneal.evolve_real_schrodinger(
+            CHAIN4, rule, schedule, FLAT16.astype(complex), dt),
+    }
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_two_operator_builds_per_step(self, engine):
+        rule = CountingHeatBath()
+        n_steps = 200
+        self.ENGINES[engine](rule, anneal.LinearBeta(0.0, 1.0, 2.0), 2.0 / n_steps)
+        assert rule.rate_calls <= 1 + 2 * n_steps + 33  # 33 stability probes
+        if engine != "master":
+            assert rule.weight_calls <= 1 + 2 * n_steps
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0])
+    def test_rejects_bad_dt(self, engine, dt):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            self.ENGINES[engine](markov.HEAT_BATH, anneal.LinearBeta(0.0, 1.0, 2.0), dt)
+
+    @pytest.mark.parametrize("h_over_dt", [0.6, 1.4])
+    def test_stability_guard_uses_the_larger_of_dt_and_h(self, h_over_dt):
+        # t_final = h_over_dt * dt rounds to one step of h = t_final; the
+        # larger of dt and h puts the margin at 0.11, the smaller below 0.1
+        max_rate = 2.0  # heat-bath outflow at beta = 0: four sites at rate 1/2
+        dt = 0.11 / max_rate / max(1.0, h_over_dt)
+        t_final = h_over_dt * dt
+        gen = markov.build_generator(CHAIN4, 0.0, markov.HEAT_BATH)
+        with pytest.raises(ValueError, match="too large for stability"):
+            markov.evolve_master(gen, UNIFORM16, t_final, dt)
+        with pytest.raises(ValueError, match="too large for stability"):
+            anneal.evolve_master_timedep(CHAIN4, markov.HEAT_BATH,
+                                         anneal.frozen_schedule(0.0, t_final),
+                                         UNIFORM16, dt)
 
 
 class TestTrajectoryInvariants:

@@ -15,6 +15,14 @@ def load_report(tmp_path, name):
     return json.loads((tmp_path / name).read_text())
 
 
+def assert_usage_error(capsys, *argv, match):
+    """Exit code 2 and a single `error:` line on stderr, no traceback."""
+    assert run_cli(*argv) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert match in lines[0]
+
+
 class TestBridgeCheck:
     def test_heatbath_chain_passes(self, tmp_path):
         code = run_cli("bridge-check", "--chain", "6", "--K", "0.5",
@@ -47,6 +55,21 @@ class TestBridgeCheck:
         header, first_row = text.splitlines()[:2]
         assert header.startswith("# n_spins=4 provenance=mapped-from-W")
         assert len(first_row.split()) == 16
+
+    def test_nonfinite_K_is_usage_error(self, tmp_path, capsys):
+        for command in ("bridge-check", "fermion-check"):
+            assert_usage_error(capsys, command, "--chain", "4", "--K", "nan",
+                               "--out", str(tmp_path), match="must be finite and nonnegative")
+
+    def test_missing_model_file_is_usage_error(self, tmp_path, capsys):
+        assert_usage_error(capsys, "bridge-check", "--model", str(tmp_path / "none.json"),
+                           "--out", str(tmp_path), match="cannot read --model file")
+
+    def test_model_without_terms_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"n_spins": 3}))
+        assert_usage_error(capsys, "bridge-check", "--model", str(path),
+                           "--out", str(tmp_path), match="'terms'")
 
     def test_unknown_rule_is_usage_error(self, tmp_path):
         assert run_cli("bridge-check", "--chain", "4", "--rule", "glauber",
@@ -136,6 +159,16 @@ class TestAnneal:
         assert run_cli("anneal", "--chain", "4", "--schedule", "cubic:1,2",
                        "--out", str(tmp_path)) == 2
 
+    def test_nonfinite_dt_is_usage_error(self, tmp_path, capsys):
+        assert_usage_error(capsys, "anneal", "--chain", "4", "--dt", "nan",
+                           "--out", str(tmp_path), match="dt must be finite")
+
+    def test_geman_spin_count_must_match_model(self, tmp_path, capsys):
+        for command in ("anneal", "mc"):
+            assert_usage_error(capsys, command, "--chain", "6",
+                               "--schedule", "geman:1,3,10", "--out", str(tmp_path),
+                               match="does not match the model's 6 spins")
+
 
 class TestMc:
     def test_deterministic_success_fraction(self, tmp_path):
@@ -176,6 +209,16 @@ class TestConfigAndFormat:
                 "--out", str(tmp_path))
         report = load_report(tmp_path, "bridge_check.json")
         assert report["config"]["K"] == 1.0
+
+    def test_config_without_path_is_usage_error(self, tmp_path, capsys):
+        assert_usage_error(capsys, "bridge-check", "--chain", "4", "--out", str(tmp_path),
+                           "--config", match="argument --config: expected one argument")
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"chian": 6}))
+        assert_usage_error(capsys, "bridge-check", "--config", str(cfg_path),
+                           "--out", str(tmp_path), match="chian")
 
     def test_csv_report_format(self, tmp_path):
         run_cli("bridge-check", "--chain", "4", "--format", "csv",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from isingbridge import markov, spectral, spins
+from isingbridge import markov, quantum, spectral, spins
 from test_spins import random_model
 
 
@@ -196,11 +196,31 @@ class TestEvolveMaster:
             markov.evolve_master(gen, spins.boltzmann(spins.chain_model(4, [1.0] * 4), 0.5),
                                  t_final=1.0, dt=0.5)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_rejects_nonfinite_dt(self, dt):
+        gen = markov.build_generator(spins.chain_model(3, [1.0] * 3), 0.5,
+                                     markov.HEAT_BATH)
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            markov.evolve_master(gen, np.full(8, 0.125), t_final=1.0, dt=dt)
+
     def test_validates_initial_distribution(self):
         gen = markov.build_generator(spins.chain_model(3, [1.0] * 3), 0.5,
                                      markov.HEAT_BATH)
         with pytest.raises(ValueError):
             markov.evolve_master(gen, np.full(8, 0.2), t_final=1.0, dt=0.01)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+@pytest.mark.parametrize("build", [
+    lambda beta: markov.build_generator(spins.chain_model(3, [1.0] * 3), beta,
+                                        markov.HEAT_BATH),
+    lambda beta: markov.local_rate(markov.HEAT_BATH, beta, 1.0),
+    lambda beta: quantum.assemble_direct(spins.chain_model(3, [1.0] * 3), beta,
+                                         markov.HEAT_BATH),
+], ids=["build_generator", "local_rate", "assemble_direct"])
+def test_rejects_nonfinite_beta(build, beta):
+    with pytest.raises(ValueError, match="beta must be finite and nonnegative"):
+        build(beta)
 
 
 class TestRelaxationTime:

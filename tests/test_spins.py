@@ -166,6 +166,10 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="duplicate"):
             spins.IsingModel(3, [((0, 1), 1.0), ((1, 0), 2.0)])
 
+    def test_nonfinite_coefficient(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            spins.IsingModel(3, [((0, 1), math.nan)])
+
     def test_spin_count_bounds(self):
         with pytest.raises(ValueError):
             spins.IsingModel(0, [])
