@@ -150,8 +150,7 @@ class _FlipSystem:
         return np.asarray(self.rule.rates(beta, self.deltas, self.n))
 
     def _operator(self, diag: np.ndarray, off: np.ndarray):
-        flips = self.flips
-        return lambda y: diag * y + (off * y[flips]).sum(axis=0)
+        return lambda y: diag * y + (off * y[self.flips]).sum(axis=0)
 
     def master_operator(self, beta: float):
         """y -> W y: minus the outflow on the diagonal, in-rates along the flips."""
@@ -160,7 +159,7 @@ class _FlipSystem:
                               np.take_along_axis(rates, self.flips, axis=1))
 
     def schrodinger_operator(self, beta: float, beta_dot: float, phase: complex):
-        """y -> -phase (H - beta_dot H0 / 2) y; phase 1 is imaginary time, -1j real."""
+        """y -> -phase (H - beta_dot H0 / 2) y; phase 1 is imaginary time, 1j real."""
         diag = 0.5 * beta_dot * self.energies - self.rates(beta).sum(axis=0)
         weights = np.asarray(self.rule.weights(beta, self.deltas, self.n))
         return self._operator(phase * diag, phase * weights)
@@ -196,7 +195,6 @@ def evolve_master_timedep(model: IsingModel, rule: RateRule, schedule: Schedule,
     def on_step(step, n_steps, t, p):
         _check_probability(p, t)
         samples.at_step(step, n_steps, t, p)
-        return p
 
     _rk4(lambda t: sys.master_operator(schedule.beta(t)), p, schedule.t_final, dt,
          sys.max_diag_rate(schedule), on_step)
@@ -225,7 +223,6 @@ def evolve_imaginary_schrodinger(model: IsingModel, rule: RateRule, schedule: Sc
         phi /= nrm
         log_decrement -= math.log(nrm)
         samples.at_step(step, n_steps, t, phi, log_decrement)
-        return phi
 
     _rk4(lambda t: sys.schrodinger_operator(schedule.beta(t), beta_dot(t), 1.0),
          phi, schedule.t_final, dt, sys.max_diag_rate(schedule), on_step)
@@ -251,9 +248,8 @@ def evolve_real_schrodinger(model: IsingModel, rule: RateRule, schedule: Schedul
                 f"norm drifted by {drift:.3g} at t={t}; reduce dt "
                 f"(try dt <= {schedule.t_final / n_steps / 4:.3g})")
         samples.at_step(step, n_steps, t, phi)
-        return phi
 
-    _rk4(lambda t: sys.schrodinger_operator(schedule.beta(t), schedule.beta_dot(t), -1j),
+    _rk4(lambda t: sys.schrodinger_operator(schedule.beta(t), schedule.beta_dot(t), 1j),
          phi, schedule.t_final, dt, sys.max_diag_rate(schedule), on_step)
     return samples.build()
 
@@ -271,8 +267,7 @@ class _SampleBuffer:
         self.ground_probability, self.overlap, self.log_norm = [], [], []
         self.add(0.0, initial)
 
-    def at_step(self, step: int, n_steps: int, t: float, state: np.ndarray,
-                log_norm: float = 0.0):
+    def at_step(self, step: int, n_steps: int, t: float, state: np.ndarray, log_norm=0.0):
         """Record every (n_steps // n_samples)-th step and the last."""
         stride = max(1, n_steps // max(1, self.n_samples))
         if step % stride == 0 or step == n_steps:

@@ -6,9 +6,8 @@ rule. Time is normalized to one flip attempt per site per unit time, so
 relaxation times are directly comparable with the spectral gap of the
 mapped Hamiltonian.
 
-`_rk4` is the one RK4 driver of `evolve_master` here and of the three
-`anneal` engines. Both master engines check |sum P - 1| <= 1e-8 after
-every step.
+`_rk4` is the one RK4 driver of `evolve_master` and the three `anneal`
+engines; both master engines check |sum P - 1| <= 1e-8 after every step.
 """
 
 from __future__ import annotations
@@ -218,11 +217,10 @@ class MasterTrajectory:
 def _rk4(operator_at, y: np.ndarray, t_final: float, dt: float, max_rate: float, on_step):
     """Integrate dy/dt = A(t) y over [0, t_final] in round(t_final / dt) RK4 steps.
 
-    operator_at(t) returns y -> A(t) y; it is built at t = 0, (step - 0.5) h
-    and step h, each end-of-step map starting the next step. on_step(step,
-    n_steps, step * h, y) gets each new y and returns the state to go on
-    from. Raises ValueError for a dt that is not finite and positive, and
-    when max(dt, h) * max_rate > 0.1 (max_rate: largest total outflow rate).
+    operator_at(t) returns y -> A(t) y, built at 0, (step - 0.5) h and step h;
+    on_step(step, n_steps, step * h, y) gets each new y and may edit it in place.
+    Raises ValueError for a dt that is not finite and positive, and when
+    max(dt, h) * max_rate > 0.1 (max_rate: largest total outflow rate).
     """
     if not (math.isfinite(dt) and dt > 0 and math.isfinite(t_final)):
         raise ValueError("dt must be finite and positive and t_final finite, "
@@ -233,7 +231,7 @@ def _rk4(operator_at, y: np.ndarray, t_final: float, dt: float, max_rate: float,
     if not margin <= 0.1:  # NaN rates fail too
         raise ValueError(
             f"dt={dt} too large for stability: max(dt, h) * max rate = {margin:.3g} "
-            f"> 0.1; use dt <= {0.1 / max_rate:.3g}")
+            f"> 0.1{_stable_dt_hint(t_final, max_rate)}")
     start = operator_at(0.0)
     for step in range(1, n_steps + 1):
         mid = operator_at((step - 0.5) * h)
@@ -243,8 +241,18 @@ def _rk4(operator_at, y: np.ndarray, t_final: float, dt: float, max_rate: float,
         k3 = mid(y + 0.5 * h * k2)
         k4 = end(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        y = on_step(step, n_steps, step * h, y)
+        on_step(step, n_steps, step * h, y)
         start = end
+
+
+def _stable_dt_hint(t_final: float, max_rate: float) -> str:
+    """'; use dt <= x' with x rounded down to 3 digits, so that both dt and h pass."""
+    limit = 0.1 / max_rate
+    if not (math.isfinite(limit) and limit > 0):
+        return ""
+    limit = t_final / math.ceil(t_final / limit) if t_final > 0 else limit
+    scale = 10.0 ** (math.floor(math.log10(limit)) - 2)
+    return f"; use dt <= {math.floor(limit / scale) * scale:.3g}"
 
 
 def _check_probability(p: np.ndarray, t: float) -> None:
@@ -263,8 +271,7 @@ def evolve_master(generator: MarkovGenerator, p0: np.ndarray, t_final: float,
     """
     spins.check_probability_vector(p0)
     w = generator.matrix
-    times = [0.0]
-    states = [np.array(p0, dtype=float)]
+    times, states = [0.0], [np.array(p0, dtype=float)]
 
     def on_step(step, n_steps, t, p):
         _check_probability(p, t)
@@ -272,7 +279,6 @@ def evolve_master(generator: MarkovGenerator, p0: np.ndarray, t_final: float,
         if step % stride == 0 or step == n_steps:
             times.append(t)
             states.append(p)
-        return p
 
     _rk4(lambda t: w.__matmul__, states[0], t_final, dt,
          np.abs(np.diag(w)).max(), on_step)

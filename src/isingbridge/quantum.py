@@ -46,10 +46,9 @@ class QuantumHamiltonian:
 def classical_to_quantum(generator: MarkovGenerator) -> QuantumHamiltonian:
     """Map a generator to its symmetric Hamiltonian, entry by entry.
 
-    H[a,b] = -exp(beta*H0(a)/2) W[a,b] exp(-beta*H0(b)/2): the negated
-    spectral.symmetrized_generator. Zero entries stay +0.0. Asymmetry
-    beyond 1e-8 relative is reported as a detailed-balance failure of the
-    input.
+    H[a,b] = -exp(beta*H0(a)/2) W[a,b] exp(-beta*H0(b)/2), the negated
+    spectral.symmetrized_generator with zeros kept +0.0. Asymmetry beyond
+    1e-8 relative is reported as a detailed-balance failure of the input.
     """
     h = spectral.symmetrized_generator(generator)
     np.negative(h, out=h, where=h != 0)

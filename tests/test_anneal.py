@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from isingbridge import anneal, markov, quantum, spectral, spins
 
@@ -237,6 +238,20 @@ class TestRealEngine:
                                               n_samples=20)
         assert fast.overlap[-1] < 0.9
 
+    def test_matches_propagator_on_complex_state(self):
+        # a complex start tells exp(-iHt) from its conjugate exp(+iHt),
+        # which |.|^2 observables on real starts cannot
+        beta, t_final = 0.5, 2.0
+        rng = np.random.default_rng(7)
+        phi0 = rng.normal(size=16) + 1j * rng.normal(size=16)
+        phi0 /= np.linalg.norm(phi0)
+        ham = quantum.assemble_direct(CHAIN4, beta, markov.HEAT_BATH).matrix
+        exact = scipy.linalg.expm(-1j * ham * t_final) @ phi0
+        traj = anneal.evolve_real_schrodinger(CHAIN4, markov.HEAT_BATH,
+                                              anneal.frozen_schedule(beta, t_final),
+                                              phi0, 0.005)
+        assert np.abs(traj.states[-1] - exact).max() <= 1e-8
+
     def test_norm_drift_aborts_with_guidance(self):
         # top eigenvector of the infinite-temperature Hamiltonian maximizes
         # the per-step RK4 norm decay
@@ -287,6 +302,19 @@ class TestSharedDriver:
             anneal.evolve_master_timedep(CHAIN4, markov.HEAT_BATH,
                                          anneal.frozen_schedule(0.0, t_final),
                                          UNIFORM16, dt)
+
+    @pytest.mark.parametrize("h_over_dt", [0.6, 1.4])
+    def test_suggested_dt_passes_the_stability_guard(self, h_over_dt):
+        # at h_over_dt = 1.4, dt = 0.1 / max rate still rounds to one step
+        # of h = t_final > dt, so the hint must account for h
+        dt = 0.11 / 2.0 / max(1.0, h_over_dt)
+        t_final = h_over_dt * dt
+        gen = markov.build_generator(CHAIN4, 0.0, markov.HEAT_BATH)
+        with pytest.raises(ValueError, match="use dt <=") as err:
+            markov.evolve_master(gen, UNIFORM16, t_final, dt)
+        suggested = float(str(err.value).rsplit("<= ", 1)[1])
+        traj = markov.evolve_master(gen, UNIFORM16, t_final, suggested)
+        assert traj.times[-1] == pytest.approx(t_final)
 
 
 class TestTrajectoryInvariants:
