@@ -4,10 +4,10 @@ The master equation with a time-dependent temperature, dP/dt = W(t) P,
 transforms under phi(t) = exp(beta(t) H0 / 2) P(t) into an
 imaginary-time flow -dphi/dt = (H(t) - beta_dot(t) H0 / 2) phi, and
 replacing -d/dt by i d/dt gives the real-time flow. All three engines
-run on the RK4 driver `markov._rk4` with stage operators
-y -> diag * y + sum_j off_j * y[flip_j], and sample ground-state
-probability and overlap with the instantaneous ground state, which for
-mapped Hamiltonians is the square-root Boltzmann vector in closed form.
+run on `markov._rk4` with `markov._FlipSystem` stage operators W(beta(t))
+and -s (H - beta_dot H0 / 2), s = 1 (imaginary) or i (real), and sample
+ground-state probability and overlap with the instantaneous ground state,
+which for mapped Hamiltonians is the square-root Boltzmann vector.
 Per-step guards: master |sum P - 1| <= 1e-8; imaginary renormalizes and
 accumulates the log-norm decrement; real aborts if the norm leaves 1 by
 over 1e-4. Stability: max(dt, h) * max rate <= 0.1, max over 33 probes.
@@ -21,10 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spins
-from .markov import RateRule, _check_probability, _flip_tables, _rk4
+from .markov import RateRule, _check_probability, _FlipSystem, _rk4
 from .spins import IsingModel
-
-MAX_ANNEAL_SPINS = 10
 
 
 class Schedule:
@@ -134,35 +132,12 @@ class AnnealTrajectory:
         return self.times.size
 
 
-class _FlipSystem:
-    """Flip tables and stage operators y -> diag * y + sum_j off[j] * y[flip_j]."""
+class _AnnealSystem(_FlipSystem):
+    """The flip system of an anneal run, plus its ground states and stability bound."""
 
     def __init__(self, model: IsingModel, rule: RateRule):
-        if model.n_spins > MAX_ANNEAL_SPINS:
-            raise ValueError(
-                f"anneal engines need n_spins <= {MAX_ANNEAL_SPINS}, got {model.n_spins}")
-        self.rule = rule
-        self.n = model.n_spins
-        self.energies, self.flips, self.deltas = _flip_tables(model)
+        super().__init__(model, rule, "anneal engine")
         self.ground = spins.ground_states(model)
-
-    def rates(self, beta: float) -> np.ndarray:
-        return np.asarray(self.rule.rates(beta, self.deltas, self.n))
-
-    def _operator(self, diag: np.ndarray, off: np.ndarray):
-        return lambda y: diag * y + (off * y[self.flips]).sum(axis=0)
-
-    def master_operator(self, beta: float):
-        """y -> W y: minus the outflow on the diagonal, in-rates along the flips."""
-        rates = self.rates(beta)
-        return self._operator(-rates.sum(axis=0),
-                              np.take_along_axis(rates, self.flips, axis=1))
-
-    def schrodinger_operator(self, beta: float, beta_dot: float, phase: complex):
-        """y -> -phase (H - beta_dot H0 / 2) y; phase 1 is imaginary time, 1j real."""
-        diag = 0.5 * beta_dot * self.energies - self.rates(beta).sum(axis=0)
-        weights = np.asarray(self.rule.weights(beta, self.deltas, self.n))
-        return self._operator(phase * diag, phase * weights)
 
     def sqrt_boltzmann(self, beta: float) -> np.ndarray:
         """Instantaneous ground state of the mapped Hamiltonian, unit norm."""
@@ -187,7 +162,7 @@ def evolve_master_timedep(model: IsingModel, rule: RateRule, schedule: Schedule,
                           p0: np.ndarray, dt: float,
                           n_samples: int = 512) -> AnnealTrajectory:
     """Integrate dP/dt = W(beta(t)) P with the generator rebuilt per stage."""
-    sys = _FlipSystem(model, rule)
+    sys = _AnnealSystem(model, rule)
     spins.check_probability_vector(p0)
     p = np.array(p0, dtype=float)
     samples = _SampleBuffer(sys, "master", schedule, n_samples, p)
@@ -196,7 +171,7 @@ def evolve_master_timedep(model: IsingModel, rule: RateRule, schedule: Schedule,
         _check_probability(p, t)
         samples.at_step(step, n_steps, t, p)
 
-    _rk4(lambda t: sys.master_operator(schedule.beta(t)), p, schedule.t_final, dt,
+    _rk4(lambda t: sys.generator(schedule.beta(t)), p, schedule.t_final, dt,
          sys.max_diag_rate(schedule), on_step)
     return samples.build()
 
@@ -211,7 +186,7 @@ def evolve_imaginary_schrodinger(model: IsingModel, rule: RateRule, schedule: Sc
     include_beta_derivative=False drops the beta_dot term, reproducing
     the stationary-mapping approximation.
     """
-    sys = _FlipSystem(model, rule)
+    sys = _AnnealSystem(model, rule)
     phi = _unit_state(phi0, float)
     log_decrement = 0.0
     samples = _SampleBuffer(sys, "imaginary", schedule, n_samples, phi)
@@ -224,7 +199,7 @@ def evolve_imaginary_schrodinger(model: IsingModel, rule: RateRule, schedule: Sc
         log_decrement -= math.log(nrm)
         samples.at_step(step, n_steps, t, phi, log_decrement)
 
-    _rk4(lambda t: sys.schrodinger_operator(schedule.beta(t), beta_dot(t), 1.0),
+    _rk4(lambda t: sys.hamiltonian(schedule.beta(t), beta_dot(t), -1.0),
          phi, schedule.t_final, dt, sys.max_diag_rate(schedule), on_step)
     return samples.build()
 
@@ -237,7 +212,7 @@ def evolve_real_schrodinger(model: IsingModel, rule: RateRule, schedule: Schedul
     The norm must stay within 1e-4 of 1 or the run aborts with a dt
     suggestion; at reasonable dt it is conserved to better than 1e-6.
     """
-    sys = _FlipSystem(model, rule)
+    sys = _AnnealSystem(model, rule)
     phi = _unit_state(phi0, complex)
     samples = _SampleBuffer(sys, "real", schedule, n_samples, phi)
 
@@ -249,7 +224,7 @@ def evolve_real_schrodinger(model: IsingModel, rule: RateRule, schedule: Schedul
                 f"(try dt <= {schedule.t_final / n_steps / 4:.3g})")
         samples.at_step(step, n_steps, t, phi)
 
-    _rk4(lambda t: sys.schrodinger_operator(schedule.beta(t), schedule.beta_dot(t), 1j),
+    _rk4(lambda t: sys.hamiltonian(schedule.beta(t), schedule.beta_dot(t), -1j),
          phi, schedule.t_final, dt, sys.max_diag_rate(schedule), on_step)
     return samples.build()
 
@@ -257,7 +232,7 @@ def evolve_real_schrodinger(model: IsingModel, rule: RateRule, schedule: Schedul
 class _SampleBuffer:
     """Collects per-sample diagnostics for an engine run, from its initial state on."""
 
-    def __init__(self, sys: _FlipSystem, engine: str, schedule: Schedule,
+    def __init__(self, sys: _AnnealSystem, engine: str, schedule: Schedule,
                  n_samples: int, initial: np.ndarray):
         self.sys = sys
         self.engine = engine

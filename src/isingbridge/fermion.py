@@ -18,9 +18,6 @@ import numpy as np
 
 from . import spins
 
-MAX_ENUMERATION_SPINS = 16
-
-
 @dataclass(frozen=True)
 class FermionChainParams:
     """Chain size and temperature with the derived quadratic-form constants.
@@ -98,8 +95,7 @@ def many_body_spectrum(params: FermionChainParams) -> np.ndarray:
     subset is the zero-energy ground state.
     """
     n = params.n
-    if n > MAX_ENUMERATION_SPINS:
-        raise ValueError(f"subset enumeration capped at n = {MAX_ENUMERATION_SPINS}")
+    spins._check_spins(n, "fermion enumeration")
     eps_even = np.asarray(dispersion(params.k, momentum_grid(n, "even")))
     eps_odd = np.asarray(dispersion(params.k, momentum_grid(n, "odd")))
 

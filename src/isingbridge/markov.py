@@ -6,19 +6,21 @@ rule. Time is normalized to one flip attempt per site per unit time, so
 relaxation times are directly comparable with the spectral gap of the
 mapped Hamiltonian.
 
-`_rk4` is the one RK4 driver of `evolve_master` and the three `anneal`
-engines; both master engines check |sum P - 1| <= 1e-8 after every step.
+`_FlipSystem` gives W and the mapped H as one single-flip operator. `_rk4`
+is the one RK4 driver of `evolve_master` and the three `anneal` engines;
+both master engines check |sum P - 1| <= 1e-8 after every step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import spins
-from .spins import IsingModel, MAX_DENSE_SPINS
+from .spins import IsingModel
 
 
 def _logistic(x):
@@ -154,11 +156,53 @@ class MarkovGenerator:
         self.energies.setflags(write=False)
 
 
-def _flip_tables(model: IsingModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """H0 table, flips[j, c] = c with bit j toggled, and deltas = H0[flips] - H0."""
-    energies = spins.energy_table(model)
-    flips = np.arange(model.n_states)[None, :] ^ (1 << np.arange(model.n_spins))[:, None]
-    return energies, flips, energies[flips] - energies[None, :]
+class _FlipOperator(NamedTuple):
+    """A[c, c] = diag[c], A[c, flips[j, c]] = off[j, c]; calling it applies A, dense() writes A."""
+
+    diag: np.ndarray
+    off: np.ndarray
+    flips: np.ndarray
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        return self.diag * y + (self.off * y[self.flips]).sum(axis=0)
+
+    def dense(self) -> np.ndarray:
+        matrix = np.diag(self.diag.astype(float))
+        matrix[np.arange(self.diag.size), self.flips] = self.off
+        return matrix
+
+
+def _flip_table(n_spins: int) -> np.ndarray:
+    """flips[j, c] = c with bit j toggled, for every configuration c."""
+    return np.arange(1 << n_spins)[None, :] ^ (1 << np.arange(n_spins))[:, None]
+
+
+class _FlipSystem:
+    """H0, flips and deltas = H0[flips] - H0 of a model under a rule; `cap` is its spin cap."""
+
+    def __init__(self, model: IsingModel, rule: RateRule, cap: str = "dense matrix"):
+        spins._check_spins(model.n_spins, cap)
+        self.rule = rule
+        self.n = model.n_spins
+        self.energies = spins.energy_table(model)
+        self.flips = _flip_table(self.n)
+        self.deltas = self.energies[self.flips] - self.energies[None, :]
+
+    def rates(self, beta: float) -> np.ndarray:
+        """rates[j, c]: rate of flipping spin j out of configuration c."""
+        return np.asarray(self.rule.rates(beta, self.deltas, self.n))
+
+    def generator(self, beta: float) -> _FlipOperator:
+        """W: minus the outflow on the diagonal, the in-rates W[c, flip_j(c)] along the flips."""
+        rates = self.rates(beta)
+        return _FlipOperator(-rates.sum(axis=0), np.take_along_axis(rates, self.flips, axis=1),
+                             self.flips)
+
+    def hamiltonian(self, beta: float, beta_dot: float = 0.0, scale=1.0) -> _FlipOperator:
+        """scale * (H - beta_dot H0 / 2); H has the outflow on the diagonal, -w along the flips."""
+        diag = self.rates(beta).sum(axis=0) - 0.5 * beta_dot * self.energies
+        off = -np.asarray(self.rule.weights(beta, self.deltas, self.n))
+        return _FlipOperator(scale * diag, scale * off, self.flips)
 
 
 def build_generator(model: IsingModel, beta: float, rule: RateRule) -> MarkovGenerator:
@@ -168,22 +212,9 @@ def build_generator(model: IsingModel, beta: float, rule: RateRule) -> MarkovGen
     to zero by construction.
     """
     spins._check_beta(beta)
-    if model.n_spins > MAX_DENSE_SPINS:
-        raise ValueError(
-            f"dense generator needs n_spins <= {MAX_DENSE_SPINS}, got {model.n_spins}; "
-            "use the Monte Carlo sampler for larger systems")
-    n = model.n_spins
-    size = model.n_states
-    energies, flips, deltas = _flip_tables(model)
-    rates = np.asarray(rule.rates(beta, deltas, n))
-
-    matrix = np.zeros((size, size))
-    cols = np.arange(size)
-    for j in range(n):
-        matrix[flips[j], cols] = rates[j]
-    matrix[cols, cols] = -rates.sum(axis=0)
-    return MarkovGenerator(matrix=matrix, beta=float(beta), energies=energies,
-                           n_spins=n, rule=rule, model=model)
+    system = _FlipSystem(model, rule)
+    return MarkovGenerator(matrix=system.generator(beta).dense(), beta=float(beta),
+                           energies=system.energies, n_spins=system.n, rule=rule, model=model)
 
 
 def stationary_distribution(generator: MarkovGenerator) -> np.ndarray:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral, spins
-from .markov import (HEAT_BATH, METROPOLIS, MarkovGenerator, RateRule, _flip_tables,
-                     build_generator)
+from .markov import (HEAT_BATH, METROPOLIS, MarkovGenerator, RateRule, _FlipOperator,
+                     _FlipSystem, _flip_table, build_generator)
 from .spins import IsingModel
 
 PROVENANCE_MAPPED = "mapped-from-W"
@@ -70,29 +70,21 @@ def assemble_direct(model: IsingModel, beta: float, rule: RateRule) -> QuantumHa
     classical_to_quantum(build_generator(...)) to near machine precision.
     """
     spins._check_beta(beta)
-    if model.n_spins > spins.MAX_DENSE_SPINS:
-        raise ValueError(
-            f"dense Hamiltonian needs n_spins <= {spins.MAX_DENSE_SPINS}, "
-            f"got {model.n_spins}")
-    n = model.n_spins
-    size = model.n_states
-    _, flips, deltas = _flip_tables(model)
-    rates = np.asarray(rule.rates(beta, deltas, n))
-    weights = np.asarray(rule.weights(beta, deltas, n))
-
-    h = np.zeros((size, size))
-    cols = np.arange(size)
-    for j in range(n):
-        h[flips[j], cols] = -weights[j]
-    h[cols, cols] = rates.sum(axis=0)
-    return QuantumHamiltonian(matrix=h, n_spins=n, provenance=PROVENANCE_MAPPED,
+    h = _FlipSystem(model, rule).hamiltonian(beta).dense()
+    return QuantumHamiltonian(matrix=h, n_spins=model.n_spins, provenance=PROVENANCE_MAPPED,
                               beta=float(beta), rule_name=rule.name)
 
 
 def _z_columns(n: int) -> np.ndarray:
     """(N, 2^N) array of sigma_j^z eigenvalues for every basis index."""
+    spins._check_spins(n, "dense matrix")
     idx = np.arange(1 << n)
     return 1 - 2 * ((idx[None, :] >> np.arange(n)[:, None]) & 1)
+
+
+def _across(z: np.ndarray) -> np.ndarray:
+    """(N, 2^N) array of z_{j-1} z_{j+1}, periodic, the spins on either side of site j."""
+    return np.roll(z, 1, axis=0) * np.roll(z, -1, axis=0)
 
 
 def _check_chain_args(n: int, coupling_scale: float) -> None:
@@ -111,18 +103,12 @@ def chain_heatbath_hamiltonian(n: int, k: float) -> QuantumHamiltonian:
     pure transverse-field form N/2 - sum_j x_j / 2.
     """
     _check_chain_args(n, k)
-    size = 1 << n
     z = _z_columns(n)
     zz = sum(z[j] * z[(j + 1) % n] for j in range(n))
     diag = 0.5 * n - 0.5 * math.tanh(2 * k) * zz
-
-    h = np.zeros((size, size))
-    cols = np.arange(size)
-    h[cols, cols] = diag
     ch2, c2, s2 = math.cosh(2 * k), math.cosh(k) ** 2, math.sinh(k) ** 2
-    for j in range(n):
-        zz_across = z[(j - 1) % n] * z[(j + 1) % n]
-        h[cols ^ (1 << j), cols] = -(c2 - s2 * zz_across) / (2.0 * ch2)
+    off = -(c2 - s2 * _across(z)) / (2.0 * ch2)
+    h = _FlipOperator(diag, off, _flip_table(n)).dense()
     return QuantumHamiltonian(matrix=h, n_spins=n, provenance=PROVENANCE_EXPLICIT,
                               beta=float(k), rule_name=HEAT_BATH.name)
 
@@ -135,19 +121,13 @@ def chain_metropolis_hamiltonian(n: int, k: float) -> QuantumHamiltonian:
         - (1 + e^{-2K})/2 * sum_j (1 - tanh K z_{j-1} z_{j+1}) x_j
     """
     _check_chain_args(n, k)
-    size = 1 << n
     z = _z_columns(n)
     zz = sum(z[j] * z[(j + 1) % n] for j in range(n))
-    zxz = sum(z[(j - 1) % n] * z[(j + 1) % n] for j in range(n))
+    across = _across(z)
     e4, e2, th = math.exp(-4 * k), math.exp(-2 * k), math.tanh(k)
-    diag = 0.25 * n * (3.0 + e4) - 0.25 * (1.0 - e4) * (2.0 * zz + zxz)
-
-    h = np.zeros((size, size))
-    cols = np.arange(size)
-    h[cols, cols] = diag
-    for j in range(n):
-        zz_across = z[(j - 1) % n] * z[(j + 1) % n]
-        h[cols ^ (1 << j), cols] = -0.5 * (1.0 + e2) * (1.0 - th * zz_across)
+    diag = 0.25 * n * (3.0 + e4) - 0.25 * (1.0 - e4) * (2.0 * zz + across.sum(axis=0))
+    off = -0.5 * (1.0 + e2) * (1.0 - th * across)
+    h = _FlipOperator(diag, off, _flip_table(n)).dense()
     return QuantumHamiltonian(matrix=h, n_spins=n, provenance=PROVENANCE_EXPLICIT,
                               beta=float(k), rule_name=METROPOLIS.name)
 
@@ -164,9 +144,7 @@ def chain_random_heatbath_hamiltonian(couplings, beta: float) -> QuantumHamilton
     """
     couplings = np.asarray([float(j) for j in couplings])
     n = couplings.size
-    if n < 4 or n % 2:
-        raise ValueError(f"random chain builder needs even n >= 4, got {n}")
-    spins._check_beta(beta)
+    _check_chain_args(n, beta)
     if np.abs(beta * couplings).max() > 350:
         raise ValueError("beta*|J| above 350 would overflow cosh; rescale the problem")
 
@@ -176,20 +154,14 @@ def chain_random_heatbath_hamiltonian(couplings, beta: float) -> QuantumHamilton
     s_next = np.roll(s, -1)
     denom = c ** 2 * c_next ** 2 - s ** 2 * s_next ** 2
 
-    size = 1 << n
     z = _z_columns(n)
-    diag = np.full(size, 0.5 * n)
+    diag = np.full(1 << n, 0.5 * n)
     for j in range(n):
         diag -= (c[j] * s[j] * z[(j - 1) % n] * z[j]
                  + c_next[j] * s_next[j] * z[j] * z[(j + 1) % n]) / (2.0 * denom[j])
-
-    h = np.zeros((size, size))
-    cols = np.arange(size)
-    h[cols, cols] = diag
-    for j in range(n):
-        zz_across = z[(j - 1) % n] * z[(j + 1) % n]
-        h[cols ^ (1 << j), cols] = -(c[j] * c_next[j] - s[j] * s_next[j] * zz_across) \
-            / (2.0 * denom[j])
+    off = -((c * c_next)[:, None] - (s * s_next)[:, None] * _across(z)) \
+        / (2.0 * denom)[:, None]
+    h = _FlipOperator(diag, off, _flip_table(n)).dense()
     return QuantumHamiltonian(matrix=h, n_spins=n, provenance=PROVENANCE_EXPLICIT,
                               beta=float(beta), rule_name=HEAT_BATH.name)
 
@@ -204,14 +176,9 @@ def transverse_field_chain(n: int, gamma: float, coupling: float = 1.0,
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    size = 1 << n
     z = _z_columns(n)
     zz = sum(z[j] * z[(j + 1) % n] for j in range(n))
-    h = np.zeros((size, size))
-    cols = np.arange(size)
-    h[cols, cols] = constant - coupling * zz
-    for j in range(n):
-        h[cols ^ (1 << j), cols] = -gamma
+    h = _FlipOperator(constant - coupling * zz, np.full(z.shape, -gamma), _flip_table(n)).dense()
     return QuantumHamiltonian(matrix=h, n_spins=n, provenance=PROVENANCE_USER)
 
 

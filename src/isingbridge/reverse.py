@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spins
 from .markov import MarkovGenerator
 from .quantum import QuantumHamiltonian
 from .spectral import eig_sym
 
-MAX_EXPANSION_SPINS = 16
 ENTRY_FLOOR = 1e-300
 DEGENERACY_GUARD = 1e-10
 OFFDIAG_SIGN_TOL = 1e-12
@@ -231,6 +231,5 @@ def extract_couplings(energy_table) -> CouplingExpansion:
     n = size.bit_length() - 1
     if size != 1 << n or n < 1:
         raise ValueError(f"table length {size} is not a power of two")
-    if n > MAX_EXPANSION_SPINS:
-        raise ValueError(f"expansion capped at {MAX_EXPANSION_SPINS} spins, got {n}")
+    spins._check_spins(n, "Walsh expansion")
     return CouplingExpansion(n_spins=n, coefficients=_walsh(table) / size)

@@ -12,11 +12,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import spins
+
 if TYPE_CHECKING:  # pragma: no cover
     from .markov import MarkovGenerator
     from .quantum import QuantumHamiltonian
 
-MAX_DIM = 4096
 SYMMETRY_TOL = 1e-8
 
 
@@ -40,14 +41,13 @@ def eig_sym(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Eigenvalues ascend; eigenvectors are the orthonormal columns of the
     second return value. Rejects asymmetric input (beyond 1e-8 relative)
-    and dimensions above 4096.
+    and dimensions above 2^12 = 4096 (the dense-matrix spin cap).
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     dim = matrix.shape[0]
-    if dim > MAX_DIM:
-        raise ValueError(f"dimension {dim} exceeds dense cap {MAX_DIM}")
+    spins._check_spins((dim - 1).bit_length(), "dense matrix")  # ceil(log2(dim)) spins
     scale = np.abs(matrix).max()
     if scale > 0 and np.abs(matrix - matrix.T).max() > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within 1e-8 relative tolerance")

@@ -3,8 +3,8 @@
 Configuration convention, shared by every module in this package: a
 configuration of N spins is an integer index in [0, 2^N). Bit i of the
 index is 0 for sigma_i = +1 and 1 for sigma_i = -1, and flipping spin i
-toggles exactly bit i. All matrices elsewhere are indexed in this basis,
-so no other module does raw bit arithmetic on spins.
+toggles exactly bit i. All matrices elsewhere are indexed in this basis;
+bits are toggled by `markov._flip_table` and montecarlo, read by `quantum._z_columns`.
 """
 
 from __future__ import annotations
@@ -15,8 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_SPINS = 20          # energy tables / Boltzmann vectors stay addressable
-MAX_DENSE_SPINS = 12    # dense 2^N x 2^N constructions elsewhere
+_SPIN_CAPS = {
+    "model": 20,                # energy tables / Boltzmann vectors stay addressable
+    "Walsh expansion": 16,      # reverse.extract_couplings
+    "fermion enumeration": 16,  # fermion.many_body_spectrum, 2^N occupation subsets
+    "dense matrix": 12,         # dense 2^N x 2^N matrices, eigensolves up to 4096
+    "anneal engine": 10,        # the three time-dependent engines
+    "command-line": 10,         # every CLI command but mc
+    "wide state export": 8,     # anneal --dump-states wide: 2^N CSV columns
+}
+MAX_SPINS = _SPIN_CAPS["model"]
+
+
+def _check_spins(n_spins: int, use: str) -> None:
+    """Reject more spins than the `use` entry of `_SPIN_CAPS` allows."""
+    if n_spins > _SPIN_CAPS[use]:
+        raise ValueError(f"{n_spins} spins exceed the {use} cap n_spins <= {_SPIN_CAPS[use]}")
 
 
 def spin_value(index: int, site: int) -> int:
@@ -61,8 +75,9 @@ class IsingModel:
     name: str | None = None
 
     def __post_init__(self):
-        if not 1 <= self.n_spins <= MAX_SPINS:
-            raise ValueError(f"n_spins must be in [1, {MAX_SPINS}], got {self.n_spins}")
+        if self.n_spins < 1:
+            raise ValueError(f"n_spins must be at least 1, got {self.n_spins}")
+        _check_spins(self.n_spins, "model")
         normalized = []
         seen = set()
         for sites, coeff in self.terms:

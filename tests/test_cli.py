@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from isingbridge import cli, spins
 
@@ -70,6 +71,22 @@ class TestBridgeCheck:
         path.write_text(json.dumps({"n_spins": 3}))
         assert_usage_error(capsys, "bridge-check", "--model", str(path),
                            "--out", str(tmp_path), match="'terms'")
+
+    @pytest.mark.parametrize("rule", ["heatbath", "metropolis", "uniform:0.1"])
+    @pytest.mark.parametrize("k", [5.0, 10.0])
+    def test_ground_check_does_not_depend_on_the_gap(self, rule, k, tmp_path):
+        # the gap 1 - tanh 2K is below 1e-8 here, so the eigh ground vector is
+        # ill-conditioned; the residual of H sqrt(P0) is not
+        code = run_cli("bridge-check", "--chain", "6", "--K", str(k), "--rule", rule,
+                       "--out", str(tmp_path))
+        report = load_report(tmp_path, "bridge_check.json")
+        assert report["checks"]["ground-state-boltzmann"]
+        assert report["ground_state_residual"] <= 1e-15
+        assert report["gap"] < 1e-6 and "ground_boltzmann_deviation" in report
+        if (rule, k) != ("uniform:0.1", 10.0):
+            assert code == 0
+        # uniform:0.1 at K = 10 exits 1 on spectrum-shared: its rates reach ~1e9,
+        # so eigh roundoff exceeds that check's absolute 1e-9 tolerance
 
     def test_unknown_rule_is_usage_error(self, tmp_path):
         assert run_cli("bridge-check", "--chain", "4", "--rule", "glauber",
@@ -219,6 +236,20 @@ class TestConfigAndFormat:
         cfg_path.write_text(json.dumps({"chian": 6}))
         assert_usage_error(capsys, "bridge-check", "--config", str(cfg_path),
                            "--out", str(tmp_path), match="chian")
+
+    @pytest.mark.parametrize("config", [
+        {"chain": 6.5},
+        {"chain": 4, "format": "xml"},
+        {"chain": 4, "dump_hamiltonian": "no"},
+    ], ids=["float-for-int", "bad-choice", "string-for-switch"])
+    def test_config_value_is_checked_like_its_flag(self, config, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        key = list(config)[-1]
+        assert_usage_error(capsys, "bridge-check", "--config", str(cfg_path),
+                           "--out", str(tmp_path), match=f"--config key {key}:")
+        assert not (tmp_path / "hamiltonian.txt").exists()
+        assert not (tmp_path / "bridge_check.json").exists()
 
     def test_csv_report_format(self, tmp_path):
         run_cli("bridge-check", "--chain", "4", "--format", "csv",

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from isingbridge import spins
+from isingbridge import anneal, cli, fermion, markov, quantum, reverse, spectral, spins
 
 
 def random_model(n, n_terms, rng, max_order=4):
@@ -201,3 +201,52 @@ class TestFrustratedInstance:
         table = spins.energy_table(a)
         n_bonds = len(a.terms)
         assert table.min() > -n_bonds  # not all bonds satisfiable
+
+
+def _chain(n):
+    return spins.chain_model(n, [1.0] * n)
+
+
+# (cap name, entry point given a spin count). The fermion and explicit chain
+# builders take even N only, so they are probed at cap + 2.
+CAPPED = [
+    ("model", lambda n: spins.IsingModel(n, [])),
+    ("Walsh expansion", lambda n: reverse.extract_couplings(np.zeros(1 << n))),
+    ("fermion enumeration",
+     lambda n: fermion.many_body_spectrum(fermion.FermionChainParams(n + 1, 0.5))),
+    ("dense matrix", lambda n: markov.build_generator(_chain(n), 0.5, markov.HEAT_BATH)),
+    ("dense matrix", lambda n: quantum.assemble_direct(_chain(n), 0.5, markov.HEAT_BATH)),
+    ("dense matrix", lambda n: quantum.chain_heatbath_hamiltonian(n + 1, 0.5)),
+    ("dense matrix", lambda n: quantum.chain_metropolis_hamiltonian(n + 1, 0.5)),
+    ("dense matrix", lambda n: quantum.chain_random_heatbath_hamiltonian([1.0] * (n + 1), 0.5)),
+    ("dense matrix", lambda n: quantum.transverse_field_chain(n, 0.7)),
+    ("dense matrix", lambda n: spectral.eig_sym(np.broadcast_to(0.0, ((1 << n - 1) + 1,) * 2))),
+    ("anneal engine", lambda n: anneal.evolve_master_timedep(
+        _chain(n), markov.HEAT_BATH, anneal.LinearBeta(0.0, 1.0, 1.0),
+        np.full(1 << n, 1.0 / (1 << n)), 0.01)),
+    ("wide state export",
+     lambda n: cli.export_states("unused.csv", np.zeros(1), np.zeros((1, 1 << n)), "wide", n)),
+]
+
+
+class TestSpinCaps:
+    @pytest.mark.parametrize("use, entry", CAPPED,
+                             ids=[f"{use}-{i}" for i, (use, _) in enumerate(CAPPED)])
+    def test_entry_point_rejects_one_spin_over_its_cap(self, use, entry):
+        cap = spins._SPIN_CAPS[use]
+        with pytest.raises(ValueError, match=f"exceed the {use} cap n_spins <= {cap}"):
+            entry(cap + 1)
+
+    @pytest.mark.parametrize("command, use", [
+        ("bridge-check", "command-line"), ("reverse", "command-line"),
+        ("anneal", "command-line"), ("fermion-check", "command-line"), ("mc", "model"),
+    ])
+    def test_cli_rejects_one_spin_over_its_cap(self, command, use, tmp_path, capsys):
+        cap = spins._SPIN_CAPS[use]
+        n = cap + 2 if command == "fermion-check" else cap + 1  # fermion-check: even N only
+        assert cli.main([command, "--chain", str(n), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {n} spins exceed the {use} cap n_spins <= {cap}"]
+
+    def test_every_cap_is_probed(self):
+        assert {use for use, _ in CAPPED} == set(spins._SPIN_CAPS) - {"command-line"}
