@@ -167,7 +167,7 @@ class _FlipOperator(NamedTuple):
         return self.diag * y + (self.off * y[self.flips]).sum(axis=0)
 
     def dense(self) -> np.ndarray:
-        matrix = np.diag(self.diag.astype(float))
+        matrix = np.diag(self.diag.astype(np.result_type(self.diag, self.off, float)))
         matrix[np.arange(self.diag.size), self.flips] = self.off
         return matrix
 

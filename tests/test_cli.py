@@ -1,11 +1,13 @@
+import dataclasses
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from isingbridge import cli, spins
+from isingbridge import cli, spectral, spins
 
 
 def run_cli(*argv):
@@ -76,17 +78,32 @@ class TestBridgeCheck:
     @pytest.mark.parametrize("k", [5.0, 10.0])
     def test_ground_check_does_not_depend_on_the_gap(self, rule, k, tmp_path):
         # the gap 1 - tanh 2K is below 1e-8 here, so the eigh ground vector is
-        # ill-conditioned; the residual of H sqrt(P0) is not
+        # ill-conditioned; the residuals of H sqrt(P0) and of the eigh pair are not
         code = run_cli("bridge-check", "--chain", "6", "--K", str(k), "--rule", rule,
                        "--out", str(tmp_path))
         report = load_report(tmp_path, "bridge_check.json")
         assert report["checks"]["ground-state-boltzmann"]
         assert report["ground_state_residual"] <= 1e-15
+        assert report["ground_eigenpair_residual"] <= 1e-15
         assert report["gap"] < 1e-6 and "ground_boltzmann_deviation" in report
-        if (rule, k) != ("uniform:0.1", 10.0):
-            assert code == 0
-        # uniform:0.1 at K = 10 exits 1 on spectrum-shared: its rates reach ~1e9,
-        # so eigh roundoff exceeds that check's absolute 1e-9 tolerance
+        assert code == 0
+
+    @pytest.mark.parametrize("field, check", [("ground_vector", "ground-state-boltzmann"),
+                                              ("eigenvalues", "spectrum-shared")])
+    def test_perturbed_eigh_output_fails_its_check(self, field, check, tmp_path, monkeypatch):
+        original = spectral.spectrum_report
+
+        def perturbed(matrix, keep_ground_vector=True):
+            report = original(matrix, keep_ground_vector)
+            values = getattr(report, field).copy()
+            values[0] += 1e-6
+            return dataclasses.replace(report, **{field: values})
+
+        monkeypatch.setattr(spectral, "spectrum_report", perturbed)
+        code = run_cli("bridge-check", "--chain", "6", "--K", "0.5", "--out", str(tmp_path))
+        report = load_report(tmp_path, "bridge_check.json")
+        failed = [name for name, ok in report["checks"].items() if not ok]
+        assert code == 1 and failed == [check]
 
     def test_unknown_rule_is_usage_error(self, tmp_path):
         assert run_cli("bridge-check", "--chain", "4", "--rule", "glauber",
@@ -273,9 +290,12 @@ class TestConfigAndFormat:
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the same package as this process, installed or not
+    path = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")]
     result = subprocess.run(
         [sys.executable, "-m", "isingbridge.cli", "bridge-check", "--chain", "4",
          "--K", "0.5", "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
     assert result.returncode == 0
     assert (tmp_path / "bridge_check.json").exists()

@@ -37,7 +37,8 @@ def test_operator_matches_its_dense_form(model, rule, beta, beta_dot, seed):
     system = markov._FlipSystem(model, rule)
     y = np.random.default_rng(seed).normal(size=model.n_states)
     for op in (system.generator(beta), system.hamiltonian(beta),
-               system.hamiltonian(beta, beta_dot, -1.0)):
+               system.hamiltonian(beta, beta_dot, -1.0),
+               system.hamiltonian(beta, beta_dot, -1j)):
         dense = op.dense()
         scale = np.abs(dense).max() * np.abs(y).sum()
         assert np.abs(op(y) - dense @ y).max() <= 1e-13 * scale
