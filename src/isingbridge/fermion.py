@@ -6,7 +6,9 @@ dispersion: states with an even number of fermions draw momenta from the
 antiperiodic grid pi*(2k+1)/N, odd states from the periodic grid 2*pi*k/N,
 and each excitation costs 2*eps_p. For bond-dependent couplings the
 quadratic form is no longer diagonal in momentum and the single-particle
-energies come from a small block matrix instead.
+energies come from a small block matrix instead. The chain's one argument
+check and its quadratic-form constants live here; `quantum` assembles the
+closed-form heat-bath Hamiltonians from the same constants.
 """
 
 from __future__ import annotations
@@ -17,6 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spins
+
+
+def _check_chain(n: int, beta: float, max_abs_coupling: float | None = 1.0) -> None:
+    """Reject odd n or n < 4, a bad beta, and beta*max|J| > 350 (cosh(2*350) ~ 5e303).
+
+    Pass max_abs_coupling=None where no cosh is taken (the Metropolis chain).
+    """
+    if n < 4 or n % 2:
+        raise ValueError(f"the closed-form chain needs even n >= 4, got {n}")
+    spins._check_beta(beta)
+    if max_abs_coupling is not None and not beta * max_abs_coupling <= 350:
+        raise ValueError(f"beta*max|J| = {beta * max_abs_coupling} exceeds 350, "
+                         "where cosh overflows; rescale the problem")
+
 
 @dataclass(frozen=True)
 class FermionChainParams:
@@ -31,9 +47,7 @@ class FermionChainParams:
     k: float
 
     def __post_init__(self):
-        if self.n < 4 or self.n % 2:
-            raise ValueError(f"free-fermion solution needs even n >= 4, got {self.n}")
-        spins._check_beta(self.k, "K")
+        _check_chain(self.n, self.k)
 
     @property
     def constant(self) -> float:
@@ -73,15 +87,11 @@ def dispersion(k: float, p) -> np.ndarray | float:
     |field + hop e^{ip} + hop2 e^{2ip}| and insists the two expressions
     agree to 1e-12; eps_p >= 0 for all p since tanh 2K < 1.
     """
-    spins._check_beta(k, "K")
+    params = FermionChainParams(4, k)  # the constants do not depend on N
     p_arr = np.asarray(p, dtype=float)
-    cosine_form = 0.5 * (1.0 + math.tanh(2 * k) * np.cos(p_arr))
-
-    t2 = math.tanh(2 * k)
-    field = math.cosh(k) ** 2 / (2.0 * math.cosh(2 * k))
-    hop2 = math.sinh(k) ** 2 / (2.0 * math.cosh(2 * k))
-    modulus_form = np.abs(field + 0.5 * t2 * np.exp(1j * p_arr)
-                          + hop2 * np.exp(2j * p_arr))
+    cosine_form = 0.5 + params.hop * np.cos(p_arr)
+    modulus_form = np.abs(params.field + params.hop * np.exp(1j * p_arr)
+                          + params.hop2 * np.exp(2j * p_arr))
     if np.abs(cosine_form - modulus_form).max() > 1e-12:
         raise AssertionError("dispersion forms disagree beyond 1e-12")
     return cosine_form if np.ndim(p) else float(cosine_form)
@@ -123,21 +133,23 @@ def finite_gap(params: FermionChainParams) -> float:
     return float(2.0 * eps.min())
 
 
-def _site_dependent_constants(couplings: np.ndarray, beta: float):
-    """Per-site quadratic-form constants for bond-dependent couplings.
+def _site_dependent_constants(couplings, beta: float):
+    """Checked per-site quadratic-form constants (field, hop, hop2) for bond couplings.
 
-    Read off the closed-form chain Hamiltonian: with c_j = cosh(beta*J_j),
-    s_j = sinh(beta*J_j), D_j = c_j^2 c_{j+1}^2 - s_j^2 s_{j+1}^2, the
+    With c_j = cosh(beta*J_j), s_j = sinh(beta*J_j) and D_j = c_j^2 c_{j+1}^2
+    - s_j^2 s_{j+1}^2 = c_j^2 + s_{j+1}^2 (the sum does not cancel), the
     transverse strength at site j is field_j = c_j c_{j+1} / (2 D_j), the
     three-site term hop2_j = s_j s_{j+1} / (2 D_j), and the bond (j, j+1)
     carries hop_j = c_{j+1} s_{j+1} (1/D_j + 1/D_{j+1}) / 2. Uniform
     couplings reproduce the uniform constants.
     """
+    couplings = np.asarray([float(j) for j in couplings])
+    _check_chain(couplings.size, beta, np.abs(couplings).max(initial=0.0))
     c = np.cosh(beta * couplings)
     s = np.sinh(beta * couplings)
     c_next = np.roll(c, -1)
     s_next = np.roll(s, -1)
-    denom = c ** 2 * c_next ** 2 - s ** 2 * s_next ** 2
+    denom = c ** 2 + s_next ** 2
     field = c * c_next / (2.0 * denom)
     hop2 = s * s_next / (2.0 * denom)
     hop = 0.5 * c_next * s_next * (1.0 / denom + 1.0 / np.roll(denom, -1))
@@ -153,15 +165,8 @@ def random_single_particle_matrix(couplings, beta: float):
     couplings the energies coincide with the dispersion on the periodic
     momentum grid.
     """
-    couplings = np.asarray([float(j) for j in couplings])
-    n = couplings.size
-    if n < 4 or n % 2:
-        raise ValueError(f"random chain needs even n >= 4, got {n}")
-    spins._check_beta(beta)
-    if np.abs(beta * couplings).max() > 350:
-        raise ValueError("beta*|J| above 350 would overflow cosh; rescale the problem")
-
     field, hop, hop2 = _site_dependent_constants(couplings, beta)
+    n = field.size
     a = np.zeros((n, n))
     b = np.zeros((n, n))
     for j in range(n):

@@ -6,7 +6,8 @@ spectrum is the negated spectrum of W, whose ground energy is zero, and
 whose ground state is the square-root Boltzmann vector. For the
 periodic nearest-neighbor chain the same matrix is also assembled
 directly from closed-form operator expressions, which the tests compare
-entry by entry against the generic route.
+entry by entry against the generic route. Both heat-bath closed forms are
+one assembly from the quadratic-form constants of `fermion`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral, spins
+from . import fermion, spectral, spins
 from .markov import (HEAT_BATH, METROPOLIS, MarkovGenerator, RateRule, _FlipOperator,
                      _FlipSystem, _flip_table, build_generator)
 from .spins import IsingModel
@@ -82,15 +83,29 @@ def _z_columns(n: int) -> np.ndarray:
     return 1 - 2 * ((idx[None, :] >> np.arange(n)[:, None]) & 1)
 
 
+def _bonds(z: np.ndarray) -> np.ndarray:
+    """(N, 2^N) array of z_j z_{j+1}, periodic, the bond to the right of site j."""
+    return z * np.roll(z, -1, axis=0)
+
+
 def _across(z: np.ndarray) -> np.ndarray:
     """(N, 2^N) array of z_{j-1} z_{j+1}, periodic, the spins on either side of site j."""
     return np.roll(z, 1, axis=0) * np.roll(z, -1, axis=0)
 
 
-def _check_chain_args(n: int, coupling_scale: float) -> None:
-    if n < 4 or n % 2:
-        raise ValueError(f"explicit chain builders need even n >= 4, got {n}")
-    spins._check_beta(coupling_scale, "coupling constant")
+def _heatbath_chain(field: np.ndarray, hop: np.ndarray, hop2: np.ndarray,
+                    beta: float) -> QuantumHamiltonian:
+    """Heat-bath chain from length-N arrays of the constants `fermion` derives.
+
+    H = N/2 - sum_j hop_j z_j z_{j+1} - sum_j (field_j - hop2_j z_{j-1} z_{j+1}) x_j
+    """
+    n = field.size
+    z = _z_columns(n)
+    diag = 0.5 * n - hop @ _bonds(z)
+    off = -(field[:, None] - hop2[:, None] * _across(z))
+    h = _FlipOperator(diag, off, _flip_table(n)).dense()
+    return QuantumHamiltonian(matrix=h, n_spins=n, provenance=PROVENANCE_EXPLICIT,
+                              beta=float(beta), rule_name=HEAT_BATH.name)
 
 
 def chain_heatbath_hamiltonian(n: int, k: float) -> QuantumHamiltonian:
@@ -99,18 +114,13 @@ def chain_heatbath_hamiltonian(n: int, k: float) -> QuantumHamiltonian:
     H = N/2 - (tanh 2K)/2 * sum_j z_j z_{j+1}
         - 1/(2 cosh 2K) * sum_j (cosh^2 K - sinh^2 K z_{j-1} z_{j+1}) x_j
 
-    with periodic indices and K = beta*J at J = 1. Reduces at K = 0 to the
+    with periodic indices and K = beta*J at J = 1, i.e. the constants hop,
+    field and hop2 of `fermion.FermionChainParams`. Reduces at K = 0 to the
     pure transverse-field form N/2 - sum_j x_j / 2.
     """
-    _check_chain_args(n, k)
-    z = _z_columns(n)
-    zz = sum(z[j] * z[(j + 1) % n] for j in range(n))
-    diag = 0.5 * n - 0.5 * math.tanh(2 * k) * zz
-    ch2, c2, s2 = math.cosh(2 * k), math.cosh(k) ** 2, math.sinh(k) ** 2
-    off = -(c2 - s2 * _across(z)) / (2.0 * ch2)
-    h = _FlipOperator(diag, off, _flip_table(n)).dense()
-    return QuantumHamiltonian(matrix=h, n_spins=n, provenance=PROVENANCE_EXPLICIT,
-                              beta=float(k), rule_name=HEAT_BATH.name)
+    params = fermion.FermionChainParams(n, k)
+    return _heatbath_chain(np.full(n, params.field), np.full(n, params.hop),
+                           np.full(n, params.hop2), k)
 
 
 def chain_metropolis_hamiltonian(n: int, k: float) -> QuantumHamiltonian:
@@ -120,9 +130,9 @@ def chain_metropolis_hamiltonian(n: int, k: float) -> QuantumHamiltonian:
         - (1 - e^{-4K})/4 * sum_j (2 z_j z_{j+1} + z_{j-1} z_{j+1})
         - (1 + e^{-2K})/2 * sum_j (1 - tanh K z_{j-1} z_{j+1}) x_j
     """
-    _check_chain_args(n, k)
+    fermion._check_chain(n, k, max_abs_coupling=None)  # no cosh: any finite K
     z = _z_columns(n)
-    zz = sum(z[j] * z[(j + 1) % n] for j in range(n))
+    zz = _bonds(z).sum(axis=0)
     across = _across(z)
     e4, e2, th = math.exp(-4 * k), math.exp(-2 * k), math.tanh(k)
     diag = 0.25 * n * (3.0 + e4) - 0.25 * (1.0 - e4) * (2.0 * zz + across.sum(axis=0))
@@ -141,29 +151,10 @@ def chain_random_heatbath_hamiltonian(couplings, beta: float) -> QuantumHamilton
 
     H = N/2 - sum_j [c_j s_j z_{j-1} z_j + c_{j+1} s_{j+1} z_j z_{j+1}] / (2 D_j)
             - sum_j (c_j c_{j+1} - s_j s_{j+1} z_{j-1} z_{j+1}) / (2 D_j) * x_j
+
+    assembled from the constants of `fermion._site_dependent_constants`.
     """
-    couplings = np.asarray([float(j) for j in couplings])
-    n = couplings.size
-    _check_chain_args(n, beta)
-    if np.abs(beta * couplings).max() > 350:
-        raise ValueError("beta*|J| above 350 would overflow cosh; rescale the problem")
-
-    c = np.cosh(beta * couplings)
-    s = np.sinh(beta * couplings)
-    c_next = np.roll(c, -1)   # c_{j+1}
-    s_next = np.roll(s, -1)
-    denom = c ** 2 * c_next ** 2 - s ** 2 * s_next ** 2
-
-    z = _z_columns(n)
-    diag = np.full(1 << n, 0.5 * n)
-    for j in range(n):
-        diag -= (c[j] * s[j] * z[(j - 1) % n] * z[j]
-                 + c_next[j] * s_next[j] * z[j] * z[(j + 1) % n]) / (2.0 * denom[j])
-    off = -((c * c_next)[:, None] - (s * s_next)[:, None] * _across(z)) \
-        / (2.0 * denom)[:, None]
-    h = _FlipOperator(diag, off, _flip_table(n)).dense()
-    return QuantumHamiltonian(matrix=h, n_spins=n, provenance=PROVENANCE_EXPLICIT,
-                              beta=float(beta), rule_name=HEAT_BATH.name)
+    return _heatbath_chain(*fermion._site_dependent_constants(couplings, beta), beta)
 
 
 def transverse_field_chain(n: int, gamma: float, coupling: float = 1.0,
@@ -177,7 +168,7 @@ def transverse_field_chain(n: int, gamma: float, coupling: float = 1.0,
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     z = _z_columns(n)
-    zz = sum(z[j] * z[(j + 1) % n] for j in range(n))
+    zz = _bonds(z).sum(axis=0)
     h = _FlipOperator(constant - coupling * zz, np.full(z.shape, -gamma), _flip_table(n)).dense()
     return QuantumHamiltonian(matrix=h, n_spins=n, provenance=PROVENANCE_USER)
 

@@ -138,6 +138,15 @@ class TestFermionCheck:
     def test_odd_chain_is_usage_error(self, tmp_path):
         assert run_cli("fermion-check", "--chain", "7", "--out", str(tmp_path)) == 2
 
+    def test_missing_chain_is_usage_error(self, tmp_path, capsys):
+        assert_usage_error(capsys, "fermion-check", "--out", str(tmp_path),
+                           match="fermion-check needs --chain N")
+
+    @pytest.mark.parametrize("extra", [[], ["--random-couplings"]])
+    def test_overflowing_K_is_usage_error(self, extra, tmp_path, capsys):
+        assert_usage_error(capsys, "fermion-check", "--chain", "4", "--K", "400", *extra,
+                           "--out", str(tmp_path), match="exceeds 350, where cosh overflows")
+
 
 class TestReverse:
     def test_transverse_chain_locality_profile(self, tmp_path):

@@ -42,6 +42,48 @@ class TestDerivedConstants:
             fermion.FermionChainParams(6, -0.1)
 
 
+# Every entry point that takes a heat-bath or Metropolis chain, called with
+# (n, beta) on uniform couplings J = 1; the Metropolis chain takes no cosh.
+CHAIN_ENTRY_POINTS = {
+    "FermionChainParams": fermion.FermionChainParams,
+    "random_single_particle_matrix":
+        lambda n, b: fermion.random_single_particle_matrix([1.0] * n, b),
+    "chain_heatbath_hamiltonian": quantum.chain_heatbath_hamiltonian,
+    "chain_random_heatbath_hamiltonian":
+        lambda n, b: quantum.chain_random_heatbath_hamiltonian([1.0] * n, b),
+    "chain_metropolis_hamiltonian": quantum.chain_metropolis_hamiltonian,
+}
+
+
+class TestSharedChainCheck:
+    @pytest.mark.parametrize("name", CHAIN_ENTRY_POINTS)
+    @pytest.mark.parametrize("n, beta, message", [
+        (5, 0.5, "the closed-form chain needs even n >= 4, got 5"),
+        (2, 0.5, "the closed-form chain needs even n >= 4, got 2"),
+        (6, -0.1, "beta must be finite and nonnegative, got -0.1"),
+        (6, math.inf, "beta must be finite and nonnegative, got inf"),
+    ])
+    def test_one_message_for_every_entry_point(self, name, n, beta, message):
+        with pytest.raises(ValueError) as info:
+            CHAIN_ENTRY_POINTS[name](n, beta)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("name", sorted(set(CHAIN_ENTRY_POINTS)
+                                            - {"chain_metropolis_hamiltonian"}))
+    def test_cosh_paths_reject_beta_j_above_350(self, name):
+        with pytest.raises(ValueError, match="exceeds 350, where cosh overflows"):
+            CHAIN_ENTRY_POINTS[name](4, 400.0)
+        CHAIN_ENTRY_POINTS[name](4, 350.0)
+
+    def test_dispersion_rejects_k_above_350(self):
+        with pytest.raises(ValueError, match="350"):
+            fermion.dispersion(400.0, 0.0)
+
+    def test_metropolis_chain_takes_any_finite_k(self):
+        ham = quantum.chain_metropolis_hamiltonian(4, 400.0)
+        assert np.isfinite(ham.matrix).all()
+
+
 class TestMomentumGrid:
     def test_even_sector_excludes_zero_and_pairs(self):
         grid = fermion.momentum_grid(6, "even")
@@ -137,6 +179,15 @@ class TestRandomSingleParticle:
         _, energies = fermion.random_single_particle_matrix([1.0] * 8, 0.6)
         grid = fermion.momentum_grid(8, "odd")
         expected = np.sort(np.asarray(fermion.dispersion(0.6, grid)))
+        assert np.abs(np.sort(energies) - expected).max() <= 1e-10
+
+    @pytest.mark.parametrize("k", [20.0, 300.0])
+    def test_strong_uniform_couplings_reproduce_dispersion(self, k):
+        # D_j = c_j^2 c_{j+1}^2 - s_j^2 s_{j+1}^2 cancels to roundoff here
+        # unless it is evaluated as c_j^2 + s_{j+1}^2
+        _, energies = fermion.random_single_particle_matrix([1.0] * 8, k)
+        grid = fermion.momentum_grid(8, "odd")
+        expected = np.sort(np.asarray(fermion.dispersion(k, grid)))
         assert np.abs(np.sort(energies) - expected).max() <= 1e-10
 
     def test_spectrum_is_plus_minus_symmetric(self):

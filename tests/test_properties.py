@@ -2,13 +2,15 @@
 
 The single-flip operator of `markov._FlipSystem` is checked against its own
 dense form, and the dense routes against each other: direct and mapped H
-agree, W conserves probability, and W and H share their spectrum.
+agree, W conserves probability, and W and H share their spectrum. The
+closed-form random-coupling heat-bath chain is checked against the direct
+route, and the Walsh expansion against the table it came from.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from isingbridge import markov, quantum, spectral, spins
+from isingbridge import markov, quantum, reverse, spectral, spins
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                              database=None)
@@ -71,3 +73,28 @@ def test_spectrum_is_shared(model, rule, beta):
     # reach exp(beta * |delta| / 2) >> 1 on strongly coupled models
     tol = 1e-9 * max(1.0, np.abs(hamiltonian.matrix).max())
     assert spectral.compare_spectra(-w_evals, h_evals, tol).matched
+
+
+@st.composite
+def chain_couplings(draw):
+    n = draw(st.sampled_from([4, 6]))
+    magnitudes = draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    return [m * s for m, s in zip(magnitudes, signs)]
+
+
+@PROPERTY_SETTINGS
+@given(chain_couplings(), st.floats(0.0, 2.0))
+def test_random_heatbath_chain_equals_direct(couplings, beta):
+    closed = quantum.chain_random_heatbath_hamiltonian(couplings, beta).matrix
+    model = spins.chain_model(len(couplings), couplings)
+    direct = quantum.assemble_direct(model, beta, markov.HEAT_BATH).matrix
+    assert np.abs(closed - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 8), st.floats(0.01, 100.0), st.integers(0, 2**32 - 1))
+def test_walsh_expansion_reconstructs_its_table(n, scale, seed):
+    table = scale * np.random.default_rng(seed).normal(size=1 << n)
+    rebuilt = reverse.extract_couplings(table).reconstruct()
+    assert np.abs(rebuilt - table).max() <= 1e-12 * max(1.0, np.abs(table).max())

@@ -176,6 +176,19 @@ class TestRandomChain:
         with pytest.raises(ValueError, match="350"):
             quantum.chain_random_heatbath_hamiltonian([400.0] * 4, 1.0)
 
+    def test_strong_couplings_match_direct_assembly(self):
+        couplings = [1.0, -0.4, 0.7, -1.0, 0.2, 0.9]
+        explicit = quantum.chain_random_heatbath_hamiltonian(couplings, 20.0)
+        direct = quantum.assemble_direct(spins.chain_model(6, couplings), 20.0,
+                                         markov.HEAT_BATH)
+        assert np.abs(explicit.matrix - direct.matrix).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [20.0, 300.0])
+    def test_strong_uniform_couplings_reduce_to_uniform_builder(self, k):
+        random_form = quantum.chain_random_heatbath_hamiltonian([1.0] * 6, k)
+        uniform_form = quantum.chain_heatbath_hamiltonian(6, k)
+        assert np.abs(random_form.matrix - uniform_form.matrix).max() <= 1e-13
+
 
 class TestHamiltonianInvariants:
     def test_type_rejects_asymmetric_matrix(self):
