@@ -10,7 +10,11 @@ ground-state probability and overlap with the instantaneous ground state,
 which for mapped Hamiltonians is the square-root Boltzmann vector.
 Per-step guards: master |sum P - 1| <= 1e-8; imaginary renormalizes and
 accumulates the log-norm decrement; real aborts if the norm leaves 1 by
-over 1e-4. Stability: max(dt, h) * max rate <= 0.1, max over 33 probes.
+over 1e-4. Stability: max(dt, h) * max|diagonal| of the engine's own stage
+operator <= 0.1, max over 33 probe times: the outflow for the master
+engine, |outflow - beta_dot H0 / 2| for the two Schrodinger engines.
+`_rk4` asks for the stage operators of a chunk of steps in one call, and
+the flip system builds them for the whole array of stage betas at once.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ class Schedule:
 
     t_final: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.t_final) and self.t_final > 0):
+            raise ValueError(f"t_final must be finite and positive, got {self.t_final}")
+
     def beta(self, t: float) -> float:
         raise NotImplementedError
 
@@ -46,8 +54,7 @@ class LinearBeta(Schedule):
     t_final: float
 
     def __post_init__(self):
-        if not self.t_final > 0:
-            raise ValueError(f"t_final must be positive, got {self.t_final}")
+        super().__post_init__()
         if self.beta1 < self.beta0:
             raise ValueError("beta must be nondecreasing: beta1 < beta0")
         spins._check_beta(self.beta0, "beta0")
@@ -69,8 +76,7 @@ class ExponentialBeta(Schedule):
     t_final: float
 
     def __post_init__(self):
-        if not self.t_final > 0:
-            raise ValueError(f"t_final must be positive, got {self.t_final}")
+        super().__post_init__()
         spins._check_beta(self.beta0, "beta0")
         if not (math.isfinite(self.rate) and self.rate >= 0):
             raise ValueError(f"rate must be finite and nonnegative, got {self.rate}")
@@ -96,8 +102,7 @@ class GemanGeman(Schedule):
     t_offset: float = 1.0
 
     def __post_init__(self):
-        if not self.t_final > 0:
-            raise ValueError(f"t_final must be positive, got {self.t_final}")
+        super().__post_init__()
         if not self.p > 0:
             raise ValueError(f"p must be positive, got {self.p}")
         if not self.t_offset >= 1.0:
@@ -133,7 +138,7 @@ class AnnealTrajectory:
 
 
 class _AnnealSystem(_FlipSystem):
-    """The flip system of an anneal run, plus its ground states and stability bound."""
+    """The flip system of an anneal run, plus its ground states."""
 
     def __init__(self, model: IsingModel, rule: RateRule):
         super().__init__(model, rule, "anneal engine")
@@ -145,9 +150,10 @@ class _AnnealSystem(_FlipSystem):
         vec = np.exp(x - x.max())
         return vec / np.linalg.norm(vec)
 
-    def max_diag_rate(self, schedule: Schedule, n_probe: int = 33) -> float:
-        probes = np.linspace(0.0, schedule.t_final, n_probe)
-        return max(self.rates(schedule.beta(t)).sum(axis=0).max() for t in probes)
+
+def _at(fn, times: np.ndarray) -> np.ndarray:
+    """fn(t) for each of the times, as an array."""
+    return np.array([fn(t) for t in times.tolist()])
 
 
 def _unit_state(phi0: np.ndarray, dtype) -> np.ndarray:
@@ -171,8 +177,8 @@ def evolve_master_timedep(model: IsingModel, rule: RateRule, schedule: Schedule,
         _check_probability(p, t)
         samples.at_step(step, n_steps, t, p)
 
-    _rk4(lambda t: sys.generator(schedule.beta(t)), p, schedule.t_final, dt,
-         sys.max_diag_rate(schedule), on_step)
+    _rk4(lambda times: sys.generator(_at(schedule.beta, times)), p, schedule.t_final, dt,
+         on_step)
     return samples.build()
 
 
@@ -199,8 +205,8 @@ def evolve_imaginary_schrodinger(model: IsingModel, rule: RateRule, schedule: Sc
         log_decrement -= math.log(nrm)
         samples.at_step(step, n_steps, t, phi, log_decrement)
 
-    _rk4(lambda t: sys.hamiltonian(schedule.beta(t), beta_dot(t), -1.0),
-         phi, schedule.t_final, dt, sys.max_diag_rate(schedule), on_step)
+    _rk4(lambda times: sys.hamiltonian(_at(schedule.beta, times), _at(beta_dot, times), -1.0),
+         phi, schedule.t_final, dt, on_step)
     return samples.build()
 
 
@@ -224,8 +230,9 @@ def evolve_real_schrodinger(model: IsingModel, rule: RateRule, schedule: Schedul
                 f"(try dt <= {schedule.t_final / n_steps / 4:.3g})")
         samples.at_step(step, n_steps, t, phi)
 
-    _rk4(lambda t: sys.hamiltonian(schedule.beta(t), schedule.beta_dot(t), -1j),
-         phi, schedule.t_final, dt, sys.max_diag_rate(schedule), on_step)
+    _rk4(lambda times: sys.hamiltonian(_at(schedule.beta, times),
+                                       _at(schedule.beta_dot, times), -1j),
+         phi, schedule.t_final, dt, on_step)
     return samples.build()
 
 

@@ -157,13 +157,13 @@ def _site_dependent_constants(couplings, beta: float):
 
 
 def random_single_particle_matrix(couplings, beta: float):
-    """Quadratic-form block matrix and single-particle energies for a random chain.
+    """Quadratic-form block matrix and its spectrum for a random chain.
 
-    Returns (M, energies) where M = [[A, B], [-B, -A]] with A symmetric
-    and B antisymmetric, periodic indices, and `energies` the positive
-    half of M's spectrum (eigenvalues come in +-eps pairs). For uniform
-    couplings the energies coincide with the dispersion on the periodic
-    momentum grid.
+    Returns (M, spectrum) where M = [[A, B], [-B, -A]] with A symmetric
+    and B antisymmetric, periodic indices, and `spectrum` M's eigenvalues
+    in ascending order. They come in +-eps pairs, so spectrum[n:] are the
+    single-particle energies. For uniform couplings the energies coincide
+    with the dispersion on the periodic momentum grid.
     """
     field, hop, hop2 = _site_dependent_constants(couplings, beta)
     n = field.size
@@ -183,6 +183,4 @@ def random_single_particle_matrix(couplings, beta: float):
         b[nxt2, prv] += +0.5 * hop2[j]
 
     block = np.block([[a, b], [-b, -a]])
-    evals = np.linalg.eigvalsh(block)
-    energies = evals[n:]  # ascending, so the top half is the +eps branch
-    return block, energies
+    return block, np.linalg.eigvalsh(block)

@@ -6,16 +6,17 @@ rule. Time is normalized to one flip attempt per site per unit time, so
 relaxation times are directly comparable with the spectral gap of the
 mapped Hamiltonian.
 
-`_FlipSystem` gives W and the mapped H as one single-flip operator. `_rk4`
-is the one RK4 driver of `evolve_master` and the three `anneal` engines;
-both master engines check |sum P - 1| <= 1e-8 after every step.
+`_FlipSystem` gives W and the mapped H as one single-flip operator, for one
+beta or stacked over an array of stage betas. `_rk4` is the one RK4 driver
+of `evolve_master` and the three `anneal` engines; it asks for the stage
+operators of a chunk of steps in one call. Both master engines check
+|sum P - 1| <= 1e-8 after every step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -156,12 +157,20 @@ class MarkovGenerator:
         self.energies.setflags(write=False)
 
 
-class _FlipOperator(NamedTuple):
-    """A[c, c] = diag[c], A[c, flips[j, c]] = off[j, c]; calling it applies A, dense() writes A."""
+class _FlipOperator:
+    """A[c, c] = diag[c], A[c, flips[j, c]] = off[j, c]; calling it applies A, dense() writes A.
 
-    diag: np.ndarray
-    off: np.ndarray
-    flips: np.ndarray
+    A leading stage axis on diag and off stacks one operator per stage, and
+    op[i] is the operator of stage i.
+    """
+
+    __slots__ = ("diag", "off", "flips")
+
+    def __init__(self, diag: np.ndarray, off: np.ndarray, flips: np.ndarray):
+        self.diag, self.off, self.flips = diag, off, flips
+
+    def __getitem__(self, stage: int) -> _FlipOperator:
+        return _FlipOperator(self.diag[stage], self.off[stage], self.flips)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         return self.diag * y + (self.off * y[self.flips]).sum(axis=0)
@@ -177,8 +186,18 @@ def _flip_table(n_spins: int) -> np.ndarray:
     return np.arange(1 << n_spins)[None, :] ^ (1 << np.arange(n_spins))[:, None]
 
 
+def _stage_axis(values, trailing: int) -> np.ndarray:
+    """A scalar, or a 1-D array of per-stage values, with `trailing` unit axes appended."""
+    values = np.asarray(values, dtype=float)
+    return values.reshape(values.shape + (1,) * trailing)
+
+
 class _FlipSystem:
-    """H0, flips and deltas = H0[flips] - H0 of a model under a rule; `cap` is its spin cap."""
+    """H0, flips and deltas = H0[flips] - H0 of a model under a rule; `cap` is its spin cap.
+
+    beta and beta_dot are a scalar or a 1-D array of stage values; an array
+    gives every returned array a leading stage axis.
+    """
 
     def __init__(self, model: IsingModel, rule: RateRule, cap: str = "dense matrix"):
         spins._check_spins(model.n_spins, cap)
@@ -187,21 +206,24 @@ class _FlipSystem:
         self.energies = spins.energy_table(model)
         self.flips = _flip_table(self.n)
         self.deltas = self.energies[self.flips] - self.energies[None, :]
+        self._sites = np.arange(self.n)[:, None]
 
-    def rates(self, beta: float) -> np.ndarray:
-        """rates[j, c]: rate of flipping spin j out of configuration c."""
-        return np.asarray(self.rule.rates(beta, self.deltas, self.n))
+    def rates(self, beta) -> np.ndarray:
+        """rates[..., j, c]: rate of flipping spin j out of configuration c."""
+        return np.asarray(self.rule.rates(_stage_axis(beta, 2), self.deltas, self.n))
 
-    def generator(self, beta: float) -> _FlipOperator:
+    def generator(self, beta) -> _FlipOperator:
         """W: minus the outflow on the diagonal, the in-rates W[c, flip_j(c)] along the flips."""
         rates = self.rates(beta)
-        return _FlipOperator(-rates.sum(axis=0), np.take_along_axis(rates, self.flips, axis=1),
+        return _FlipOperator(-rates.sum(axis=-2), rates[..., self._sites, self.flips],
                              self.flips)
 
-    def hamiltonian(self, beta: float, beta_dot: float = 0.0, scale=1.0) -> _FlipOperator:
+    def hamiltonian(self, beta, beta_dot=0.0, scale=1.0) -> _FlipOperator:
         """scale * (H - beta_dot H0 / 2); H has the outflow on the diagonal, -w along the flips."""
-        diag = self.rates(beta).sum(axis=0) - 0.5 * beta_dot * self.energies
-        off = -np.asarray(self.rule.weights(beta, self.deltas, self.n))
+        rates = self.rates(beta)
+        diag = rates.sum(axis=-2) - 0.5 * _stage_axis(beta_dot, 1) * self.energies
+        weights = self.rule.weights(_stage_axis(beta, 2), self.deltas, self.n)
+        off = -np.broadcast_to(weights, rates.shape)
         return _FlipOperator(scale * diag, scale * off, self.flips)
 
 
@@ -245,35 +267,57 @@ class MasterTrajectory:
         return iter(zip(self.times, self.states))
 
 
-def _rk4(operator_at, y: np.ndarray, t_final: float, dt: float, max_rate: float, on_step):
-    """Integrate dy/dt = A(t) y over [0, t_final] in round(t_final / dt) RK4 steps.
+_CHUNK_ENTRIES = 2048  # // state size = RK4 steps per chunk; larger chunks fall out of cache
 
-    operator_at(t) returns y -> A(t) y, built at 0, (step - 0.5) h and step h;
-    on_step(step, n_steps, step * h, y) gets each new y and may edit it in place.
-    Raises ValueError for a dt that is not finite and positive, and when
-    max(dt, h) * max_rate > 0.1 (max_rate: largest total outflow rate).
+
+def _step_count(t_final: float, dt: float) -> int:
+    """round(t_final / dt) RK4 steps, at least 1.
+
+    Raises ValueError unless dt is finite and positive and t_final finite.
     """
     if not (math.isfinite(dt) and dt > 0 and math.isfinite(t_final)):
         raise ValueError("dt must be finite and positive and t_final finite, "
                          f"got dt={dt}, t_final={t_final}")
-    n_steps = max(1, int(round(t_final / dt)))
+    return max(1, int(round(t_final / dt)))
+
+
+def _rk4(operators_at, y: np.ndarray, t_final: float, dt: float, on_step):
+    """Integrate dy/dt = A(t) y over [0, t_final] in round(t_final / dt) RK4 steps.
+
+    operators_at(times) returns the operators y -> A(t) y at a 1-D array of
+    times as one stack: stack[i] is the operator at times[i], and stack.diag
+    holds the diagonal of A. Each call asks for at most 2 * chunk times,
+    chunk = _CHUNK_ENTRIES // y.size steps (at least 1): first 33 equally
+    spaced probe times, then t = 0, then the times (step - 0.5) h, step h
+    of each step of a chunk, interleaved.
+    on_step(step, n_steps, step * h, y) gets each new y and may edit it in place.
+    Raises ValueError for a dt that is not finite and positive, and when
+    max(dt, h) * max|diag A| > 0.1 at the probe times.
+    """
+    n_steps = _step_count(t_final, dt)
     h = t_final / n_steps
+    chunk = max(1, _CHUNK_ENTRIES // y.size)
+    probes = np.linspace(0.0, t_final, 33)
+    max_rate = np.max([np.abs(operators_at(probes[i:i + 2 * chunk]).diag).max()
+                       for i in range(0, probes.size, 2 * chunk)])
     margin = max(dt, h) * max_rate
     if not margin <= 0.1:  # NaN rates fail too
         raise ValueError(
             f"dt={dt} too large for stability: max(dt, h) * max rate = {margin:.3g} "
             f"> 0.1{_stable_dt_hint(t_final, max_rate)}")
-    start = operator_at(0.0)
-    for step in range(1, n_steps + 1):
-        mid = operator_at((step - 0.5) * h)
-        end = operator_at(step * h)
-        k1 = start(y)
-        k2 = mid(y + 0.5 * h * k1)
-        k3 = mid(y + 0.5 * h * k2)
-        k4 = end(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        on_step(step, n_steps, step * h, y)
-        start = end
+    start = operators_at(np.zeros(1))[0]
+    for first in range(1, n_steps + 1, chunk):
+        steps = np.arange(first, min(first + chunk, n_steps + 1))
+        stages = operators_at(np.column_stack(((steps - 0.5) * h, steps * h)).ravel())
+        for i, step in enumerate(steps.tolist()):
+            mid, end = stages[2 * i], stages[2 * i + 1]
+            k1 = start(y)
+            k2 = mid(y + 0.5 * h * k1)
+            k3 = mid(y + 0.5 * h * k2)
+            k4 = end(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            on_step(step, n_steps, step * h, y)
+            start = end
 
 
 def _stable_dt_hint(t_final: float, max_rate: float) -> str:
@@ -293,26 +337,44 @@ def _check_probability(p: np.ndarray, t: float) -> None:
         raise RuntimeError(f"probability drifted to {total} at t={t}; reduce dt")
 
 
+class _SparseOperator:
+    """A fixed matrix applied through its nonzero entries; it is the operator of every stage."""
+
+    def __init__(self, matrix: np.ndarray):
+        self.rows, self.cols = np.nonzero(matrix)
+        self.vals = matrix[self.rows, self.cols]
+        self.diag = np.diag(matrix)
+
+    def __getitem__(self, stage: int) -> _SparseOperator:
+        return self
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, self.vals * y[self.cols], minlength=y.size)
+
+
 def evolve_master(generator: MarkovGenerator, p0: np.ndarray, t_final: float,
                   dt: float, record_stride: int | None = None) -> MasterTrajectory:
     """Integrate the fixed-temperature master equation, W constant, with `_rk4`.
 
-    Requires max(dt, h) * max|diagonal| <= 0.1. Probability conservation
-    is asserted (not enforced) after every step, to 1e-8.
+    W is applied through its nonzero entries, whatever their pattern.
+    Records every record_stride-th step and the last (default: about 1024
+    samples). Requires max(dt, h) * max|diagonal| <= 0.1. Probability
+    conservation is asserted (not enforced) after every step, to 1e-8.
     """
     spins.check_probability_vector(p0)
-    w = generator.matrix
+    if record_stride is not None and not record_stride >= 1:
+        raise ValueError(f"record_stride must be positive, got {record_stride}")
+    stride = record_stride or max(1, _step_count(t_final, dt) // 1024)
+    w = _SparseOperator(generator.matrix)
     times, states = [0.0], [np.array(p0, dtype=float)]
 
     def on_step(step, n_steps, t, p):
         _check_probability(p, t)
-        stride = record_stride if record_stride is not None else max(1, n_steps // 1024)
         if step % stride == 0 or step == n_steps:
             times.append(t)
             states.append(p)
 
-    _rk4(lambda t: w.__matmul__, states[0], t_final, dt,
-         np.abs(np.diag(w)).max(), on_step)
+    _rk4(lambda times: w, states[0], t_final, dt, on_step)
     return MasterTrajectory(times=np.array(times), states=np.array(states))
 
 

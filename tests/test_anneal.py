@@ -274,13 +274,56 @@ class TestSharedDriver:
     }
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
-    def test_two_operator_builds_per_step(self, engine):
+    def test_one_operator_build_per_chunk(self, engine):
         rule = CountingHeatBath()
-        n_steps = 200
+        n_steps = 300
+        chunk = markov._CHUNK_ENTRIES // CHAIN4.n_states
         self.ENGINES[engine](rule, anneal.LinearBeta(0.0, 1.0, 2.0), 2.0 / n_steps)
-        assert rule.rate_calls <= 1 + 2 * n_steps + 33  # 33 stability probes
-        if engine != "master":
-            assert rule.weight_calls <= 1 + 2 * n_steps
+        builds = 2 + math.ceil(n_steps / chunk)  # the probes, t = 0, then one per chunk
+        assert rule.rate_calls == builds
+        assert rule.weight_calls == (0 if engine == "master" else builds)
+
+    @pytest.mark.parametrize("stage", ["generator", "imaginary", "real"])
+    @pytest.mark.parametrize("chunks", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 2)],
+                             ids=["1", "c-1", "c", "c+1", "3c+2"])  # n_steps = a c + b
+    def test_chunked_driver_matches_per_stage_loop(self, stage, chunks):
+        system = markov._FlipSystem(CHAIN4, markov.METROPOLIS)
+        schedule = anneal.LinearBeta(0.2, 0.23, 0.01)  # one step of h = 0.01 is stable
+        scale = {"generator": None, "imaginary": -1.0, "real": -1j}[stage]
+
+        def operator(beta, beta_dot):
+            if scale is None:
+                return system.generator(beta)
+            return system.hamiltonian(beta, beta_dot, scale)
+
+        def operators_at(times):
+            return operator(np.array([schedule.beta(t) for t in times]),
+                            np.array([schedule.beta_dot(t) for t in times]))
+
+        def operator_at(t):
+            return operator(schedule.beta(t), schedule.beta_dot(t))
+
+        n_steps = chunks[0] * (markov._CHUNK_ENTRIES // CHAIN4.n_states) + chunks[1]
+        h = schedule.t_final / n_steps
+        y = FLAT16.astype(complex if stage == "real" else float)
+        reference, start = [], operator_at(0.0)
+        for step in range(1, n_steps + 1):
+            mid, end = operator_at((step - 0.5) * h), operator_at(step * h)
+            k1 = start(y)
+            k2 = mid(y + 0.5 * h * k1)
+            k3 = mid(y + 0.5 * h * k2)
+            k4 = end(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            reference.append((step, step * h, y))
+            start = end
+
+        driven = []
+        markov._rk4(operators_at, FLAT16.astype(y.dtype), schedule.t_final, h,
+                    lambda step, n, t, y: driven.append((step, t, y)))
+        assert len(driven) == n_steps
+        for (step, t, y), (ref_step, ref_t, ref_y) in zip(driven, reference):
+            assert (step, t) == (ref_step, ref_t)
+            assert y.tobytes() == ref_y.tobytes()
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0])
@@ -303,17 +346,26 @@ class TestSharedDriver:
                                          anneal.frozen_schedule(0.0, t_final),
                                          UNIFORM16, dt)
 
+    STABILITY_RUNS = {
+        "master": lambda t_final, dt: markov.evolve_master(
+            markov.build_generator(CHAIN4, 0.0, markov.HEAT_BATH), UNIFORM16, t_final, dt),
+        # |beta_dot H0 / 2| = 0.8 / t_final on the ground pair, ten times the outflow
+        "imaginary": lambda t_final, dt: anneal.evolve_imaginary_schrodinger(
+            CHAIN4, markov.HEAT_BATH, anneal.LinearBeta(0.0, 0.4, t_final),
+            FLAT16, dt),
+    }
+
+    @pytest.mark.parametrize("run", sorted(STABILITY_RUNS))
     @pytest.mark.parametrize("h_over_dt", [0.6, 1.4])
-    def test_suggested_dt_passes_the_stability_guard(self, h_over_dt):
+    def test_suggested_dt_passes_the_stability_guard(self, run, h_over_dt):
         # at h_over_dt = 1.4, dt = 0.1 / max rate still rounds to one step
         # of h = t_final > dt, so the hint must account for h
         dt = 0.11 / 2.0 / max(1.0, h_over_dt)
         t_final = h_over_dt * dt
-        gen = markov.build_generator(CHAIN4, 0.0, markov.HEAT_BATH)
         with pytest.raises(ValueError, match="use dt <=") as err:
-            markov.evolve_master(gen, UNIFORM16, t_final, dt)
+            self.STABILITY_RUNS[run](t_final, dt)
         suggested = float(str(err.value).rsplit("<= ", 1)[1])
-        traj = markov.evolve_master(gen, UNIFORM16, t_final, suggested)
+        traj = self.STABILITY_RUNS[run](t_final, suggested)
         assert traj.times[-1] == pytest.approx(t_final)
 
 

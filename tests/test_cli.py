@@ -206,6 +206,22 @@ class TestAnneal:
         assert_usage_error(capsys, "anneal", "--chain", "4", "--dt", "nan",
                            "--out", str(tmp_path), match="dt must be finite")
 
+    @pytest.mark.parametrize("schedule", ["linear:0,1,1e-9", "linear:0,3,0.01"])
+    def test_imaginary_step_bound_includes_the_beta_dot_term(self, schedule, tmp_path,
+                                                               capsys):
+        # at dt = 1e-3 the outflow alone gives a margin of at most 0.008, but
+        # h * beta_dot * max|H0| / 2 is 2e6 and 1.2 on the 8-site chain
+        assert_usage_error(capsys, "anneal", "--chain", "8", "--schedule", schedule,
+                           "--engines", "imaginary", "--out", str(tmp_path),
+                           match="use dt <=")
+
+    @pytest.mark.parametrize("command", ["anneal", "mc"])
+    @pytest.mark.parametrize("schedule", ["linear:0,1,inf", "geman:1,4,inf", "linear:0,1,nan"])
+    def test_nonfinite_horizon_is_usage_error(self, command, schedule, tmp_path, capsys):
+        assert_usage_error(capsys, command, "--chain", "4", "--schedule", schedule,
+                           "--out", str(tmp_path),
+                           match="t_final must be finite and positive")
+
     def test_geman_spin_count_must_match_model(self, tmp_path, capsys):
         for command in ("anneal", "mc"):
             assert_usage_error(capsys, command, "--chain", "6",

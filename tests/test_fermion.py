@@ -176,7 +176,8 @@ class TestFiniteGap:
 
 class TestRandomSingleParticle:
     def test_uniform_couplings_reproduce_dispersion(self):
-        _, energies = fermion.random_single_particle_matrix([1.0] * 8, 0.6)
+        _, spectrum = fermion.random_single_particle_matrix([1.0] * 8, 0.6)
+        energies = spectrum[8:]
         grid = fermion.momentum_grid(8, "odd")
         expected = np.sort(np.asarray(fermion.dispersion(0.6, grid)))
         assert np.abs(np.sort(energies) - expected).max() <= 1e-10
@@ -185,7 +186,8 @@ class TestRandomSingleParticle:
     def test_strong_uniform_couplings_reproduce_dispersion(self, k):
         # D_j = c_j^2 c_{j+1}^2 - s_j^2 s_{j+1}^2 cancels to roundoff here
         # unless it is evaluated as c_j^2 + s_{j+1}^2
-        _, energies = fermion.random_single_particle_matrix([1.0] * 8, k)
+        _, spectrum = fermion.random_single_particle_matrix([1.0] * 8, k)
+        energies = spectrum[8:]
         grid = fermion.momentum_grid(8, "odd")
         expected = np.sort(np.asarray(fermion.dispersion(k, grid)))
         assert np.abs(np.sort(energies) - expected).max() <= 1e-10
@@ -193,9 +195,9 @@ class TestRandomSingleParticle:
     def test_spectrum_is_plus_minus_symmetric(self):
         rng = np.random.default_rng(19)
         couplings = rng.choice([-1.0, 1.0], 6) * rng.uniform(0.5, 1.5, 6)
-        block, _ = fermion.random_single_particle_matrix(couplings, 0.5)
-        evals = np.sort(np.linalg.eigvalsh(block))
-        assert np.abs(evals + evals[::-1]).max() <= 1e-10
+        block, spectrum = fermion.random_single_particle_matrix(couplings, 0.5)
+        assert np.array_equal(spectrum, np.sort(np.linalg.eigvalsh(block)))
+        assert np.abs(spectrum + spectrum[::-1]).max() <= 1e-10
 
     def test_block_matrix_is_symmetric(self):
         block, _ = fermion.random_single_particle_matrix([1.0, -1.0, 1.0, -1.0], 0.4)
@@ -210,7 +212,8 @@ class TestRandomSingleParticle:
         even_evals, odd_evals = parity_sector_spectra(ham.matrix, 6)
         assert abs(even_evals[0]) <= 1e-9  # ground state sits in the even sector
 
-        _, eps = fermion.random_single_particle_matrix(couplings, 0.5)
+        _, spectrum = fermion.random_single_particle_matrix(couplings, 0.5)
+        eps = spectrum[6:]
         masks = np.arange(1 << 6)
         bits = (masks[:, None] >> np.arange(6)) & 1
         odd = (bits.sum(axis=1) & 1) == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from isingbridge import markov, quantum, spectral, spins
+from isingbridge import markov, quantum, reverse, spectral, spins
 from test_spins import random_model
 
 
@@ -202,6 +202,39 @@ class TestEvolveMaster:
                                      markov.HEAT_BATH)
         with pytest.raises(ValueError, match="dt must be finite and positive"):
             markov.evolve_master(gen, np.full(8, 0.125), t_final=1.0, dt=dt)
+
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_rejects_nonpositive_record_stride(self, stride):
+        gen = markov.build_generator(spins.chain_model(3, [1.0] * 3), 0.5,
+                                     markov.HEAT_BATH)
+        with pytest.raises(ValueError, match="record_stride must be positive"):
+            markov.evolve_master(gen, np.full(8, 0.125), t_final=1.0, dt=0.01,
+                                 record_stride=stride)
+
+    def test_record_stride_keeps_every_stride_th_step_and_the_last(self):
+        gen = markov.build_generator(spins.chain_model(3, [1.0] * 3), 0.5,
+                                     markov.HEAT_BATH)
+        traj = markov.evolve_master(gen, np.full(8, 0.125), t_final=1.0, dt=0.01,
+                                    record_stride=30)
+        assert np.allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0], rtol=0, atol=1e-12)
+
+    def test_multi_flip_generator_matches_exponential(self):
+        # the reverse map of a chain with x_j x_{j+1} terms gives a generator
+        # with two-spin flips, outside the single-flip pattern
+        n = 4
+        matrix = quantum.transverse_field_chain(n, 0.7).matrix.copy()
+        states = np.arange(1 << n)
+        for j in range(n):
+            matrix[states, states ^ (1 << j) ^ (1 << (j + 1) % n)] -= 0.4
+        ham = quantum.QuantumHamiltonian(matrix=matrix, n_spins=n,
+                                         provenance=quantum.PROVENANCE_USER)
+        gen = reverse.quantum_to_classical(ham).generator
+        assert np.count_nonzero(gen.matrix[:, 0]) == 1 + 2 * n
+        p0 = np.zeros(1 << n)
+        p0[5] = 1.0
+        traj = markov.evolve_master(gen, p0, t_final=2.0, dt=0.005)
+        exact = scipy.linalg.expm(2.0 * gen.matrix) @ p0
+        assert np.abs(traj.states[-1] - exact).max() <= 1e-9
 
     def test_validates_initial_distribution(self):
         gen = markov.build_generator(spins.chain_model(3, [1.0] * 3), 0.5,

@@ -1,7 +1,8 @@
 """Property tests over random multibody models, rules and temperatures.
 
 The single-flip operator of `markov._FlipSystem` is checked against its own
-dense form, and the dense routes against each other: direct and mapped H
+dense form, stage by stage against the operators it builds for an array of
+stage betas, and the dense routes against each other: direct and mapped H
 agree, W conserves probability, and W and H share their spectrum. The
 closed-form random-coupling heat-bath chain is checked against the direct
 route, and the Walsh expansion against the table it came from.
@@ -33,17 +34,31 @@ rules = st.one_of(st.sampled_from([markov.HEAT_BATH, markov.METROPOLIS]),
 betas = st.floats(0.0, 3.0)
 
 
+def _operators(system, beta, beta_dot):
+    return (system.generator(beta), system.hamiltonian(beta),
+            system.hamiltonian(beta, beta_dot, -1.0),
+            system.hamiltonian(beta, beta_dot, -1j))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @PROPERTY_SETTINGS
-@given(models(), rules, betas, st.floats(-2.0, 2.0), st.integers(0, 2**32 - 1))
-def test_operator_matches_its_dense_form(model, rule, beta, beta_dot, seed):
+@given(models(), rules, st.lists(st.tuples(betas, st.floats(-2.0, 2.0)), min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_operator_matches_its_dense_form(model, rule, stages, seed):
+    """Each stage of the operators built for an array of stage betas is, bit for
+    bit, the operator built for that one beta, and matches its dense form."""
     system = markov._FlipSystem(model, rule)
     y = np.random.default_rng(seed).normal(size=model.n_states)
-    for op in (system.generator(beta), system.hamiltonian(beta),
-               system.hamiltonian(beta, beta_dot, -1.0),
-               system.hamiltonian(beta, beta_dot, -1j)):
-        dense = op.dense()
-        scale = np.abs(dense).max() * np.abs(y).sum()
-        assert np.abs(op(y) - dense @ y).max() <= 1e-13 * scale
+    stacked = _operators(system, *map(np.array, zip(*stages)))
+    for i, (beta, beta_dot) in enumerate(stages):
+        for op, stack in zip(_operators(system, beta, beta_dot), stacked):
+            assert _same_bits(stack[i].diag, op.diag) and _same_bits(stack[i].off, op.off)
+            dense = op.dense()
+            scale = np.abs(dense).max() * np.abs(y).sum()
+            assert np.abs(op(y) - dense @ y).max() <= 1e-13 * scale
 
 
 @PROPERTY_SETTINGS
