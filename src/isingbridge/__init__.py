@@ -4,7 +4,7 @@ Modules:
   spins       Ising models, configuration indexing, energies, Boltzmann vectors
   markov      rate rules, dense generators, detailed balance, master equation
   quantum     classical-to-quantum mapping and explicit chain Hamiltonians
-  spectral    dense symmetric eigendecomposition and spectrum reports
+  spectral    dense symmetric eigensolves, a Lanczos gap solver, spectrum reports
   fermion     exact free-fermion solution of the heat-bath chain
   reverse     quantum-to-classical mapping and multibody coupling expansion
   anneal      schedules and time-dependent master/Schrodinger engines

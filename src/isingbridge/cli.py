@@ -262,8 +262,8 @@ def cmd_fermion_check(args) -> int:
     write_csv(os.path.join(args.out, "dispersion.csv"), ["sector", "p", "epsilon"], rows)
 
     reconstructed = fermion.many_body_spectrum(params)
-    dense = spectral.spectrum_of_hamiltonian(
-        quantum.chain_heatbath_hamiltonian(n, args.K))
+    dense = spectral.spectrum_report(quantum.chain_heatbath_hamiltonian(n, args.K).matrix,
+                                     keep_ground_vector=False)
     spectrum_dev = float(np.abs(reconstructed - dense.eigenvalues).max())
     gap_formula = 1.0 - np.tanh(2.0 * args.K)
     gap = fermion.finite_gap(params)

@@ -338,11 +338,18 @@ def _check_probability(p: np.ndarray, t: float) -> None:
 
 
 class _SparseOperator:
-    """A fixed matrix applied through its nonzero entries; it is the operator of every stage."""
+    """A fixed matrix applied through its nonzero entries; it is the operator of every stage.
 
-    def __init__(self, matrix: np.ndarray):
+    Given `half`, it is the conjugated matrix exp(half) A exp(-half), formed
+    entry by entry on the nonzeros of A, so no large exponential multiplies
+    a zero entry.
+    """
+
+    def __init__(self, matrix: np.ndarray, half: np.ndarray | None = None):
         self.rows, self.cols = np.nonzero(matrix)
         self.vals = matrix[self.rows, self.cols]
+        if half is not None:
+            self.vals = np.exp(half[self.rows] - half[self.cols]) * self.vals
         self.diag = np.diag(matrix)
 
     def __getitem__(self, stage: int) -> _SparseOperator:
@@ -350,6 +357,16 @@ class _SparseOperator:
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         return np.bincount(self.rows, self.vals * y[self.cols], minlength=y.size)
+
+    def asymmetry(self) -> float:
+        """max|A - A^T| / max|A|; inf when an entry's transpose is zero."""
+        to_transpose = np.lexsort((self.rows, self.cols))  # the entries of A^T, row by row
+        if not (np.array_equal(self.cols[to_transpose], self.rows)
+                and np.array_equal(self.rows[to_transpose], self.cols)):
+            return math.inf
+        scale = np.abs(self.vals).max(initial=0.0)
+        return float(np.abs(self.vals - self.vals[to_transpose]).max(initial=0.0) / scale
+                     if scale > 0 else 0.0)
 
 
 def evolve_master(generator: MarkovGenerator, p0: np.ndarray, t_final: float,
@@ -381,14 +398,26 @@ def evolve_master(generator: MarkovGenerator, p0: np.ndarray, t_final: float,
 def relaxation_time(generator: MarkovGenerator) -> float:
     """1/|lambda_1| from the slowest decaying mode of the generator.
 
-    Eigenvalues come from the symmetric isospectral form computed by the
-    spectral engine. A chain whose second eigenvalue vanishes (within
-    1e-10) is reducible or degenerate and is rejected.
+    |lambda_1| is the gap of the mapped Hamiltonian
+    H = -exp(beta*H0/2) W exp(-beta*H0/2): its lowest eigenvalue on the
+    complement of its ground vector sqrt(P0). A deflated Lanczos solve
+    (`spectral._lowest_eigenvalue`) finds it, applying H through the
+    nonzeros of W, to a Ritz residual of 1e-13 * max(1, max|H|); no dense
+    eigensolve runs, and the dense spectrum of the symmetric form is the
+    test oracle. Raises ValueError when that form is not symmetric within
+    1e-8 relative (W is not in detailed balance with its energies). A
+    chain whose second eigenvalue vanishes (within 1e-10) is reducible or
+    degenerate and is rejected.
     """
     from . import spectral
 
-    report = spectral.spectrum_of_generator(generator)
-    lam1 = report.eigenvalues[-2]
+    symmetric = _SparseOperator(generator.matrix, 0.5 * generator.beta * generator.energies)
+    if not symmetric.asymmetry() <= spectral.SYMMETRY_TOL:
+        raise ValueError("generator is not in detailed balance with its energies: its "
+                         "symmetric form is not symmetric within 1e-8 relative tolerance")
+    root_p0 = np.sqrt(stationary_distribution(generator))
+    tol = 1e-13 * max(1.0, np.abs(symmetric.vals).max())
+    lam1 = -spectral._lowest_eigenvalue(lambda x: -symmetric(x), root_p0[None, :], tol)
     if abs(lam1) < 1e-10:
         raise ValueError(
             "generator is degenerate: second eigenvalue vanishes, "

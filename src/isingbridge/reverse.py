@@ -111,6 +111,10 @@ def quantum_to_classical(hamiltonian: QuantumHamiltonian,
     four generator conditions (nonnegative off-diagonals, zero column
     sums, stationarity of exp(-H0), detailed balance at beta = 1) are
     each verified against `condition_tol` and reported in the result.
+    Raises ValueError for input that cannot be mapped (a positive
+    off-diagonal, a disconnected graph, a degenerate ground level, a
+    ground-vector entry below the floor) and RuntimeError when the
+    recovered matrix misses a generator condition, a numeric failure.
     """
     shift, vec = _ground_state(hamiltonian)
     shifted = hamiltonian.matrix - shift * np.eye(hamiltonian.matrix.shape[0])
@@ -124,7 +128,7 @@ def quantum_to_classical(hamiltonian: QuantumHamiltonian,
     worst = max(residuals.values())
     if worst > condition_tol:
         name = max(residuals, key=residuals.get)
-        raise ValueError(
+        raise RuntimeError(
             f"recovered matrix fails the {name} condition "
             f"(residual {residuals[name]:.3g} > {condition_tol:g})")
 

@@ -159,6 +159,14 @@ class TestReverse:
         assert rows[0] == "order,sites,coefficient"
         assert len(rows) == 65
 
+    def test_failed_generator_condition_is_numeric_failure(self, tmp_path, capsys):
+        # at K = 2.5 eigh's smallest ground-vector entries carry only absolute
+        # accuracy, and the recovered W misses probability conservation by 1e-9
+        code = run_cli("reverse", "--chain", "8", "--K", "2.5", "--out", str(tmp_path))
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and len(lines) == 1
+        assert lines[0].startswith("numeric failure: recovered matrix fails the")
+
     def test_roundtrip_mode(self, tmp_path):
         code = run_cli("reverse", "--chain", "4", "--K", "1.0",
                        "--rule", "heatbath", "--out", str(tmp_path))

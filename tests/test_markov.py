@@ -8,6 +8,18 @@ from isingbridge import markov, quantum, reverse, spectral, spins
 from test_spins import random_model
 
 
+def two_flip_generator(n):
+    """The reverse map of a chain with x_j x_{j+1} terms: a generator with
+    two-spin flips, outside the single-flip pattern."""
+    matrix = quantum.transverse_field_chain(n, 0.7).matrix.copy()
+    states = np.arange(1 << n)
+    for j in range(n):
+        matrix[states, states ^ (1 << j) ^ (1 << (j + 1) % n)] -= 0.4
+    ham = quantum.QuantumHamiltonian(matrix=matrix, n_spins=n,
+                                     provenance=quantum.PROVENANCE_USER)
+    return reverse.quantum_to_classical(ham).generator
+
+
 class TestLocalRate:
     def test_heatbath_zero_delta(self):
         rate, w = markov.local_rate(markov.HEAT_BATH, 0.7, 0.0)
@@ -219,16 +231,8 @@ class TestEvolveMaster:
         assert np.allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0], rtol=0, atol=1e-12)
 
     def test_multi_flip_generator_matches_exponential(self):
-        # the reverse map of a chain with x_j x_{j+1} terms gives a generator
-        # with two-spin flips, outside the single-flip pattern
         n = 4
-        matrix = quantum.transverse_field_chain(n, 0.7).matrix.copy()
-        states = np.arange(1 << n)
-        for j in range(n):
-            matrix[states, states ^ (1 << j) ^ (1 << (j + 1) % n)] -= 0.4
-        ham = quantum.QuantumHamiltonian(matrix=matrix, n_spins=n,
-                                         provenance=quantum.PROVENANCE_USER)
-        gen = reverse.quantum_to_classical(ham).generator
+        gen = two_flip_generator(n)
         assert np.count_nonzero(gen.matrix[:, 0]) == 1 + 2 * n
         p0 = np.zeros(1 << n)
         p0[5] = 1.0
@@ -275,6 +279,33 @@ class TestRelaxationTime:
         model = spins.IsingModel(2, [((0, 1), -1.0)])
         gen = markov.build_generator(model, 0.9, markov.HEAT_BATH)
         assert markov.relaxation_time(gen) > 0
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    @pytest.mark.parametrize("k", [0.0, 0.25, 0.5, 1.0, 2.0, 3.0])
+    def test_uniform_chain_gap_up_to_strong_coupling(self, n, k):
+        gen = markov.build_generator(spins.chain_model(n, [1.0] * n), k, markov.HEAT_BATH)
+        # the gap falls to 1.2e-5 at K = 3; the Lanczos value is within its Ritz
+        # residual, 1e-13 max(1, max|H|), and heat-bath outflows are at most n
+        gap = 1.0 / markov.relaxation_time(gen)
+        assert abs(gap - (1.0 - math.tanh(2.0 * k))) <= 1e-13 * n
+
+    def test_two_flip_generator_matches_dense_gap(self):
+        gen = two_flip_generator(5)
+        lam1 = np.linalg.eigvalsh(spectral.symmetrized_generator(gen))[-2]
+        assert abs(markov.relaxation_time(gen) * abs(lam1) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("wrong", ["energies", "irreversible"])
+    def test_rejects_generator_out_of_detailed_balance(self, wrong):
+        gen = markov.build_generator(spins.chain_model(4, [1.0] * 4), 0.7, markov.HEAT_BATH)
+        matrix, energies = gen.matrix.copy(), gen.energies
+        if wrong == "energies":
+            energies = 2.0 * energies
+        else:  # a rate whose reverse rate is zero
+            matrix[3, 0] += 0.5
+            matrix[0, 0] -= 0.5
+        bad = markov.MarkovGenerator(matrix=matrix, beta=0.7, energies=energies, n_spins=4)
+        with pytest.raises(ValueError, match="detailed balance"):
+            markov.relaxation_time(bad)
 
     def test_degenerate_chain_flagged(self):
         block = np.array([[-1.0, 1.0], [1.0, -1.0]])

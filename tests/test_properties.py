@@ -3,7 +3,8 @@
 The single-flip operator of `markov._FlipSystem` is checked against its own
 dense form, stage by stage against the operators it builds for an array of
 stage betas, and the dense routes against each other: direct and mapped H
-agree, W conserves probability, and W and H share their spectrum. The
+agree, W conserves probability, W and H share their spectrum, and the
+Lanczos relaxation time is the dense gap. The
 closed-form random-coupling heat-bath chain is checked against the direct
 route, and the Walsh expansion against the table it came from.
 """
@@ -86,8 +87,28 @@ def test_spectrum_is_shared(model, rule, beta):
     h_evals = spectral.spectrum_of_hamiltonian(hamiltonian).eigenvalues
     # eigh is accurate to roundoff times the matrix norm, and uniform rates
     # reach exp(beta * |delta| / 2) >> 1 on strongly coupled models
-    tol = 1e-9 * max(1.0, np.abs(hamiltonian.matrix).max())
-    assert spectral.compare_spectra(-w_evals, h_evals, tol).matched
+    h_max = max(1.0, np.abs(hamiltonian.matrix).max())
+    assert spectral.compare_spectra(-w_evals, h_evals, 1e-9 * h_max).matched
+    values_only = spectral.spectrum_report(hamiltonian.matrix, keep_ground_vector=False)
+    assert np.abs(values_only.eigenvalues - h_evals).max() <= 1e-12 * h_max
+
+
+@PROPERTY_SETTINGS
+@given(models(), rules, st.floats(0.0, 2.0))
+def test_relaxation_time_is_the_dense_gap(model, rule, beta):
+    """The Lanczos gap is the second eigenvalue of the dense symmetric form."""
+    generator = markov.build_generator(model, beta, rule)
+    symmetric = spectral.symmetrized_generator(generator)
+    lam1 = np.linalg.eigvalsh(symmetric)[-2]
+    try:
+        gap = 1.0 / markov.relaxation_time(generator)
+    except ValueError:  # the guard for a vanishing second eigenvalue
+        gap = 0.0
+    # both solvers are accurate to roundoff times the norm, and Lanczos stops at
+    # a Ritz residual of 1e-13 max(1, max|H|), which bounds its error; gaps near
+    # 1e-6 at beta = 2 put that floor above 1e-10 relative
+    tol = 1e-10 * abs(lam1) + 1e-13 * max(1.0, np.abs(symmetric).max())
+    assert abs(gap - abs(lam1)) <= tol
 
 
 @st.composite

@@ -62,6 +62,11 @@ class TestQuantumToClassical:
         expected = np.array([[-1.0, 1.0], [1.0, -1.0]])
         assert np.abs(result.generator.matrix - expected).max() <= 1e-12
 
+    def test_failed_condition_is_a_numeric_failure(self):
+        ham = quantum.transverse_field_chain(4, 0.7)  # residuals are roundoff, about 1e-15
+        with pytest.raises(RuntimeError, match="recovered matrix fails the"):
+            reverse.quantum_to_classical(ham, condition_tol=1e-18)
+
     def test_transverse_chain_satisfies_all_conditions(self):
         ham = quantum.transverse_field_chain(4, 0.7)
         result = reverse.quantum_to_classical(ham)

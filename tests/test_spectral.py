@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from isingbridge import markov, quantum, spectral, spins
+from isingbridge import cli, markov, quantum, spectral, spins
 from test_spins import random_model
+
+SOLVES = [pytest.param(spectral.eig_sym, id="vectors"),
+          pytest.param(lambda m: spectral.eig_sym(m, eigvals_only=True), id="values-only")]
 
 
 class TestEigSym:
@@ -30,17 +33,20 @@ class TestEigSym:
         assert residual <= 1e-9 * np.abs(m).max()
         assert np.abs(vecs.T @ vecs - np.eye(64)).max() <= 1e-10
 
-    def test_rejects_asymmetric(self):
+    @pytest.mark.parametrize("solve", SOLVES)
+    def test_rejects_asymmetric(self, solve):
         with pytest.raises(ValueError, match="symmetric"):
-            spectral.eig_sym(np.array([[0.0, 1.0], [0.5, 0.0]]))
+            solve(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
-    def test_rejects_oversized(self):
+    @pytest.mark.parametrize("solve", SOLVES)
+    def test_rejects_oversized(self, solve):
         with pytest.raises(ValueError, match="cap"):
-            spectral.eig_sym(np.zeros((4097, 4097)))
+            solve(np.zeros((4097, 4097)))
 
-    def test_rejects_nonsquare(self):
+    @pytest.mark.parametrize("solve", SOLVES)
+    def test_rejects_nonsquare(self, solve):
         with pytest.raises(ValueError, match="square"):
-            spectral.eig_sym(np.zeros((3, 4)))
+            solve(np.zeros((3, 4)))
 
 
 class TestGeneratorSpectrum:
@@ -68,9 +74,11 @@ class TestGeneratorSpectrum:
         assert np.abs(report.eigenvalues - expected).max() <= 1e-10
 
     def test_ground_vector_is_sqrt_boltzmann(self):
+        # the generator report is values-only; its ground vector is that of H = -S
         model = spins.chain_model(4, [1.0] * 4)
         gen = markov.build_generator(model, 0.9, markov.HEAT_BATH)
-        report = spectral.spectrum_of_generator(gen)
+        assert spectral.spectrum_of_generator(gen).ground_vector is None
+        report = spectral.spectrum_of_hamiltonian(quantum.classical_to_quantum(gen))
         expected = np.sqrt(spins.boltzmann(model, 0.9))
         v = report.ground_vector * np.sign(report.ground_vector.sum())
         assert np.abs(v - expected).max() <= 1e-10
@@ -152,3 +160,35 @@ class TestEigenvectorCorrespondence:
             proj_h = vh @ vh.T
             assert np.abs(proj_w - proj_h).max() <= 1e-8
             start = stop
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """(kind, dim) of every np.linalg.eigh ("vectors") and eigvalsh ("values") call."""
+    calls = []
+    for name, kind in (("eigh", "vectors"), ("eigvalsh", "values")):
+        def counting(a, *args, _original=getattr(np.linalg, name), _kind=kind, **kwargs):
+            calls.append((_kind, len(a)))
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+class TestSolveCounts:
+    """Each solve computes only what its caller reads."""
+
+    def test_bridge_check_solves_vectors_once(self, solves, tmp_path):
+        # the mapped H's vectors feed the ground-state residual; the generator
+        # spectrum is read as values only
+        assert cli.main(["bridge-check", "--chain", "6", "--out", str(tmp_path)]) == 0
+        assert sorted(solves) == [("values", 64), ("vectors", 64)]
+
+    def test_uniform_fermion_check_solves_no_vectors(self, solves, tmp_path):
+        assert cli.main(["fermion-check", "--chain", "6", "--out", str(tmp_path)]) == 0
+        assert ("values", 64) in solves
+        assert [call for call in solves if call[0] == "vectors"] == []
+
+    def test_relaxation_time_solves_no_dense_matrix(self, solves):
+        gen = markov.build_generator(spins.chain_model(8, [1.0] * 8), 0.5, markov.HEAT_BATH)
+        markov.relaxation_time(gen)
+        assert solves and all(kind == "values" and dim < 256 for kind, dim in solves)
