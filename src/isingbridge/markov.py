@@ -365,8 +365,8 @@ class _SparseOperator:
                 and np.array_equal(self.rows[to_transpose], self.cols)):
             return math.inf
         scale = np.abs(self.vals).max(initial=0.0)
-        return float(np.abs(self.vals - self.vals[to_transpose]).max(initial=0.0) / scale
-                     if scale > 0 else 0.0)
+        deviation = np.abs(self.vals - self.vals[to_transpose]).max(initial=0.0)
+        return float(deviation / scale) if scale > 0 else 0.0
 
 
 def evolve_master(generator: MarkovGenerator, p0: np.ndarray, t_final: float,
