@@ -1,7 +1,7 @@
 """Time-dependent schedules and the three dynamical engines.
 
 The master equation with a time-dependent temperature, dP/dt = W(t) P,
-transforms under phi(t) = exp(beta(t) H0 / 2) P(t) into an
+transforms under phi(t) = exp(beta(t) H0 / 2) P(t) (`_to_phi`) into an
 imaginary-time flow -dphi/dt = (H(t) - beta_dot(t) H0 / 2) phi, and
 replacing -d/dt by i d/dt gives the real-time flow. All three engines
 run on `markov._rk4` with `markov._FlipSystem` stage operators W(beta(t))
@@ -137,18 +137,17 @@ class AnnealTrajectory:
         return self.times.size
 
 
-class _AnnealSystem(_FlipSystem):
-    """The flip system of an anneal run, plus its ground states."""
+def _to_phi(p: np.ndarray, energies: np.ndarray, beta: float) -> np.ndarray:
+    """phi = exp(beta H0 / 2) P as a unit vector; a zero P stays zero."""
+    phi = p * spins._tilt(energies, 0.5 * beta)
+    norm = np.linalg.norm(phi)
+    return phi / norm if norm > 0 else phi
 
-    def __init__(self, model: IsingModel, rule: RateRule):
-        super().__init__(model, rule, "anneal engine")
-        self.ground = spins.ground_states(model)
 
-    def sqrt_boltzmann(self, beta: float) -> np.ndarray:
-        """Instantaneous ground state of the mapped Hamiltonian, unit norm."""
-        x = -0.5 * beta * self.energies
-        vec = np.exp(x - x.max())
-        return vec / np.linalg.norm(vec)
+def _to_probability(phi: np.ndarray, energies: np.ndarray, beta: float) -> np.ndarray:
+    """P = exp(-beta H0 / 2) phi, normalized to sum 1: the inverse of `_to_phi`."""
+    p = phi * spins._tilt(energies, -0.5 * beta)
+    return p / p.sum()
 
 
 def _at(fn, times: np.ndarray) -> np.ndarray:
@@ -168,10 +167,10 @@ def evolve_master_timedep(model: IsingModel, rule: RateRule, schedule: Schedule,
                           p0: np.ndarray, dt: float,
                           n_samples: int = 512) -> AnnealTrajectory:
     """Integrate dP/dt = W(beta(t)) P with the generator rebuilt per stage."""
-    sys = _AnnealSystem(model, rule)
+    sys = _FlipSystem(model, rule, "anneal engine")
     spins.check_probability_vector(p0)
     p = np.array(p0, dtype=float)
-    samples = _SampleBuffer(sys, "master", schedule, n_samples, p)
+    samples = _SampleBuffer(model, sys.energies, "master", schedule, n_samples, p)
 
     def on_step(step, n_steps, t, p):
         _check_probability(p, t)
@@ -192,10 +191,10 @@ def evolve_imaginary_schrodinger(model: IsingModel, rule: RateRule, schedule: Sc
     include_beta_derivative=False drops the beta_dot term, reproducing
     the stationary-mapping approximation.
     """
-    sys = _AnnealSystem(model, rule)
+    sys = _FlipSystem(model, rule, "anneal engine")
     phi = _unit_state(phi0, float)
     log_decrement = 0.0
-    samples = _SampleBuffer(sys, "imaginary", schedule, n_samples, phi)
+    samples = _SampleBuffer(model, sys.energies, "imaginary", schedule, n_samples, phi)
     beta_dot = schedule.beta_dot if include_beta_derivative else lambda t: 0.0
 
     def on_step(step, n_steps, t, phi):
@@ -218,9 +217,9 @@ def evolve_real_schrodinger(model: IsingModel, rule: RateRule, schedule: Schedul
     The norm must stay within 1e-4 of 1 or the run aborts with a dt
     suggestion; at reasonable dt it is conserved to better than 1e-6.
     """
-    sys = _AnnealSystem(model, rule)
+    sys = _FlipSystem(model, rule, "anneal engine")
     phi = _unit_state(phi0, complex)
-    samples = _SampleBuffer(sys, "real", schedule, n_samples, phi)
+    samples = _SampleBuffer(model, sys.energies, "real", schedule, n_samples, phi)
 
     def on_step(step, n_steps, t, phi):
         drift = abs(np.linalg.norm(phi) - 1.0)
@@ -239,9 +238,10 @@ def evolve_real_schrodinger(model: IsingModel, rule: RateRule, schedule: Schedul
 class _SampleBuffer:
     """Collects per-sample diagnostics for an engine run, from its initial state on."""
 
-    def __init__(self, sys: _AnnealSystem, engine: str, schedule: Schedule,
-                 n_samples: int, initial: np.ndarray):
-        self.sys = sys
+    def __init__(self, model: IsingModel, energies: np.ndarray, engine: str,
+                 schedule: Schedule, n_samples: int, initial: np.ndarray):
+        self.energies = energies
+        self.ground = spins.ground_states(model)
         self.engine = engine
         self.schedule = schedule
         self.n_samples = n_samples
@@ -256,30 +256,25 @@ class _SampleBuffer:
             self.add(t, state, log_norm)
 
     def add(self, t: float, state: np.ndarray, log_norm: float = 0.0):
-        sys = self.sys
         beta = self.schedule.beta(t)
         if self.engine == "master":
             probs = state
-            x = 0.5 * beta * sys.energies
-            phi = state * np.exp(x - x.max())
-            phi_norm = np.linalg.norm(phi)
-            phi_dir = phi / phi_norm if phi_norm > 0 else phi
+            phi_dir = _to_phi(state, self.energies, beta)
         elif self.engine == "imaginary":
-            # classical-probability image of the transformed state
-            x = -0.5 * beta * sys.energies
-            probs = state * np.exp(x - x.max())
-            probs = probs / probs.sum()
+            probs = _to_probability(state, self.energies, beta)
             phi_dir = state / np.linalg.norm(state)
         else:
             norm2 = float(np.real(np.vdot(state, state)))
             probs = np.real(state * np.conj(state)) / norm2
             phi_dir = state / math.sqrt(norm2)
-        ground_vec = sys.sqrt_boltzmann(beta)
+        # instantaneous ground state of the mapped Hamiltonian, sqrt(P0)
+        ground_vec = spins._tilt(self.energies, -0.5 * beta)
+        ground_vec /= np.linalg.norm(ground_vec)
         self.times.append(t)
         self.betas.append(beta)
         self.states.append(np.array(state))
         self.ground_probability.append(
-            float(np.clip(probs[sys.ground].sum(), 0.0, 1.0)))
+            float(np.clip(probs[self.ground].sum(), 0.0, 1.0)))
         self.overlap.append(float(np.abs(np.vdot(ground_vec, phi_dir)) ** 2))
         self.log_norm.append(log_norm)
 
@@ -302,10 +297,7 @@ def _mapped_master_states(master: AnnealTrajectory, imaginary: AnnealTrajectory,
         raise ValueError("trajectories must share their sample times")
     energies = spins.energy_table(model)
     for p, phi, beta in zip(master.states, imaginary.states, master.betas):
-        x = 0.5 * beta * energies
-        mapped = p * np.exp(x - x.max())
-        mapped /= np.linalg.norm(mapped)
-        yield mapped, phi
+        yield _to_phi(p, energies, beta), phi
 
 
 def master_imaginary_deviation(master: AnnealTrajectory,

@@ -102,6 +102,14 @@ def export_states(path: str, times: np.ndarray, states: np.ndarray,
 # ---------------------------------------------------------------------------
 # shared argument handling
 
+def _finite_float(text: str) -> float:
+    """argparse type of the float flags: a float that is neither NaN nor infinite."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file whose keys preload these flags")
     parser.add_argument("--out", default=".", help="output directory for reports")
@@ -337,11 +345,11 @@ def cmd_anneal(args) -> int:
     if unknown or not engines:
         raise UsageError("--engines must name master, imaginary and/or real")
 
-    size = model.n_states
-    p0 = np.full(size, 1.0 / size)
+    # every engine starts in equilibrium at beta(0): P0, and phi0 = sqrt(P0), the
+    # image exp(beta0 H0 / 2) P0 up to the norm the engines divide out
     beta0 = schedule.beta(0.0)
-    x = -0.5 * beta0 * spins.energy_table(model)
-    phi0 = np.exp(x - x.max())
+    p0 = spins.boltzmann(model, beta0)
+    phi0 = spins._tilt(spins.energy_table(model), -0.5 * beta0)
 
     trajectories: dict[str, anneal.AnnealTrajectory] = {}
     for engine in engines:
@@ -352,8 +360,7 @@ def cmd_anneal(args) -> int:
             traj = anneal.evolve_imaginary_schrodinger(model, rule, schedule, phi0,
                                                        args.dt, n_samples=args.samples)
         else:
-            traj = anneal.evolve_real_schrodinger(model, rule, schedule,
-                                                  phi0.astype(complex),
+            traj = anneal.evolve_real_schrodinger(model, rule, schedule, phi0,
                                                   args.dt, n_samples=args.samples)
         trajectories[engine] = traj
         write_csv(os.path.join(args.out, f"trajectory_{engine}.csv"),
@@ -416,10 +423,10 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     _add_common(p)
     _add_model_args(p)
     p.add_argument("--dump-hamiltonian", action="store_true")
-    p.add_argument("--tol-spectrum", type=float, default=1e-9)
-    p.add_argument("--tol-entry", type=float, default=1e-12)
-    p.add_argument("--tol-balance", type=float, default=1e-10)
-    p.add_argument("--tol-ground", type=float, default=1e-9)
+    p.add_argument("--tol-spectrum", type=_finite_float, default=1e-9)
+    p.add_argument("--tol-entry", type=_finite_float, default=1e-12)
+    p.add_argument("--tol-balance", type=_finite_float, default=1e-10)
+    p.add_argument("--tol-ground", type=_finite_float, default=1e-9)
     p.set_defaults(func=cmd_bridge_check)
 
     p = sub.add_parser("fermion-check",
@@ -437,7 +444,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     _add_model_args(p)
     p.add_argument("--tfield", type=int, metavar="N",
                    help="use the standard transverse-field chain on N sites instead")
-    p.add_argument("--gamma", type=float, default=0.7,
+    p.add_argument("--gamma", type=_finite_float, default=0.7,
                    help="transverse field strength for --tfield")
     p.set_defaults(func=cmd_reverse)
 
@@ -460,8 +467,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--schedule", default="linear:0,3,1000")
     p.add_argument("--sweeps", type=int, default=1000)
     p.add_argument("--seeds", type=int, default=200)
-    p.add_argument("--ground-energy", type=float)
-    p.add_argument("--min-success", type=float,
+    p.add_argument("--ground-energy", type=_finite_float)
+    p.add_argument("--min-success", type=_finite_float,
                    help="exit 1 if the success fraction falls below this")
     p.set_defaults(func=cmd_mc)
 
@@ -493,7 +500,7 @@ def _config_value(action: argparse.Action, key: str, value):
     if ok and takes_text:
         try:
             value = (action.type or str)(str(value))
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             ok = False
     if not ok or (action.choices is not None and value not in action.choices):
         raise UsageError(f"--config key {key}: invalid value {value!r} for "

@@ -88,13 +88,16 @@ class UniformRate(RateRule):
     name = "uniform"
 
     def __post_init__(self):
-        if not self.p > 0:
-            raise ValueError(f"uniform rate constant p must be positive, got {self.p}")
+        if not (math.isfinite(self.p) and self.p > 0):
+            raise ValueError(f"uniform rate constant p must be finite and positive, got {self.p}")
 
     def _w(self, n_spins):
         if n_spins is None:
             raise ValueError("uniform rule needs the spin count to evaluate w = exp(-p*N)")
-        return math.exp(-self.p * n_spins)
+        w = math.exp(-self.p * n_spins)
+        if w == 0.0:  # every rate would vanish: a frozen chain
+            raise ValueError(f"uniform rate w = exp({-self.p * n_spins:g}) underflows to 0")
+        return w
 
     def rates(self, beta, delta, n_spins=None):
         return self._w(n_spins) * np.exp(-0.5 * beta * np.asarray(delta, dtype=float))
@@ -241,7 +244,7 @@ def build_generator(model: IsingModel, beta: float, rule: RateRule) -> MarkovGen
 
 def stationary_distribution(generator: MarkovGenerator) -> np.ndarray:
     """Boltzmann distribution at the generator's temperature, from its H0 table."""
-    w = np.exp(-generator.beta * (generator.energies - generator.energies.min()))
+    w = spins._tilt(generator.energies, -generator.beta)
     return w / w.sum()
 
 
@@ -338,18 +341,11 @@ def _check_probability(p: np.ndarray, t: float) -> None:
 
 
 class _SparseOperator:
-    """A fixed matrix applied through its nonzero entries; it is the operator of every stage.
+    """A fixed matrix applied through its nonzero entries; it is the operator of every stage."""
 
-    Given `half`, it is the conjugated matrix exp(half) A exp(-half), formed
-    entry by entry on the nonzeros of A, so no large exponential multiplies
-    a zero entry.
-    """
-
-    def __init__(self, matrix: np.ndarray, half: np.ndarray | None = None):
+    def __init__(self, matrix: np.ndarray):
         self.rows, self.cols = np.nonzero(matrix)
         self.vals = matrix[self.rows, self.cols]
-        if half is not None:
-            self.vals = np.exp(half[self.rows] - half[self.cols]) * self.vals
         self.diag = np.diag(matrix)
 
     def __getitem__(self, stage: int) -> _SparseOperator:
@@ -358,15 +354,35 @@ class _SparseOperator:
     def __call__(self, y: np.ndarray) -> np.ndarray:
         return np.bincount(self.rows, self.vals * y[self.cols], minlength=y.size)
 
+    def dense(self) -> np.ndarray:
+        matrix = np.zeros((self.diag.size, self.diag.size))
+        matrix[self.rows, self.cols] = self.vals
+        return matrix
+
     def asymmetry(self) -> float:
-        """max|A - A^T| / max|A|; inf when an entry's transpose is zero."""
-        to_transpose = np.lexsort((self.rows, self.cols))  # the entries of A^T, row by row
-        if not (np.array_equal(self.cols[to_transpose], self.rows)
-                and np.array_equal(self.rows[to_transpose], self.cols)):
-            return math.inf
+        """max|A - A^T| / max|A|, 0 for A = 0."""
+        size = self.diag.size
+        keys = np.concatenate((self.rows * size + self.cols, self.cols * size + self.rows))
+        differences = np.bincount(np.unique(keys, return_inverse=True)[1],
+                                  np.concatenate((self.vals, -self.vals)))
         scale = np.abs(self.vals).max(initial=0.0)
-        deviation = np.abs(self.vals - self.vals[to_transpose]).max(initial=0.0)
-        return float(deviation / scale) if scale > 0 else 0.0
+        return float(np.abs(differences).max(initial=0.0) / scale) if scale > 0 else 0.0
+
+
+def _symmetric_form(generator: MarkovGenerator, tol: float) -> _SparseOperator:
+    """exp(beta*H0/2) W exp(-beta*H0/2), symmetric and isospectral to W; H is its negation.
+
+    Formed on the nonzeros of W, so no large exponential multiplies a zero
+    rate. Raises ValueError beyond `tol` relative asymmetry: W is then not in
+    detailed balance with its energies.
+    """
+    symmetric = _SparseOperator(generator.matrix)
+    half = 0.5 * generator.beta * generator.energies
+    symmetric.vals = np.exp(half[symmetric.rows] - half[symmetric.cols]) * symmetric.vals
+    if not symmetric.asymmetry() <= tol:
+        raise ValueError("generator is not in detailed balance with its energies: its "
+                         f"symmetric form is not symmetric within {tol:g} relative tolerance")
+    return symmetric
 
 
 def evolve_master(generator: MarkovGenerator, p0: np.ndarray, t_final: float,
@@ -411,10 +427,7 @@ def relaxation_time(generator: MarkovGenerator) -> float:
     """
     from . import spectral
 
-    symmetric = _SparseOperator(generator.matrix, 0.5 * generator.beta * generator.energies)
-    if not symmetric.asymmetry() <= spectral.SYMMETRY_TOL:
-        raise ValueError("generator is not in detailed balance with its energies: its "
-                         "symmetric form is not symmetric within 1e-8 relative tolerance")
+    symmetric = _symmetric_form(generator, spectral.SYMMETRY_TOL)
     root_p0 = np.sqrt(stationary_distribution(generator))
     tol = 1e-13 * max(1.0, np.abs(symmetric.vals).max())
     lam1 = -spectral._lowest_eigenvalue(lambda x: -symmetric(x), root_p0[None, :], tol)

@@ -1,7 +1,7 @@
 """Transverse-field Hamiltonians from classical flip dynamics.
 
 The central construction conjugates a detailed-balance generator W by
-exp(beta*H0/2) and negates it, giving a real symmetric matrix whose
+exp(beta*H0/2) (`markov._symmetric_form`) and negates it: a symmetric matrix whose
 spectrum is the negated spectrum of W, whose ground energy is zero, and
 whose ground state is the square-root Boltzmann vector. For the
 periodic nearest-neighbor chain the same matrix is also assembled
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fermion, spectral, spins
+from . import fermion, spins
 from .markov import (HEAT_BATH, METROPOLIS, MarkovGenerator, RateRule, _FlipOperator,
-                     _FlipSystem, _flip_table, build_generator)
+                     _FlipSystem, _flip_table, _symmetric_form, build_generator)
 from .spins import IsingModel
 
 PROVENANCE_MAPPED = "mapped-from-W"
@@ -48,15 +48,11 @@ def classical_to_quantum(generator: MarkovGenerator) -> QuantumHamiltonian:
     """Map a generator to its symmetric Hamiltonian, entry by entry.
 
     H[a,b] = -exp(beta*H0(a)/2) W[a,b] exp(-beta*H0(b)/2), the negated
-    spectral.symmetrized_generator with zeros kept +0.0. Asymmetry beyond
-    1e-8 relative is reported as a detailed-balance failure of the input.
+    `markov._symmetric_form` with zeros kept +0.0. Asymmetry beyond 1e-12
+    relative raises ValueError as a detailed-balance failure of the input.
     """
-    h = spectral.symmetrized_generator(generator)
+    h = _symmetric_form(generator, 1e-12).dense()
     np.negative(h, out=h, where=h != 0)
-    scale = np.abs(h).max()
-    if scale > 0 and np.abs(h - h.T).max() > 1e-8 * scale:
-        raise ValueError(
-            "mapped matrix is not symmetric: the generator violates detailed balance")
     rule_name = generator.rule.name if generator.rule is not None else None
     return QuantumHamiltonian(matrix=h, n_spins=generator.n_spins,
                               provenance=PROVENANCE_MAPPED,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spins
-from .markov import MarkovGenerator
+from .markov import MarkovGenerator, detailed_balance_residual, stationary_distribution
 from .quantum import QuantumHamiltonian
 from .spectral import eig_sym
 
@@ -123,8 +123,10 @@ def quantum_to_classical(hamiltonian: QuantumHamiltonian,
     w = np.zeros_like(shifted)
     rows, cols = np.nonzero(shifted)
     w[rows, cols] = -(vec[rows] / vec[cols]) * shifted[rows, cols]
+    generator = MarkovGenerator(matrix=w, beta=1.0, energies=energy_table,
+                                n_spins=hamiltonian.n_spins, rule=None, model=None)
 
-    residuals = _generator_conditions(w, energy_table)
+    residuals = _generator_conditions(generator)
     worst = max(residuals.values())
     if worst > condition_tol:
         name = max(residuals, key=residuals.get)
@@ -132,15 +134,14 @@ def quantum_to_classical(hamiltonian: QuantumHamiltonian,
             f"recovered matrix fails the {name} condition "
             f"(residual {residuals[name]:.3g} > {condition_tol:g})")
 
-    generator = MarkovGenerator(matrix=w, beta=1.0, energies=energy_table,
-                                n_spins=hamiltonian.n_spins, rule=None, model=None)
     return ReverseMapResult(energy_table=energy_table, generator=generator,
                             beta_effective=1.0, ground_shift=shift,
                             condition_residuals=residuals)
 
 
-def _generator_conditions(w: np.ndarray, energy_table: np.ndarray) -> dict[str, float]:
+def _generator_conditions(generator: MarkovGenerator) -> dict[str, float]:
     """Normalized residuals of the four transition-matrix conditions."""
+    w = generator.matrix
     off = w.copy()
     np.fill_diagonal(off, 0.0)
     rate_scale = max(np.abs(off).max(), 1e-30)
@@ -149,17 +150,14 @@ def _generator_conditions(w: np.ndarray, energy_table: np.ndarray) -> dict[str, 
 
     conservation = np.abs(w.sum(axis=0)).max() / max(np.abs(np.diag(w)).max(), 1e-30)
 
-    p0 = np.exp(-(energy_table - energy_table.min()))
-    p0 /= p0.sum()
-    flux = off * p0[None, :]
-    flux_scale = max(np.abs(flux).max(), 1e-30)
+    p0 = stationary_distribution(generator)
+    flux_scale = max(np.abs(off * p0[None, :]).max(), 1e-30)
     stationarity = np.abs(w @ p0).max() / flux_scale
-    balance = np.abs(flux - flux.T).max() / flux_scale
 
     return {"offdiagonal-sign": float(sign),
             "probability-conservation": float(conservation),
             "stationarity": float(stationarity),
-            "detailed-balance": float(balance)}
+            "detailed-balance": detailed_balance_residual(generator)}
 
 
 @dataclass(frozen=True)

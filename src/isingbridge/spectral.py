@@ -2,7 +2,7 @@
 
 Every eigenproblem in the package goes through the symmetric path: a
 nonsymmetric generator is first conjugated by exp(beta*H0/2), which is
-symmetric and isospectral, and never decomposed directly.
+symmetric and isospectral (`markov._symmetric_form`), never decomposed directly.
 
 Each solve computes only what its caller reads. `eig_sym(...,
 eigvals_only=True)`, `spectrum_report(..., keep_ground_vector=False)` and
@@ -137,29 +137,17 @@ def _lowest_eigenvalue(apply, deflate: np.ndarray, tol: float) -> float:
     return theta
 
 
-def symmetrized_generator(generator: markov.MarkovGenerator) -> np.ndarray:
-    """exp(beta*H0/2) W exp(-beta*H0/2), symmetric and isospectral to W.
-
-    Applied entrywise on the nonzero pattern of W so that no large
-    exponential ever multiplies a zero rate.
-    """
-    symmetric = markov._SparseOperator(generator.matrix,
-                                       0.5 * generator.beta * generator.energies)
-    sym = np.zeros_like(generator.matrix)
-    sym[symmetric.rows, symmetric.cols] = symmetric.vals
-    return sym
-
-
 def spectrum_of_generator(generator: markov.MarkovGenerator) -> SpectrumReport:
-    """Eigenvalues of a generator via its symmetric form, values only.
+    """Eigenvalues of a generator via `markov._symmetric_form`, values only.
 
     Reports the eigenvalues of W itself (all <= 0, largest ~ 0) in
     ascending order; the gap is |lambda_1|, the inverse relaxation time.
     No eigenvector is computed: ground_vector is None. The ground vector
     of the mapped Hamiltonian, the square-root Boltzmann vector, is in
     `spectrum_of_hamiltonian(quantum.classical_to_quantum(generator))`.
+    Raises ValueError when W is out of detailed balance beyond 1e-8 relative.
     """
-    evals = eig_sym(symmetrized_generator(generator), eigvals_only=True)
+    evals = eig_sym(markov._symmetric_form(generator, SYMMETRY_TOL).dense(), eigvals_only=True)
     return SpectrumReport(eigenvalues=evals, gap=float(evals[-1] - evals[-2]),
                           matrix_dim=evals.size)
 

@@ -193,15 +193,16 @@ def _check_beta(beta: float, name: str = "beta") -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {beta}")
 
 
-def boltzmann(model: IsingModel, beta: float) -> np.ndarray:
-    """Boltzmann distribution exp(-beta H0) / Z over configuration indices.
+def _tilt(energies: np.ndarray, s: float) -> np.ndarray:
+    """exp(s * H0) scaled so that its largest entry is 1: no entry can overflow."""
+    x = s * energies
+    return np.exp(x - x.max())
 
-    Shifted by the minimum energy before exponentiating, so beta*|H0| up
-    to ~700 cannot overflow.
-    """
+
+def boltzmann(model: IsingModel, beta: float) -> np.ndarray:
+    """Boltzmann distribution exp(-beta H0) / Z over configuration indices, for any beta."""
     _check_beta(beta)
-    table = energy_table(model)
-    weights = np.exp(-beta * (table - table.min()))
+    weights = _tilt(energy_table(model), -beta)
     return weights / weights.sum()
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -109,6 +110,19 @@ class TestBridgeCheck:
         assert run_cli("bridge-check", "--chain", "4", "--rule", "glauber",
                        "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("command", ["bridge-check", "reverse", "anneal"])
+    @pytest.mark.parametrize("rule, match", [("uniform:200", "underflows to 0"),
+                                             ("uniform:inf", "finite and positive")])
+    def test_vanishing_uniform_rate_is_usage_error(self, command, rule, match, tmp_path,
+                                                    capsys):
+        assert_usage_error(capsys, command, "--chain", "4", "--rule", rule,
+                           "--out", str(tmp_path), match=match)
+
+    def test_subnormal_uniform_rate_passes(self, tmp_path):
+        # w = exp(-720) is subnormal, the smallest w that still moves the chain
+        assert run_cli("bridge-check", "--chain", "4", "--rule", "uniform:180",
+                       "--out", str(tmp_path)) == 0
+
 
 class TestFermionCheck:
     def test_uniform_chain(self, tmp_path):
@@ -187,6 +201,13 @@ class TestAnneal:
         lines = (tmp_path / "trajectory_master.csv").read_text().splitlines()
         assert lines[0] == "t,beta,ground_probability,overlap,log_norm_decrement"
 
+    @pytest.mark.parametrize("schedule", ["linear:0.5,2,10", "linear:1,1,5"])
+    def test_engines_start_in_equilibrium_at_beta0(self, schedule, tmp_path):
+        assert run_cli("anneal", "--chain", "4", "--schedule", schedule,
+                       "--out", str(tmp_path)) == 0
+        report = load_report(tmp_path, "anneal.json")
+        assert report["consistency_deviation"] <= 1e-6
+
     def test_wide_state_export(self, tmp_path):
         run_cli("anneal", "--chain", "4", "--engines", "master",
                 "--schedule", "linear:0,1,1", "--dt", "0.005",
@@ -257,6 +278,24 @@ class TestMc:
         assert code == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ("bridge-check", "--chain", "4", "--K"),
+    ("bridge-check", "--chain", "4", "--tol-spectrum"),
+    ("bridge-check", "--chain", "4", "--tol-entry"),
+    ("bridge-check", "--chain", "4", "--tol-balance"),
+    ("bridge-check", "--chain", "4", "--tol-ground"),
+    ("fermion-check", "--chain", "4", "--K"),
+    ("reverse", "--tfield", "4", "--gamma"),
+    ("anneal", "--chain", "4", "--dt"),
+    ("mc", "--chain", "4", "--sweeps", "10", "--seeds", "2", "--ground-energy"),
+    ("mc", "--chain", "4", "--sweeps", "10", "--seeds", "2", "--min-success"),
+], ids=lambda argv: f"{argv[0]}{argv[-1]}")
+def test_nonfinite_float_flag_is_usage_error(argv, value, tmp_path, capsys):
+    assert_usage_error(capsys, *argv[:-1], f"{argv[-1]}={value}", "--out", str(tmp_path),
+                       match="finite")
+
+
 class TestConfigAndFormat:
     def test_config_file_preloads_flags(self, tmp_path):
         config = {"chain": 6, "K": 0.5, "rule": "heatbath"}
@@ -291,7 +330,8 @@ class TestConfigAndFormat:
         {"chain": 6.5},
         {"chain": 4, "format": "xml"},
         {"chain": 4, "dump_hamiltonian": "no"},
-    ], ids=["float-for-int", "bad-choice", "string-for-switch"])
+        {"chain": 4, "tol_spectrum": math.nan},
+    ], ids=["float-for-int", "bad-choice", "string-for-switch", "nonfinite-float"])
     def test_config_value_is_checked_like_its_flag(self, config, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))

@@ -20,6 +20,18 @@ def two_flip_generator(n):
     return reverse.quantum_to_classical(ham).generator
 
 
+def perturbed_rate(gen, eps):
+    """gen with its first off-diagonal rate scaled by 1 + eps, columns still summing to 0."""
+    matrix = gen.matrix.copy()
+    rows, cols = np.nonzero(matrix)
+    r, c = next((r, c) for r, c in zip(rows, cols) if r != c)
+    delta = eps * matrix[r, c]
+    matrix[r, c] += delta
+    matrix[c, c] -= delta
+    return markov.MarkovGenerator(matrix=matrix, beta=gen.beta, energies=gen.energies,
+                                  n_spins=gen.n_spins)
+
+
 class TestLocalRate:
     def test_heatbath_zero_delta(self):
         rate, w = markov.local_rate(markov.HEAT_BATH, 0.7, 0.0)
@@ -56,6 +68,20 @@ class TestLocalRate:
     def test_uniform_rule_needs_positive_p(self):
         with pytest.raises(ValueError):
             markov.UniformRate(p=0.0)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_uniform_rule_needs_finite_p(self, p):
+        with pytest.raises(ValueError, match="finite and positive"):
+            markov.UniformRate(p=p)
+
+    def test_uniform_rule_rejects_a_vanishing_w(self):
+        # exp(-200 * 4) underflows to 0: every rate would vanish
+        model = spins.chain_model(4, [1.0] * 4)
+        for build in (markov.build_generator, quantum.assemble_direct):
+            with pytest.raises(ValueError, match="underflows to 0"):
+                build(model, 0.5, markov.UniformRate(200.0))
+        # exp(-180 * 4) is subnormal but not 0
+        assert markov.build_generator(model, 0.5, markov.UniformRate(180.0)).matrix.any()
 
     def test_rejects_negative_beta(self):
         with pytest.raises(ValueError):
@@ -291,7 +317,8 @@ class TestRelaxationTime:
 
     def test_two_flip_generator_matches_dense_gap(self):
         gen = two_flip_generator(5)
-        lam1 = np.linalg.eigvalsh(spectral.symmetrized_generator(gen))[-2]
+        symmetric = markov._symmetric_form(gen, spectral.SYMMETRY_TOL).dense()
+        lam1 = np.linalg.eigvalsh(symmetric)[-2]
         assert abs(markov.relaxation_time(gen) * abs(lam1) - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("wrong", ["energies", "irreversible"])
@@ -306,6 +333,24 @@ class TestRelaxationTime:
         bad = markov.MarkovGenerator(matrix=matrix, beta=0.7, energies=energies, n_spins=4)
         with pytest.raises(ValueError, match="detailed balance"):
             markov.relaxation_time(bad)
+
+    def test_balance_tolerance_is_relative_1e8(self):
+        """A rate off by 1e-10 only moves eigenvalues; one off by 1e-6 is rejected."""
+        gen = markov.build_generator(spins.chain_model(4, [1.0] * 4), 0.7, markov.HEAT_BATH)
+        for eps, accepted in ((1e-10, True), (1e-6, False)):
+            bad = perturbed_rate(gen, eps)
+            if accepted:
+                assert abs(markov.relaxation_time(bad) / markov.relaxation_time(gen) - 1) <= 1e-8
+            else:
+                with pytest.raises(ValueError, match="detailed balance"):
+                    markov.relaxation_time(bad)
+
+    def test_underflowed_rate_is_not_a_balance_failure(self):
+        """At K = 200 the uphill heat-bath rate exp(-800) is 0 while its reverse is
+        1; the symmetric form then differs from its transpose by exp(-400) only."""
+        gen = markov.build_generator(spins.chain_model(4, [1.0] * 4), 200.0, markov.HEAT_BATH)
+        symmetric = markov._symmetric_form(gen, 1e-12)
+        assert 0.0 < symmetric.asymmetry() <= 1e-170
 
     def test_degenerate_chain_flagged(self):
         block = np.array([[-1.0, 1.0], [1.0, -1.0]])

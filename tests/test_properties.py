@@ -4,7 +4,9 @@ The single-flip operator of `markov._FlipSystem` is checked against its own
 dense form, stage by stage against the operators it builds for an array of
 stage betas, and the dense routes against each other: direct and mapped H
 agree, W conserves probability, W and H share their spectrum, and the
-Lanczos relaxation time is the dense gap. The
+Lanczos relaxation time is the dense gap. The image exp(beta H0 / 2) P0 of
+the Boltzmann vector is the ground vector of H, and P -> phi -> P is the
+identity. The
 closed-form random-coupling heat-bath chain is checked against the direct
 route, and the Walsh expansion against the table it came from.
 """
@@ -12,7 +14,7 @@ route, and the Walsh expansion against the table it came from.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from isingbridge import markov, quantum, reverse, spectral, spins
+from isingbridge import anneal, markov, quantum, reverse, spectral, spins
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                              database=None)
@@ -98,7 +100,7 @@ def test_spectrum_is_shared(model, rule, beta):
 def test_relaxation_time_is_the_dense_gap(model, rule, beta):
     """The Lanczos gap is the second eigenvalue of the dense symmetric form."""
     generator = markov.build_generator(model, beta, rule)
-    symmetric = spectral.symmetrized_generator(generator)
+    symmetric = markov._symmetric_form(generator, spectral.SYMMETRY_TOL).dense()
     lam1 = np.linalg.eigvalsh(symmetric)[-2]
     try:
         gap = 1.0 / markov.relaxation_time(generator)
@@ -109,6 +111,24 @@ def test_relaxation_time_is_the_dense_gap(model, rule, beta):
     # 1e-6 at beta = 2 put that floor above 1e-10 relative
     tol = 1e-10 * abs(lam1) + 1e-13 * max(1.0, np.abs(symmetric).max())
     assert abs(gap - abs(lam1)) <= tol
+
+
+@PROPERTY_SETTINGS
+@given(models(), rules, st.floats(0.0, 2.0))
+def test_boltzmann_image_is_the_ground_vector(model, rule, beta):
+    """phi = exp(beta H0 / 2) P0 solves H phi = 0 for the directly assembled H."""
+    phi = anneal._to_phi(spins.boltzmann(model, beta), spins.energy_table(model), beta)
+    h = quantum.assemble_direct(model, beta, rule).matrix
+    assert np.abs(h @ phi).max() <= 1e-12 * max(1.0, np.abs(h).max())
+
+
+@PROPERTY_SETTINGS
+@given(models(), st.floats(0.0, 2.0), st.integers(0, 2**32 - 1))
+def test_probability_round_trips_through_phi(model, beta, seed):
+    energies = spins.energy_table(model)
+    p = np.random.default_rng(seed).dirichlet(np.ones(model.n_states))
+    back = anneal._to_probability(anneal._to_phi(p, energies, beta), energies, beta)
+    assert np.abs(back - p).max() <= 1e-12 * p.max()
 
 
 @st.composite

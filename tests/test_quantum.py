@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from isingbridge import markov, quantum, spectral, spins
+from test_markov import perturbed_rate
 from test_spins import random_model
 
 
@@ -58,6 +59,12 @@ class TestClassicalToQuantum:
                                      energies=gen.energies, n_spins=gen.n_spins)
         with pytest.raises(ValueError, match="detailed balance"):
             quantum.classical_to_quantum(bad)
+
+    @pytest.mark.parametrize("eps", [1e-10, 1e-6])
+    def test_slight_imbalance_is_blamed_on_the_input(self, eps):
+        gen = markov.build_generator(spins.chain_model(4, [1.0] * 4), 0.7, markov.HEAT_BATH)
+        with pytest.raises(ValueError, match="generator is not in detailed balance"):
+            quantum.classical_to_quantum(perturbed_rate(gen, eps))
 
     def test_offdiagonals_nonpositive_and_hamming_one(self):
         rng = np.random.default_rng(8)
