@@ -12,18 +12,17 @@ Modules:
   cli         command-line experiments emitting CSV/JSON reports
 """
 
-from .spins import (IsingModel, boltzmann, chain_model, encode, energy,
-                    energy_table, flip, flip_delta, frustrated_instance,
-                    ground_states, load_model, save_model, single_spin_model,
-                    spin_values)
+from .spins import (IsingModel, boltzmann, chain_model, energy_table,
+                    frustrated_instance, ground_states, load_model, save_model,
+                    single_spin_model)
 from .markov import (HEAT_BATH, METROPOLIS, HeatBath, MarkovGenerator,
                      Metropolis, RateRule, UniformRate, build_generator,
-                     detailed_balance_residual, evolve_master, local_rate,
-                     parse_rule, relaxation_time)
+                     detailed_balance_residual, evolve_master, parse_rule,
+                     relaxation_time)
 from .quantum import (QuantumHamiltonian, assemble_direct,
                       chain_heatbath_hamiltonian, chain_metropolis_hamiltonian,
                       chain_random_heatbath_hamiltonian, classical_to_quantum,
-                      mapped_chain_hamiltonian, transverse_field_chain)
+                      transverse_field_chain)
 from .spectral import (SpectrumReport, compare_spectra, eig_sym,
                        spectrum_of_generator, spectrum_of_hamiltonian,
                        spectrum_report)
@@ -31,7 +30,7 @@ from .fermion import (FermionChainParams, dispersion, finite_gap,
                       ground_energy_offset, many_body_spectrum, momentum_grid,
                       random_single_particle_matrix)
 from .reverse import (CouplingExpansion, ReverseMapResult, extract_couplings,
-                      perron_ground_state, quantum_to_classical)
+                      quantum_to_classical)
 from .anneal import (AnnealTrajectory, ExponentialBeta, GemanGeman, LinearBeta,
                      Schedule, evolve_imaginary_schrodinger,
                      evolve_master_timedep, evolve_real_schrodinger,

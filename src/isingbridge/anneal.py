@@ -240,6 +240,8 @@ class _SampleBuffer:
 
     def __init__(self, model: IsingModel, energies: np.ndarray, engine: str,
                  schedule: Schedule, n_samples: int, initial: np.ndarray):
+        if not n_samples >= 1:
+            raise ValueError(f"n_samples must be positive, got {n_samples}")
         self.energies = energies
         self.ground = spins.ground_states(model)
         self.engine = engine
@@ -251,7 +253,7 @@ class _SampleBuffer:
 
     def at_step(self, step: int, n_steps: int, t: float, state: np.ndarray, log_norm=0.0):
         """Record every (n_steps // n_samples)-th step and the last."""
-        stride = max(1, n_steps // max(1, self.n_samples))
+        stride = max(1, n_steps // self.n_samples)
         if step % stride == 0 or step == n_steps:
             self.add(t, state, log_norm)
 

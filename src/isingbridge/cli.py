@@ -192,6 +192,10 @@ def _report(args, name: str, payload: dict, checks: dict[str, bool]) -> int:
 # commands
 
 def cmd_bridge_check(args) -> int:
+    for flag in ("tol_spectrum", "tol_entry", "tol_balance", "tol_ground"):
+        if getattr(args, flag) < 0:
+            raise UsageError(f"--{flag.replace('_', '-')} must be nonnegative, "
+                             f"got {getattr(args, flag)}")
     model = _resolve_model(args)
     rule = markov.parse_rule(args.rule)
     generator = markov.build_generator(model, args.K, rule)
@@ -200,10 +204,11 @@ def cmd_bridge_check(args) -> int:
     direct = quantum.assemble_direct(model, args.K, rule)
     entry_dev = float(np.abs(mapped.matrix - direct.matrix).max())
 
+    # W's spectrum and the ground checks are taken against the H built without W
     gen_report = spectral.spectrum_of_generator(generator)
-    ham_report = spectral.spectrum_of_hamiltonian(mapped)
+    ham_report = spectral.spectrum_of_hamiltonian(direct)
     # eigh is accurate to roundoff times max|H|, and uniform:P rates reach exp(K|dE|/2)
-    h_max = float(np.abs(mapped.matrix).max())
+    h_max = float(np.abs(direct.matrix).max())
     spectra = spectral.compare_spectra(-gen_report.eigenvalues, ham_report.eigenvalues,
                                        args.tol_spectrum * max(1.0, h_max))
 
@@ -212,8 +217,8 @@ def cmd_bridge_check(args) -> int:
     # on the distance of v0^2 from P0, whose error grows like 1/gap
     boltzmann = spins.boltzmann(model, args.K)
     ground = ham_report.ground_vector
-    ground_residual = float(np.abs(mapped.matrix @ np.sqrt(boltzmann)).max()) / h_max
-    eigh_residual = float(np.abs(mapped.matrix @ ground).max()) / h_max
+    ground_residual = float(np.abs(direct.matrix @ np.sqrt(boltzmann)).max()) / h_max
+    eigh_residual = float(np.abs(direct.matrix @ ground).max()) / h_max
     ground_dev = float(np.abs(ground ** 2 - boltzmann).max())
 
     write_spectrum(args.out, "spectrum_generator", gen_report.eigenvalues,

@@ -125,19 +125,6 @@ def parse_rule(text: str) -> RateRule:
     raise ValueError(f"unknown rate rule {text!r}")
 
 
-def local_rate(rule: RateRule, beta: float, delta: float,
-               n_spins: int | None = None) -> tuple[float, float]:
-    """Rate and symmetric factor for a single flip with energy change `delta`.
-
-    delta is H0(destination) - H0(source). Returns (rate, w) where
-    rate = w * exp(-beta*delta/2).
-    """
-    spins._check_beta(beta)
-    rate = float(rule.rates(beta, delta, n_spins))
-    w = float(rule.weights(beta, delta, n_spins))
-    return rate, w
-
-
 @dataclass(frozen=True)
 class MarkovGenerator:
     """Dense transition-rate matrix, column-indexed by source configuration.
@@ -249,14 +236,11 @@ def stationary_distribution(generator: MarkovGenerator) -> np.ndarray:
 
 
 def detailed_balance_residual(generator: MarkovGenerator) -> float:
-    """Max relative asymmetry of equilibrium fluxes W[a,b] P0[b] vs W[b,a] P0[a]."""
+    """Max relative asymmetry of equilibrium fluxes W[a,b] P0[b] vs W[b,a] P0[a], a != b."""
     p0 = stationary_distribution(generator)
-    flux = generator.matrix * p0[None, :]
-    np.fill_diagonal(flux, 0.0)
-    scale = np.abs(flux).max()
-    if scale == 0.0:
-        return 0.0
-    return float(np.abs(flux - flux.T).max() / scale)
+    flux = _SparseOperator(generator.matrix)
+    flux.vals = np.where(flux.rows == flux.cols, 0.0, flux.vals * p0[flux.cols])
+    return flux.asymmetry()
 
 
 @dataclass(frozen=True)
@@ -360,13 +344,16 @@ class _SparseOperator:
         return matrix
 
     def asymmetry(self) -> float:
-        """max|A - A^T| / max|A|, 0 for A = 0."""
-        size = self.diag.size
-        keys = np.concatenate((self.rows * size + self.cols, self.cols * size + self.rows))
-        differences = np.bincount(np.unique(keys, return_inverse=True)[1],
-                                  np.concatenate((self.vals, -self.vals)))
+        """max|A - A^T| / max|A|: 0 for A = 0, NaN when an entry is NaN or infinite."""
         scale = np.abs(self.vals).max(initial=0.0)
-        return float(np.abs(differences).max(initial=0.0) / scale) if scale > 0 else 0.0
+        if not 0.0 < scale < math.inf:
+            return 0.0 if scale == 0.0 else math.nan
+        size = self.diag.size
+        keys = self.rows * size + self.cols  # ascending: np.nonzero lists entries row by row
+        transposed = self.cols * size + self.rows
+        at = np.minimum(np.searchsorted(keys, transposed), keys.size - 1)
+        partner = np.where(keys[at] == transposed, self.vals[at], 0.0)  # A[c, r], 0 if absent
+        return float(np.abs(self.vals - partner).max() / scale)
 
 
 def _symmetric_form(generator: MarkovGenerator, tol: float) -> _SparseOperator:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fermion, spins
 from .markov import (HEAT_BATH, METROPOLIS, MarkovGenerator, RateRule, _FlipOperator,
-                     _FlipSystem, _flip_table, _symmetric_form, build_generator)
+                     _FlipSystem, _flip_table, _SparseOperator, _symmetric_form)
 from .spins import IsingModel
 
 PROVENANCE_MAPPED = "mapped-from-W"
@@ -29,7 +29,11 @@ PROVENANCE_USER = "user-supplied"
 
 @dataclass(frozen=True)
 class QuantumHamiltonian:
-    """Dense real symmetric matrix in the sigma^z product basis."""
+    """Dense real symmetric matrix in the sigma^z product basis.
+
+    Rejects a matrix whose relative asymmetry exceeds 1e-12 or that has a
+    NaN or infinite entry.
+    """
 
     matrix: np.ndarray
     n_spins: int
@@ -38,8 +42,7 @@ class QuantumHamiltonian:
     rule_name: str | None = None
 
     def __post_init__(self):
-        scale = np.abs(self.matrix).max()
-        if scale > 0 and np.abs(self.matrix - self.matrix.T).max() > 1e-12 * scale:
+        if not _SparseOperator(self.matrix).asymmetry() <= 1e-12:  # NaN entries fail too
             raise ValueError("Hamiltonian matrix is not symmetric within 1e-12 relative")
         self.matrix.setflags(write=False)
 
@@ -168,8 +171,3 @@ def transverse_field_chain(n: int, gamma: float, coupling: float = 1.0,
     h = _FlipOperator(constant - coupling * zz, np.full(z.shape, -gamma), _flip_table(n)).dense()
     return QuantumHamiltonian(matrix=h, n_spins=n, provenance=PROVENANCE_USER)
 
-
-def mapped_chain_hamiltonian(n: int, k: float, rule: RateRule) -> QuantumHamiltonian:
-    """Generic mapped Hamiltonian of the uniform chain (J=1) at K = beta."""
-    model = spins.chain_model(n, [1.0] * n)
-    return classical_to_quantum(build_generator(model, k, rule))

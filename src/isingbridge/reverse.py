@@ -79,17 +79,6 @@ def _ground_state(hamiltonian: QuantumHamiltonian) -> tuple[float, np.ndarray]:
     return float(evals[0]), vec
 
 
-def perron_ground_state(hamiltonian: QuantumHamiltonian) -> np.ndarray:
-    """Entrywise-positive unit ground vector of a stoquastic Hamiltonian.
-
-    Rejects matrices with positive off-diagonal entries (beyond a 1e-12
-    zero tolerance), a disconnected off-diagonal graph, a degenerate
-    ground level, or ground-vector entries below 1e-300.
-    """
-    _, vec = _ground_state(hamiltonian)
-    return vec
-
-
 @dataclass(frozen=True)
 class ReverseMapResult:
     """Classical dynamics recovered from a stoquastic Hamiltonian."""

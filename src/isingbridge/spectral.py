@@ -48,7 +48,8 @@ def eig_sym(matrix: np.ndarray, eigvals_only: bool = False
     Eigenvalues ascend; eigenvectors are the orthonormal columns of the
     second return value. With eigvals_only, only the eigenvalues are
     computed (LAPACK's values-only driver, about half the work) and
-    returned. Rejects asymmetric input (beyond 1e-8 relative) and
+    returned. Rejects asymmetric input (beyond 1e-8 relative, by
+    `markov._SparseOperator.asymmetry`), NaN or infinite entries, and
     dimensions above 2^12 = 4096 (the dense-matrix spin cap).
     """
     matrix = np.asarray(matrix, dtype=float)
@@ -56,8 +57,7 @@ def eig_sym(matrix: np.ndarray, eigvals_only: bool = False
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     dim = matrix.shape[0]
     spins._check_spins((dim - 1).bit_length(), "dense matrix")  # ceil(log2(dim)) spins
-    scale = np.abs(matrix).max()
-    if scale > 0 and np.abs(matrix - matrix.T).max() > SYMMETRY_TOL * scale:
+    if not markov._SparseOperator(matrix).asymmetry() <= SYMMETRY_TOL:  # NaN entries fail too
         raise ValueError("matrix is not symmetric within 1e-8 relative tolerance")
     return np.linalg.eigvalsh(matrix) if eigvals_only else np.linalg.eigh(matrix)
 

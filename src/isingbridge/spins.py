@@ -33,33 +33,6 @@ def _check_spins(n_spins: int, use: str) -> None:
         raise ValueError(f"{n_spins} spins exceed the {use} cap n_spins <= {_SPIN_CAPS[use]}")
 
 
-def spin_value(index: int, site: int) -> int:
-    """Value (+1 or -1) of one spin in the configuration `index`."""
-    return 1 - 2 * ((index >> site) & 1)
-
-
-def spin_values(index: int, n_spins: int) -> np.ndarray:
-    """Decode a configuration index into an array of +-1 spin values."""
-    bits = (index >> np.arange(n_spins)) & 1
-    return 1 - 2 * bits
-
-
-def encode(values) -> int:
-    """Encode a sequence of +-1 spin values into a configuration index."""
-    index = 0
-    for i, s in enumerate(values):
-        if s == -1:
-            index |= 1 << i
-        elif s != 1:
-            raise ValueError(f"spin values must be +-1, got {s!r} at site {i}")
-    return index
-
-
-def flip(index: int, site: int) -> int:
-    """Configuration index with the spin at `site` flipped."""
-    return index ^ (1 << site)
-
-
 @dataclass(frozen=True)
 class IsingModel:
     """Diagonal spin Hamiltonian H0(sigma) = sum_terms coeff * prod_{i in sites} sigma_i.
@@ -138,20 +111,6 @@ def frustrated_instance(n_spins: int = 4, seed: int = 0) -> IsingModel:
     raise RuntimeError("could not draw a frustrated instance")  # pragma: no cover
 
 
-def energy(model: IsingModel, config: int) -> float:
-    """Evaluate H0 at one configuration index."""
-    if not 0 <= config < model.n_states:
-        raise ValueError(f"config {config} out of range for {model.n_spins} spins")
-    total = 0.0
-    for sites, coeff in model.terms:
-        sign = 1.0
-        for s in sites:
-            if (config >> s) & 1:
-                sign = -sign
-        total += coeff * sign
-    return total
-
-
 def energy_table(model: IsingModel) -> np.ndarray:
     """H0 evaluated at every configuration, as a length-2^N array."""
     idx = np.arange(model.n_states)
@@ -162,29 +121,6 @@ def energy_table(model: IsingModel) -> np.ndarray:
             sign *= 1.0 - 2.0 * ((idx >> s) & 1)
         table += coeff * sign
     return table
-
-
-def flip_delta(model: IsingModel, config: int, site: int) -> float:
-    """Energy change H0(sigma') - H0(sigma) from flipping one spin.
-
-    Only terms containing `site` contribute; each flips sign, so the
-    delta is an integer combination (-2, 0, +2) of the coefficients and
-    agrees exactly with the two-evaluation difference.
-    """
-    if not 0 <= site < model.n_spins:
-        raise ValueError(f"site {site} out of range for {model.n_spins} spins")
-    if not 0 <= config < model.n_states:
-        raise ValueError(f"config {config} out of range for {model.n_spins} spins")
-    delta = 0.0
-    for sites, coeff in model.terms:
-        if site not in sites:
-            continue
-        sign = 1.0
-        for s in sites:
-            if (config >> s) & 1:
-                sign = -sign
-        delta -= 2.0 * coeff * sign
-    return delta
 
 
 def _check_beta(beta: float, name: str = "beta") -> None:

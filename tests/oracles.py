@@ -1,0 +1,68 @@
+"""Scalar oracles for the package's vectorized spin tables.
+
+`energy` and `flip_delta` evaluate one configuration at a time, term by
+term, and check `spins.energy_table` and `markov._FlipSystem.deltas`. They
+read only `model.n_spins` and `model.terms`, and use no package code, so
+an error in the tables cannot reach its own oracle. Configurations follow
+the package convention: bit i of the index is 0 for sigma_i = +1 and 1
+for sigma_i = -1.
+"""
+
+import numpy as np
+
+
+def spin_values(index: int, n_spins: int) -> np.ndarray:
+    """Decode a configuration index into an array of +-1 spin values."""
+    bits = (index >> np.arange(n_spins)) & 1
+    return 1 - 2 * bits
+
+
+def encode(values) -> int:
+    """Encode a sequence of +-1 spin values into a configuration index."""
+    index = 0
+    for i, s in enumerate(values):
+        if s == -1:
+            index |= 1 << i
+        elif s != 1:
+            raise ValueError(f"spin values must be +-1, got {s!r} at site {i}")
+    return index
+
+
+def _sign(config: int, sites) -> float:
+    """prod_{i in sites} sigma_i at the configuration `config`."""
+    sign = 1.0
+    for s in sites:
+        if (config >> s) & 1:
+            sign = -sign
+    return sign
+
+
+def energy(model, config: int) -> float:
+    """H0 at one configuration, summed over the terms in their stored order."""
+    assert 0 <= config < 1 << model.n_spins
+    total = 0.0
+    for sites, coeff in model.terms:
+        total += coeff * _sign(config, sites)
+    return total
+
+
+def flip_delta(model, config: int, site: int) -> float:
+    """H0(sigma') - H0(sigma) for a flip of `site`, from the terms containing it.
+
+    Each such term changes sign, so the delta is -2 coeff * prod sigma
+    summed over them.
+    """
+    assert 0 <= site < model.n_spins and 0 <= config < 1 << model.n_spins
+    delta = 0.0
+    for sites, coeff in model.terms:
+        if site in sites:
+            delta -= 2.0 * coeff * _sign(config, sites)
+    return delta
+
+
+def mapped_chain_hamiltonian(n: int, k: float, rule):
+    """The generic route W -> H for the uniform chain (J = 1) at K = beta."""
+    from isingbridge import markov, quantum, spins  # only this helper uses the package
+
+    return quantum.classical_to_quantum(markov.build_generator(spins.chain_model(n, [1.0] * n),
+                                                               k, rule))

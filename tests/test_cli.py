@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from isingbridge import cli, spectral, spins
+from isingbridge import cli, markov, spectral, spins
 
 
 def run_cli(*argv):
@@ -105,6 +105,20 @@ class TestBridgeCheck:
         report = load_report(tmp_path, "bridge_check.json")
         failed = [name for name, ok in report["checks"].items() if not ok]
         assert code == 1 and failed == [check]
+
+    def test_wrong_direct_weights_fail_every_check_against_direct_h(self, tmp_path,
+                                                                    monkeypatch):
+        # W is unchanged, so the mapped H is too; only the H assembled from the
+        # weights is off, and W's spectrum and sqrt(P0) are checked against it
+        original = markov.HeatBath.weights
+        monkeypatch.setattr(markov.HeatBath, "weights",
+                            lambda self, *args: original(self, *args) * (1 + 1e-6))
+        code = run_cli("bridge-check", "--chain", "6", "--K", "0.5", "--out", str(tmp_path))
+        report = load_report(tmp_path, "bridge_check.json")
+        failed = [name for name, ok in report["checks"].items() if not ok]
+        assert code == 1
+        assert sorted(failed) == ["construction-agreement", "ground-state-boltzmann",
+                                  "spectrum-shared"]
 
     def test_unknown_rule_is_usage_error(self, tmp_path):
         assert run_cli("bridge-check", "--chain", "4", "--rule", "glauber",
@@ -294,6 +308,18 @@ class TestMc:
 def test_nonfinite_float_flag_is_usage_error(argv, value, tmp_path, capsys):
     assert_usage_error(capsys, *argv[:-1], f"{argv[-1]}={value}", "--out", str(tmp_path),
                        match="finite")
+
+
+@pytest.mark.parametrize("argv, match", [
+    (("bridge-check", "--tol-spectrum", "-1"), "--tol-spectrum must be nonnegative, got -1.0"),
+    (("bridge-check", "--tol-entry", "-1"), "--tol-entry must be nonnegative, got -1.0"),
+    (("bridge-check", "--tol-balance", "-1"), "--tol-balance must be nonnegative, got -1.0"),
+    (("bridge-check", "--tol-ground", "-1"), "--tol-ground must be nonnegative, got -1.0"),
+    (("anneal", "--samples", "0"), "n_samples must be positive, got 0"),
+    (("anneal", "--samples", "-3"), "n_samples must be positive, got -3"),
+], ids=["tol-spectrum", "tol-entry", "tol-balance", "tol-ground", "samples0", "samples-3"])
+def test_out_of_range_flag_is_usage_error(argv, match, tmp_path, capsys):
+    assert_usage_error(capsys, *argv, "--chain", "4", "--out", str(tmp_path), match=match)
 
 
 class TestConfigAndFormat:

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from isingbridge import markov, quantum, reverse, spectral, spins
+import oracles
 from test_spins import random_model
 
 
@@ -32,13 +33,18 @@ def perturbed_rate(gen, eps):
                                   n_spins=gen.n_spins)
 
 
+def rate_and_weight(rule, beta, delta, n_spins=None):
+    """(rate, w) of one flip with energy change delta, from the rule's two methods."""
+    return float(rule.rates(beta, delta, n_spins)), float(rule.weights(beta, delta, n_spins))
+
+
 class TestLocalRate:
     def test_heatbath_zero_delta(self):
-        rate, w = markov.local_rate(markov.HEAT_BATH, 0.7, 0.0)
+        rate, w = rate_and_weight(markov.HEAT_BATH, 0.7, 0.0)
         assert rate == 0.5 and w == 0.5
 
     def test_metropolis_zero_delta(self):
-        rate, _ = markov.local_rate(markov.METROPOLIS, 1.3, 0.0)
+        rate, _ = rate_and_weight(markov.METROPOLIS, 1.3, 0.0)
         assert rate == 1.0
 
     def test_heatbath_factorization_oracle(self):
@@ -46,24 +52,24 @@ class TestLocalRate:
         # the two factors computed independently of the implementation
         w_direct = 1.0 / (math.exp(0.5 * beta * delta) + math.exp(-0.5 * beta * delta))
         expected = w_direct * math.exp(-0.5 * beta * delta)
-        rate, w = markov.local_rate(markov.HEAT_BATH, beta, delta)
+        rate, w = rate_and_weight(markov.HEAT_BATH, beta, delta)
         assert abs(rate - expected) <= 1e-15
         assert abs(w - w_direct) <= 1e-15
         assert abs(expected - math.exp(-1) / (math.exp(1) + math.exp(-1))) <= 1e-16
 
     def test_metropolis_matches_min_form(self):
         for beta, delta in [(0.5, 4.0), (1.0, -2.0), (2.0, 0.5)]:
-            rate, w = markov.local_rate(markov.METROPOLIS, beta, delta)
+            rate, w = rate_and_weight(markov.METROPOLIS, beta, delta)
             assert abs(rate - min(1.0, math.exp(-beta * delta))) <= 1e-15
             assert abs(w - math.exp(-0.5 * abs(beta * delta))) <= 1e-15
 
     def test_uniform_rule(self):
         rule = markov.UniformRate(p=0.3)
-        rate, w = markov.local_rate(rule, 0.8, 2.0, n_spins=4)
+        rate, w = rate_and_weight(rule, 0.8, 2.0, n_spins=4)
         assert abs(w - math.exp(-1.2)) <= 1e-15
         assert abs(rate - math.exp(-1.2) * math.exp(-0.8)) <= 1e-15
         with pytest.raises(ValueError, match="spin count"):
-            markov.local_rate(rule, 0.8, 2.0)
+            rate_and_weight(rule, 0.8, 2.0)
 
     def test_uniform_rule_needs_positive_p(self):
         with pytest.raises(ValueError):
@@ -83,22 +89,18 @@ class TestLocalRate:
         # exp(-180 * 4) is subnormal but not 0
         assert markov.build_generator(model, 0.5, markov.UniformRate(180.0)).matrix.any()
 
-    def test_rejects_negative_beta(self):
-        with pytest.raises(ValueError):
-            markov.local_rate(markov.HEAT_BATH, -0.1, 1.0)
-
     def test_metropolis_dominates_heatbath(self):
         for beta in (0.0, 0.3, 1.0, 5.0):
             for delta in (-6.0, -1.0, 0.0, 0.5, 3.0):
-                hb, _ = markov.local_rate(markov.HEAT_BATH, beta, delta)
-                mt, _ = markov.local_rate(markov.METROPOLIS, beta, delta)
+                hb, _ = rate_and_weight(markov.HEAT_BATH, beta, delta)
+                mt, _ = rate_and_weight(markov.METROPOLIS, beta, delta)
                 assert mt >= hb
 
     def test_stable_at_extreme_arguments(self):
         for delta in (700.0, -700.0):
-            rate, w = markov.local_rate(markov.HEAT_BATH, 1.0, delta)
+            rate, w = rate_and_weight(markov.HEAT_BATH, 1.0, delta)
             assert math.isfinite(rate) and math.isfinite(w)
-            rate, w = markov.local_rate(markov.METROPOLIS, 1.0, delta)
+            rate, w = rate_and_weight(markov.METROPOLIS, 1.0, delta)
             assert math.isfinite(rate) and math.isfinite(w)
 
     def test_parse_rule(self):
@@ -149,7 +151,7 @@ class TestBuildGenerator:
         gen = markov.build_generator(model, 0.6, markov.UniformRate(p=0.5))
         assert markov.detailed_balance_residual(gen) <= 1e-12
         assert np.abs(gen.matrix.sum(axis=0)).max() <= 1e-13
-        delta = spins.flip_delta(model, 0, 0)
+        delta = oracles.flip_delta(model, 0, 0)
         expected = math.exp(-0.5 * 4) * math.exp(-0.3 * delta)
         assert abs(gen.matrix[1, 0] - expected) <= 1e-15
 
@@ -177,6 +179,11 @@ class TestDetailedBalanceResidual:
         gen = markov.build_generator(spins.single_spin_model(0.8), 1.3,
                                      markov.HEAT_BATH)
         assert markov.detailed_balance_residual(gen) <= 1e-15
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_rate_gives_nan(self, value):
+        gen = markov.build_generator(spins.chain_model(4, [1.0] * 4), 0.6, markov.HEAT_BATH)
+        assert math.isnan(markov.detailed_balance_residual(perturbed_rate(gen, value)))
 
 
 class TestEvolveMaster:
@@ -277,10 +284,9 @@ class TestEvolveMaster:
 @pytest.mark.parametrize("build", [
     lambda beta: markov.build_generator(spins.chain_model(3, [1.0] * 3), beta,
                                         markov.HEAT_BATH),
-    lambda beta: markov.local_rate(markov.HEAT_BATH, beta, 1.0),
     lambda beta: quantum.assemble_direct(spins.chain_model(3, [1.0] * 3), beta,
                                          markov.HEAT_BATH),
-], ids=["build_generator", "local_rate", "assemble_direct"])
+], ids=["build_generator", "assemble_direct"])
 def test_rejects_nonfinite_beta(build, beta):
     with pytest.raises(ValueError, match="beta must be finite and nonnegative"):
         build(beta)
@@ -344,6 +350,12 @@ class TestRelaxationTime:
             else:
                 with pytest.raises(ValueError, match="detailed balance"):
                     markov.relaxation_time(bad)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite_rate(self, value):
+        gen = markov.build_generator(spins.chain_model(4, [1.0] * 4), 0.7, markov.HEAT_BATH)
+        with pytest.raises(ValueError, match="detailed balance"):
+            markov.relaxation_time(perturbed_rate(gen, value))
 
     def test_underflowed_rate_is_not_a_balance_failure(self):
         """At K = 200 the uphill heat-bath rate exp(-800) is 0 while its reverse is

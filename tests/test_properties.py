@@ -1,6 +1,7 @@
 """Property tests over random multibody models, rules and temperatures.
 
-The single-flip operator of `markov._FlipSystem` is checked against its own
+The energy table and flip deltas are checked against the scalar oracles
+of `oracles`. The single-flip operator of `markov._FlipSystem` is checked against its own
 dense form, stage by stage against the operators it builds for an array of
 stage betas, and the dense routes against each other: direct and mapped H
 agree, W conserves probability, W and H share their spectrum, and the
@@ -15,6 +16,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from isingbridge import anneal, markov, quantum, reverse, spectral, spins
+import oracles
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                              database=None)
@@ -62,6 +64,23 @@ def test_operator_matches_its_dense_form(model, rule, stages, seed):
             dense = op.dense()
             scale = np.abs(dense).max() * np.abs(y).sum()
             assert np.abs(op(y) - dense @ y).max() <= 1e-13 * scale
+
+
+@PROPERTY_SETTINGS
+@given(models(), rules)
+def test_tables_equal_the_scalar_oracles(model, rule):
+    """energy_table is the term-by-term sum and each delta the difference of two such
+    sums, bit for bit. The local form flip_delta sums other terms, so it agrees to
+    roundoff: for H0 = s0 + 6e-99 s0 s1 the table difference is 0, not -1.2e-98."""
+    table = spins.energy_table(model)
+    deltas = markov._FlipSystem(model, rule).deltas
+    roundoff = 1e-14 * sum(abs(coeff) for _, coeff in model.terms)
+    for c in range(model.n_states):
+        assert table[c] == oracles.energy(model, c)
+        for j in range(model.n_spins):
+            flipped = c ^ (1 << j)
+            assert deltas[j, c] == oracles.energy(model, flipped) - oracles.energy(model, c)
+            assert abs(deltas[j, c] - oracles.flip_delta(model, c, j)) <= roundoff
 
 
 @PROPERTY_SETTINGS

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from isingbridge import markov, quantum, spectral, spins
+import oracles
 from test_markov import perturbed_rate
 from test_spins import random_model
 
@@ -60,7 +63,7 @@ class TestClassicalToQuantum:
         with pytest.raises(ValueError, match="detailed balance"):
             quantum.classical_to_quantum(bad)
 
-    @pytest.mark.parametrize("eps", [1e-10, 1e-6])
+    @pytest.mark.parametrize("eps", [1e-10, 1e-6, math.nan, math.inf])
     def test_slight_imbalance_is_blamed_on_the_input(self, eps):
         gen = markov.build_generator(spins.chain_model(4, [1.0] * 4), 0.7, markov.HEAT_BATH)
         with pytest.raises(ValueError, match="generator is not in detailed balance"):
@@ -125,7 +128,7 @@ class TestHeatBathChain:
     @pytest.mark.parametrize("n,k", [(4, 0.3), (6, 0.5), (6, 1.5)])
     def test_equals_mapped_generator(self, n, k):
         explicit = quantum.chain_heatbath_hamiltonian(n, k)
-        mapped = quantum.mapped_chain_hamiltonian(n, k, markov.HEAT_BATH)
+        mapped = oracles.mapped_chain_hamiltonian(n, k, markov.HEAT_BATH)
         assert np.abs(explicit.matrix - mapped.matrix).max() <= 1e-12
 
     def test_rejects_odd_or_small_or_negative(self):
@@ -150,7 +153,7 @@ class TestMetropolisChain:
 
     def test_equals_mapped_generator(self):
         explicit = quantum.chain_metropolis_hamiltonian(6, 0.5)
-        mapped = quantum.mapped_chain_hamiltonian(6, 0.5, markov.METROPOLIS)
+        mapped = oracles.mapped_chain_hamiltonian(6, 0.5, markov.METROPOLIS)
         assert np.abs(explicit.matrix - mapped.matrix).max() <= 1e-12
 
     @pytest.mark.parametrize("k", [0.2, 1.0])
@@ -203,6 +206,12 @@ class TestHamiltonianInvariants:
         with pytest.raises(ValueError, match="symmetric"):
             quantum.QuantumHamiltonian(matrix=bad, n_spins=1, provenance="user-supplied")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_type_rejects_nonfinite_entry(self, value):
+        bad = np.array([[1.0, -1.0], [-1.0, value]])
+        with pytest.raises(ValueError, match="not symmetric within 1e-12"):
+            quantum.QuantumHamiltonian(matrix=bad, n_spins=1, provenance="user-supplied")
+
     def test_diagonal_observable_matches_thermal_average(self):
         rng = np.random.default_rng(31)
         model = random_model(5, 8, rng)
@@ -211,7 +220,7 @@ class TestHamiltonianInvariants:
         report = spectral.spectrum_of_hamiltonian(quantum.classical_to_quantum(gen))
         ground = report.ground_vector
         boltz = spins.boltzmann(model, beta)
-        magnetization = np.array([spins.spin_values(i, 5).sum()
+        magnetization = np.array([oracles.spin_values(i, 5).sum()
                                   for i in range(32)], dtype=float)
         for q in (gen.energies, magnetization, rng.normal(size=32)):
             quantum_value = float(ground @ (q * ground))

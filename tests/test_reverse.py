@@ -14,12 +14,12 @@ def single_spin_flip_hamiltonian():
 
 class TestPerronGroundState:
     def test_single_spin(self):
-        vec = reverse.perron_ground_state(single_spin_flip_hamiltonian())
+        vec = reverse._ground_state(single_spin_flip_hamiltonian())[1]
         assert np.abs(vec - 1.0 / np.sqrt(2.0)).max() <= 1e-12
 
     def test_chain_ground_is_sqrt_boltzmann(self):
         ham = quantum.chain_heatbath_hamiltonian(6, 0.5)
-        vec = reverse.perron_ground_state(ham)
+        vec = reverse._ground_state(ham)[1]
         expected = np.sqrt(spins.boltzmann(spins.chain_model(6, [1.0] * 6), 0.5))
         assert np.abs(vec - expected).max() <= 1e-10
 
@@ -31,19 +31,19 @@ class TestPerronGroundState:
         ham = quantum.QuantumHamiltonian(matrix=matrix, n_spins=2,
                                          provenance="user-supplied")
         with pytest.raises(ValueError, match="positive"):
-            reverse.perron_ground_state(ham)
+            reverse.quantum_to_classical(ham)
 
     def test_rejects_disconnected_graph(self):
         ham = quantum.QuantumHamiltonian(matrix=np.diag([0.0, 1.0, 2.0, 3.0]),
                                          n_spins=2, provenance="user-supplied")
         with pytest.raises(ValueError, match="disconnected"):
-            reverse.perron_ground_state(ham)
+            reverse.quantum_to_classical(ham)
 
     def test_rejects_near_degenerate_ground(self):
         # at K = 8 the chain gap is 1 - tanh(16) ~ 2e-14, under the guard
         ham = quantum.chain_heatbath_hamiltonian(4, 8.0)
         with pytest.raises(ValueError, match="degenerate"):
-            reverse.perron_ground_state(ham)
+            reverse.quantum_to_classical(ham)
 
 
 class TestQuantumToClassical:

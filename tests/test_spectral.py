@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from isingbridge import cli, markov, quantum, spectral, spins
+from test_markov import perturbed_rate
 from test_spins import random_model
 
 SOLVES = [pytest.param(spectral.eig_sym, id="vectors"),
@@ -39,6 +40,12 @@ class TestEigSym:
             solve(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
     @pytest.mark.parametrize("solve", SOLVES)
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite(self, solve, value):
+        with pytest.raises(ValueError, match="not symmetric"):
+            solve(np.array([[0.0, value], [value, 0.0]]))
+
+    @pytest.mark.parametrize("solve", SOLVES)
     def test_rejects_oversized(self, solve):
         with pytest.raises(ValueError, match="cap"):
             solve(np.zeros((4097, 4097)))
@@ -50,6 +57,12 @@ class TestEigSym:
 
 
 class TestGeneratorSpectrum:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite_rate(self, value):
+        gen = markov.build_generator(spins.chain_model(4, [1.0] * 4), 0.7, markov.HEAT_BATH)
+        with pytest.raises(ValueError, match="detailed balance"):
+            spectral.spectrum_of_generator(perturbed_rate(gen, value))
+
     def test_top_eigenvalue_is_zero(self):
         rng = np.random.default_rng(2)
         model = random_model(5, 6, rng)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from isingbridge import anneal, cli, fermion, markov, quantum, reverse, spectral, spins
+import oracles
 
 
 def random_model(n, n_terms, rng, max_order=4):
@@ -20,16 +21,16 @@ def random_model(n, n_terms, rng, max_order=4):
 class TestChainModel:
     def test_all_up_uniform(self):
         model = spins.chain_model(3, [1, 1, 1])
-        assert spins.energy(model, 0) == -3.0
+        assert spins.energy_table(model)[0] == -3.0
 
     def test_alternating_violates_all_bonds(self):
         model = spins.chain_model(4, [1, 1, 1, 1])
-        config = spins.encode([1, -1, 1, -1])
-        assert spins.energy(model, config) == 4.0
+        config = oracles.encode([1, -1, 1, -1])
+        assert spins.energy_table(model)[config] == 4.0
 
     def test_mixed_couplings_cancel(self):
         model = spins.chain_model(4, [1, -1, 1, -1])
-        assert spins.energy(model, 0) == 0.0
+        assert spins.energy_table(model)[0] == 0.0
 
     def test_rejects_short_chain(self):
         with pytest.raises(ValueError, match="n >= 3"):
@@ -43,49 +44,49 @@ class TestChainModel:
 class TestEnergy:
     def test_empty_model(self):
         model = spins.IsingModel(3, [])
-        assert spins.energy(model, 5) == 0.0
+        assert spins.energy_table(model)[5] == 0.0
 
     def test_single_bond(self):
         model = spins.IsingModel(2, [((0, 1), -1.0)])
-        assert spins.energy(model, 0) == -1.0
+        assert spins.energy_table(model)[0] == -1.0
 
     def test_uniform_chain_all_up(self):
         model = spins.chain_model(5, [1.0] * 5)
-        assert spins.energy(model, 0) == -5.0
+        assert spins.energy_table(model)[0] == -5.0
 
     def test_agrees_with_table(self):
         rng = np.random.default_rng(0)
         model = random_model(6, 8, rng)
         table = spins.energy_table(model)
         for config in range(model.n_states):
-            assert spins.energy(model, config) == table[config]
+            assert oracles.energy(model, config) == table[config]
+
+
+def flip_deltas(model):
+    """deltas[j, c] = H0(c with spin j flipped) - H0(c), as the flip system holds them."""
+    return markov._FlipSystem(model, markov.HEAT_BATH).deltas
 
 
 class TestFlipDelta:
     def test_all_up_chain(self):
         model = spins.chain_model(5, [1.0] * 5)
         for site in range(5):
-            assert spins.flip_delta(model, 0, site) == 4.0
+            assert flip_deltas(model)[site, 0] == 4.0
 
     def test_opposing_neighbors(self):
         model = spins.chain_model(4, [1.0] * 4)
-        config = spins.encode([1, 1, -1, -1])
-        assert spins.flip_delta(model, config, 0) == 0.0
+        config = oracles.encode([1, 1, -1, -1])
+        assert flip_deltas(model)[0, config] == 0.0
 
     def test_matches_two_evaluation_oracle_exactly(self):
         rng = np.random.default_rng(42)
         model = random_model(6, 10, rng)
+        deltas = flip_deltas(model)
         for _ in range(200):
             config = int(rng.integers(model.n_states))
             site = int(rng.integers(6))
-            direct = spins.energy(model, spins.flip(config, site)) \
-                - spins.energy(model, config)
-            assert spins.flip_delta(model, config, site) == direct
-
-    def test_rejects_bad_site(self):
-        model = spins.chain_model(3, [1.0] * 3)
-        with pytest.raises(ValueError, match="site"):
-            spins.flip_delta(model, 0, 3)
+            direct = oracles.energy(model, config ^ (1 << site)) - oracles.energy(model, config)
+            assert deltas[site, config] == direct
 
 
 class TestBoltzmann:
@@ -101,7 +102,7 @@ class TestBoltzmann:
     def test_matches_partition_sum_oracle(self):
         model = spins.chain_model(4, [1.0] * 4)
         beta = 0.5
-        weights = [math.exp(-beta * spins.energy(model, c)) for c in range(16)]
+        weights = [math.exp(-beta * oracles.energy(model, c)) for c in range(16)]
         z = sum(weights)
         p = spins.boltzmann(model, beta)
         for c in range(16):
@@ -138,19 +139,20 @@ class TestBoltzmann:
 class TestConfigEncoding:
     def test_roundtrip_all_indices(self):
         for index in range(32):
-            assert spins.encode(spins.spin_values(index, 5)) == index
+            assert oracles.encode(oracles.spin_values(index, 5)) == index
 
     def test_flip_toggles_single_bit(self):
+        flips = markov._flip_table(4)
         for site in range(4):
-            assert spins.flip(0b1010, site) == 0b1010 ^ (1 << site)
+            assert flips[site, 0b1010] == 0b1010 ^ (1 << site)
 
     def test_bit_zero_means_up(self):
-        assert spins.spin_value(0, 0) == 1
-        assert spins.spin_value(1, 0) == -1
+        # H0 = -sigma_0: index 0 is sigma_0 = +1, index 1 is sigma_0 = -1
+        assert spins.energy_table(spins.single_spin_model(1.0)).tolist() == [-1.0, 1.0]
 
     def test_encode_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            spins.encode([1, 0, -1])
+            oracles.encode([1, 0, -1])
 
 
 class TestModelValidation:
