@@ -242,6 +242,7 @@ def cmd_bridge_check(args) -> int:
         "ground_eigenpair_residual": eigh_residual,
         "ground_boltzmann_deviation": ground_dev,
         "gap": ham_report.gap,
+        "hamiltonian_max_abs": h_max,
     }
     return _report(args, "bridge_check", payload, checks)
 

@@ -1,9 +1,12 @@
 """Continuous-time single-spin-flip Markov generators and the master equation.
 
-Rates follow the factorized form W[dest, src] = w * exp(-beta*delta/2) with
-delta = H0(dest) - H0(src) and a symmetric factor w fixed by the update
-rule. Time is normalized to one flip attempt per site per unit time, so
-relaxation times are directly comparable with the spectral gap of the
+A rate rule defines its rates W[dest, src] and nothing else. Each rule's
+rates have the factorized form w * exp(-beta*delta/2) with
+delta = H0(dest) - H0(src) and a factor w even in delta, so W is in
+detailed balance and the mapped Hamiltonian hops by
+-sqrt(W[a, b] W[b, a]) = -w, which `_FlipSystem.hamiltonian` takes from
+the rates. Time is normalized to one flip attempt per site per unit time,
+so relaxation times are directly comparable with the spectral gap of the
 mapped Hamiltonian.
 
 `_FlipSystem` gives W and the mapped H as one single-flip operator, for one
@@ -23,19 +26,14 @@ import numpy as np
 from . import spins
 from .spins import IsingModel
 
+_TINY = np.finfo(float).tiny
+
 
 def _logistic(x):
     """1 / (1 + exp(x)), overflow-safe for |x| up to ~1e3."""
     x = np.asarray(x, dtype=float)
     ex = np.exp(-np.abs(x))
     return np.where(x >= 0, ex, 1.0) / (1.0 + ex)
-
-
-def _half_sech(x):
-    """1 / (2 cosh(x)), overflow-safe: exp(-|x|) / (1 + exp(-2|x|))."""
-    ax = np.abs(np.asarray(x, dtype=float))
-    ex = np.exp(-ax)
-    return ex / (1.0 + ex * ex)
 
 
 class RateRule:
@@ -45,10 +43,6 @@ class RateRule:
 
     def rates(self, beta: float, delta, n_spins: int | None = None):
         """Transition rates W[dest,src] for energy changes `delta`."""
-        raise NotImplementedError
-
-    def weights(self, beta: float, delta, n_spins: int | None = None):
-        """Symmetric factor w, even in delta."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -63,9 +57,6 @@ class HeatBath(RateRule):
     def rates(self, beta, delta, n_spins=None):
         return _logistic(beta * np.asarray(delta, dtype=float))
 
-    def weights(self, beta, delta, n_spins=None):
-        return _half_sech(0.5 * beta * np.asarray(delta, dtype=float))
-
 
 class Metropolis(RateRule):
     """rate = min(1, exp(-beta*delta))."""
@@ -75,13 +66,10 @@ class Metropolis(RateRule):
     def rates(self, beta, delta, n_spins=None):
         return np.exp(-np.maximum(0.0, beta * np.asarray(delta, dtype=float)))
 
-    def weights(self, beta, delta, n_spins=None):
-        return np.exp(-0.5 * np.abs(beta * np.asarray(delta, dtype=float)))
-
 
 @dataclass(frozen=True, repr=False)
 class UniformRate(RateRule):
-    """Configuration-independent symmetric factor w = exp(-p*N)."""
+    """rate = w * exp(-beta*delta/2) with the configuration-independent w = exp(-p*N)."""
 
     p: float
 
@@ -101,9 +89,6 @@ class UniformRate(RateRule):
 
     def rates(self, beta, delta, n_spins=None):
         return self._w(n_spins) * np.exp(-0.5 * beta * np.asarray(delta, dtype=float))
-
-    def weights(self, beta, delta, n_spins=None):
-        return np.full_like(np.asarray(delta, dtype=float), self._w(n_spins))
 
     def __repr__(self):
         return f"UniformRate(p={self.p})"
@@ -140,7 +125,6 @@ class MarkovGenerator:
     energies: np.ndarray
     n_spins: int
     rule: RateRule | None = None
-    model: IsingModel | None = None
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -209,11 +193,20 @@ class _FlipSystem:
                              self.flips)
 
     def hamiltonian(self, beta, beta_dot=0.0, scale=1.0) -> _FlipOperator:
-        """scale * (H - beta_dot H0 / 2); H has the outflow on the diagonal, -w along the flips."""
+        """scale * (H - beta_dot H0 / 2); H has the outflow on the diagonal and the
+        hopping H[c, c'] = -sqrt(W[c', c] * W[c, c']) along the flips.
+
+        The root of the product is exact for equal rates (heat bath at delta = 0
+        hops by exactly 1/2). Where the product falls below the normal range the
+        roots are taken apart instead: a subnormal uniform w = exp(-p*N) squares
+        to 0, but sqrt(w) * sqrt(w) keeps it.
+        """
         rates = self.rates(beta)
         diag = rates.sum(axis=-2) - 0.5 * _stage_axis(beta_dot, 1) * self.energies
-        weights = self.rule.weights(_stage_axis(beta, 2), self.deltas, self.n)
-        off = -np.broadcast_to(weights, rates.shape)
+        reverse = rates[..., self._sites, self.flips]
+        product = rates * reverse
+        off = -np.where(product >= _TINY, np.sqrt(product),
+                        np.sqrt(rates) * np.sqrt(reverse))
         return _FlipOperator(scale * diag, scale * off, self.flips)
 
 
@@ -226,7 +219,7 @@ def build_generator(model: IsingModel, beta: float, rule: RateRule) -> MarkovGen
     spins._check_beta(beta)
     system = _FlipSystem(model, rule)
     return MarkovGenerator(matrix=system.generator(beta).dense(), beta=float(beta),
-                           energies=system.energies, n_spins=system.n, rule=rule, model=model)
+                           energies=system.energies, n_spins=system.n, rule=rule)
 
 
 def stationary_distribution(generator: MarkovGenerator) -> np.ndarray:

@@ -65,8 +65,9 @@ def classical_to_quantum(generator: MarkovGenerator) -> QuantumHamiltonian:
 def assemble_direct(model: IsingModel, beta: float, rule: RateRule) -> QuantumHamiltonian:
     """Build the mapped Hamiltonian without forming the generator first.
 
-    Off-diagonal entries are -w for each single-flip pair; the diagonal
-    collects the total outflow rate of each configuration. Equals
+    Each single-flip pair hops by -sqrt(W_ab * W_ba), from the rule's
+    rates alone: no exp(beta*H0/2) conjugation of W. The diagonal collects
+    the total outflow rate of each configuration. Equals
     classical_to_quantum(build_generator(...)) to near machine precision.
     """
     spins._check_beta(beta)
@@ -156,18 +157,17 @@ def chain_random_heatbath_hamiltonian(couplings, beta: float) -> QuantumHamilton
     return _heatbath_chain(*fermion._site_dependent_constants(couplings, beta), beta)
 
 
-def transverse_field_chain(n: int, gamma: float, coupling: float = 1.0,
-                           constant: float = 0.0) -> QuantumHamiltonian:
-    """Standard transverse-field chain c*I - J sum_j z_j z_{j+1} - Gamma sum_j x_j.
+def transverse_field_chain(n: int, gamma: float) -> QuantumHamiltonian:
+    """Standard transverse-field chain -sum_j z_j z_{j+1} - Gamma sum_j x_j, at J = 1.
 
     Periodic boundary; used as a generic stoquastic input for the
     quantum-to-classical direction. Not a mapped operator: its ground
-    energy is whatever it is unless `constant` compensates.
+    energy is in general not zero.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     z = _z_columns(n)
     zz = _bonds(z).sum(axis=0)
-    h = _FlipOperator(constant - coupling * zz, np.full(z.shape, -gamma), _flip_table(n)).dense()
+    h = _FlipOperator(-zz, np.full(z.shape, -gamma), _flip_table(n)).dense()
     return QuantumHamiltonian(matrix=h, n_spins=n, provenance=PROVENANCE_USER)
 

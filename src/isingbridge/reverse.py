@@ -113,7 +113,7 @@ def quantum_to_classical(hamiltonian: QuantumHamiltonian,
     rows, cols = np.nonzero(shifted)
     w[rows, cols] = -(vec[rows] / vec[cols]) * shifted[rows, cols]
     generator = MarkovGenerator(matrix=w, beta=1.0, energies=energy_table,
-                                n_spins=hamiltonian.n_spins, rule=None, model=None)
+                                n_spins=hamiltonian.n_spins, rule=None)
 
     residuals = _generator_conditions(generator)
     worst = max(residuals.values())

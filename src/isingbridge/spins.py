@@ -142,20 +142,20 @@ def boltzmann(model: IsingModel, beta: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def ground_states(model: IsingModel, tol: float = 1e-9) -> np.ndarray:
-    """Indices of all configurations within `tol` of the minimum energy."""
+def ground_states(model: IsingModel) -> np.ndarray:
+    """Indices of all configurations within 1e-9 of the minimum energy."""
     table = energy_table(model)
-    return np.flatnonzero(table <= table.min() + tol)
+    return np.flatnonzero(table <= table.min() + 1e-9)
 
 
-def check_probability_vector(p: np.ndarray, tol: float = 1e-12) -> None:
-    """Validate nonnegativity and normalization of a distribution."""
+def check_probability_vector(p: np.ndarray) -> None:
+    """Validate nonnegativity (down to -1e-12) and normalization (to 1e-12) of a distribution."""
     p = np.asarray(p)
     if p.ndim != 1:
         raise ValueError("probability vector must be one-dimensional")
-    if np.any(p < -tol):
+    if np.any(p < -1e-12):
         raise ValueError(f"negative probability entry {p.min()}")
-    if abs(p.sum() - 1.0) > tol:
+    if abs(p.sum() - 1.0) > 1e-12:
         raise ValueError(f"probabilities sum to {p.sum()}, not 1")
 
 

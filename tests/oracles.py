@@ -1,12 +1,15 @@
 """Scalar oracles for the package's vectorized spin tables.
 
 `energy` and `flip_delta` evaluate one configuration at a time, term by
-term, and check `spins.energy_table` and `markov._FlipSystem.deltas`. They
+term, and check `spins.energy_table` and `markov._FlipSystem.deltas`;
+`hopping` is the closed-form hopping of one flip under a rule. They
 read only `model.n_spins` and `model.terms`, and use no package code, so
 an error in the tables cannot reach its own oracle. Configurations follow
 the package convention: bit i of the index is 0 for sigma_i = +1 and 1
 for sigma_i = -1.
 """
+
+import math
 
 import numpy as np
 
@@ -58,6 +61,21 @@ def flip_delta(model, config: int, site: int) -> float:
         if site in sites:
             delta -= 2.0 * coeff * _sign(config, sites)
     return delta
+
+
+def hopping(rule, beta: float, delta: float, n_spins: int) -> float:
+    """The factor w of a rule's rates for a flip with energy change delta.
+
+    w is -H[c, c'] of the mapped H. With x = beta * delta / 2, overflow-safe:
+    heat-bath exp(-|x|) / (1 + exp(-2|x|)) = 1 / (2 cosh x), Metropolis
+    exp(-|x|), uniform exp(-p N).
+    """
+    ax = abs(0.5 * beta * delta)
+    if rule.name == "heatbath":
+        return math.exp(-ax) / (1.0 + math.exp(-2.0 * ax))
+    if rule.name == "metropolis":
+        return math.exp(-ax)
+    return math.exp(-rule.p * n_spins)
 
 
 def mapped_chain_hamiltonian(n: int, k: float, rule):

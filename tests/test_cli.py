@@ -108,11 +108,15 @@ class TestBridgeCheck:
 
     def test_wrong_direct_weights_fail_every_check_against_direct_h(self, tmp_path,
                                                                     monkeypatch):
-        # W is unchanged, so the mapped H is too; only the H assembled from the
-        # weights is off, and W's spectrum and sqrt(P0) are checked against it
-        original = markov.HeatBath.weights
-        monkeypatch.setattr(markov.HeatBath, "weights",
-                            lambda self, *args: original(self, *args) * (1 + 1e-6))
+        # W is unchanged, so the mapped H is too; only the hopping of the directly
+        # assembled H is off, and W's spectrum and sqrt(P0) are checked against it
+        original = markov._FlipSystem.hamiltonian
+
+        def scaled_hopping(self, *args):
+            op = original(self, *args)
+            return markov._FlipOperator(op.diag, op.off * (1 + 1e-6), op.flips)
+
+        monkeypatch.setattr(markov._FlipSystem, "hamiltonian", scaled_hopping)
         code = run_cli("bridge-check", "--chain", "6", "--K", "0.5", "--out", str(tmp_path))
         report = load_report(tmp_path, "bridge_check.json")
         failed = [name for name, ok in report["checks"].items() if not ok]
@@ -136,6 +140,16 @@ class TestBridgeCheck:
         # w = exp(-720) is subnormal, the smallest w that still moves the chain
         assert run_cli("bridge-check", "--chain", "4", "--rule", "uniform:180",
                        "--out", str(tmp_path)) == 0
+
+    def test_report_shows_the_scale_of_its_gates(self, tmp_path):
+        # uniform rates grow like exp(K |dE| / 2): at K = 20 a gap and a spectrum
+        # deviation far above 1 are eigensolver roundoff of a max|H| near 6e17
+        code = run_cli("bridge-check", "--chain", "4", "--rule", "uniform:0.1", "--K", "20",
+                       "--out", str(tmp_path))
+        report = load_report(tmp_path, "bridge_check.json")
+        h_max = report["hamiltonian_max_abs"]
+        assert code == 0 and h_max > 1e17
+        assert report["spectrum_deviation"] <= report["config"]["tol_spectrum"] * h_max
 
 
 class TestFermionCheck:

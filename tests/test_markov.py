@@ -34,8 +34,12 @@ def perturbed_rate(gen, eps):
 
 
 def rate_and_weight(rule, beta, delta, n_spins=None):
-    """(rate, w) of one flip with energy change delta, from the rule's two methods."""
-    return float(rule.rates(beta, delta, n_spins)), float(rule.weights(beta, delta, n_spins))
+    """(rate, w) of one flip with energy change delta: the rate from the rule, and w
+    as the hopping -H[0, 1] of the directly assembled H of spin 0 in the field
+    h = delta / 2, the single-spin model when n_spins is None."""
+    rate = float(rule.rates(beta, delta, n_spins))
+    model = spins.IsingModel(n_spins or 1, [((0,), -0.5 * delta)])
+    return rate, float(-quantum.assemble_direct(model, beta, rule).matrix[0, 1])
 
 
 class TestLocalRate:

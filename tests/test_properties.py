@@ -4,7 +4,8 @@ The energy table and flip deltas are checked against the scalar oracles
 of `oracles`. The single-flip operator of `markov._FlipSystem` is checked against its own
 dense form, stage by stage against the operators it builds for an array of
 stage betas, and the dense routes against each other: direct and mapped H
-agree, W conserves probability, W and H share their spectrum, and the
+agree, the direct H is exactly symmetric with the rule's closed-form
+hopping, W conserves probability, W and H share their spectrum, and the
 Lanczos relaxation time is the dense gap. The image exp(beta H0 / 2) P0 of
 the Boltzmann vector is the ground vector of H, and P -> phi -> P is the
 identity. The
@@ -90,6 +91,24 @@ def test_direct_equals_mapped(model, rule, beta):
     mapped = quantum.classical_to_quantum(generator).matrix
     direct = quantum.assemble_direct(model, beta, rule).matrix
     assert np.abs(direct - mapped).max() <= 1e-12 * np.abs(mapped).max()
+
+
+@PROPERTY_SETTINGS
+@given(models(), rules, st.floats(0.0, 40.0))
+def test_direct_hopping_is_the_rules_factor(model, rule, beta):
+    """The direct H equals its transpose, and each hopping -H[c, c'] is the factor w of
+    the rule's rates to 1e-15 relative wherever either is at least 1e-150. |delta| <= 32
+    and beta <= 40 keep |beta delta| / 2 below 700; an uphill rate that underflows
+    takes a hopping far below 1e-150 to 0."""
+    h = quantum.assemble_direct(model, beta, rule).matrix
+    assert np.array_equal(h, h.T)
+    for c in range(model.n_states):
+        for j in range(model.n_spins):
+            flipped = c ^ (1 << j)
+            delta = oracles.energy(model, flipped) - oracles.energy(model, c)
+            w = oracles.hopping(rule, beta, delta, model.n_spins)
+            if max(w, -h[c, flipped]) >= 1e-150:
+                assert abs(-h[c, flipped] - w) <= 1e-15 * w
 
 
 @PROPERTY_SETTINGS

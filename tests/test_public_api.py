@@ -26,3 +26,13 @@ def test_public_names_are_the_listed_ones():
     exported = sorted(name for name, value in vars(isingbridge).items()
                       if not name.startswith("_") and not inspect.ismodule(value))
     assert exported == sorted(PUBLIC_NAMES)
+
+
+def test_rate_rules_define_rates_only():
+    """A rule is its name and its rates; a second per-rule formula edits this test."""
+    def public(rule):
+        return {name for name in dir(rule) if not name.startswith("_")}
+
+    assert public(isingbridge.HeatBath()) == {"name", "rates"}
+    assert public(isingbridge.Metropolis()) == {"name", "rates"}
+    assert public(isingbridge.UniformRate(0.1)) == {"name", "p", "rates"}
