@@ -24,6 +24,7 @@ ENTRY_FLOOR = 1e-300
 DEGENERACY_GUARD = 1e-10
 OFFDIAG_SIGN_TOL = 1e-12
 CONDITION_TOL = 1e-9
+INVERSE_SHIFT = 1e-12  # sigma = E0 - 1e-12 max(1, max|H|); at 1e-16 LU can meet an exact 0 pivot
 
 
 def _stoquastic_offdiag(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -65,18 +66,27 @@ def _ground_state(hamiltonian: QuantumHamiltonian) -> tuple[float, np.ndarray]:
     matrix = hamiltonian.matrix
     rows, cols = _stoquastic_offdiag(matrix)
     _check_connected(matrix.shape[0], rows, cols)
-    evals, evecs = eig_sym(matrix)
+    evals = eig_sym(matrix, eigvals_only=True)
     if evals[1] - evals[0] < DEGENERACY_GUARD:
         raise ValueError(
             f"ground state is degenerate (gap {evals[1] - evals[0]:.3g}); "
             "the elementwise logarithm is not well defined")
-    vec = evecs[:, 0].copy()
-    vec *= np.sign(vec[np.argmax(np.abs(vec))])
+    # Shifted inverse iteration: for sigma < E0, H - sigma I is a nonsingular
+    # M-matrix, so its solve gives even the tiny entries full relative accuracy,
+    # where eigh gives them only absolute accuracy.
+    sigma = evals[0] - INVERSE_SHIFT * max(1.0, np.abs(matrix).max())
+    shifted = matrix - sigma * np.eye(matrix.shape[0])
+    vec = np.ones(matrix.shape[0])
+    for _ in range(2):
+        vec = np.linalg.solve(shifted, vec)
+        vec /= np.linalg.norm(vec)
     if vec.min() < ENTRY_FLOOR:
         raise ValueError(
             f"ground-vector entry {vec.min():.3g} is below the {ENTRY_FLOOR} floor; "
             "its logarithm would be numerically meaningless")
-    return float(evals[0]), vec
+    # the Rayleigh quotient, not evals[0], zeroes (H - E0) v to roundoff; the
+    # two differ by up to 4e-14 relative, which the stationarity of W would inherit
+    return float(vec @ (matrix @ vec)), vec
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Configuration convention, shared by every module in this package: a
 configuration of N spins is an integer index in [0, 2^N). Bit i of the
 index is 0 for sigma_i = +1 and 1 for sigma_i = -1, and flipping spin i
 toggles exactly bit i. All matrices elsewhere are indexed in this basis;
-bits are toggled by `markov._flip_table` and montecarlo, read by `quantum._z_columns`.
+bits are toggled by `markov._flip_table` and montecarlo, read by `quantum._z_columns`,
+and `energy_table` reads bit i as axis N - 1 - i of the hypercube view
+`table.reshape((2,) * N)`.
 """
 
 from __future__ import annotations
@@ -111,15 +113,25 @@ def frustrated_instance(n_spins: int = 4, seed: int = 0) -> IsingModel:
     raise RuntimeError("could not draw a frustrated instance")  # pragma: no cover
 
 
+_AXIS_SIGNS = np.array([1.0, -1.0])  # sigma_i at bit value 0 and 1
+
+
 def energy_table(model: IsingModel) -> np.ndarray:
-    """H0 evaluated at every configuration, as a length-2^N array."""
-    idx = np.arange(model.n_states)
+    """H0 evaluated at every configuration, as a length-2^N array.
+
+    The table is viewed as the hypercube `table.reshape((2,) * N)`, whose
+    axis N - 1 - i is bit i. Each term, in stored order, adds its +-coeff
+    as a broadcast of [1, -1] along its site axes, so every entry is the
+    same sum as the term-by-term oracle, and a k-site term costs one
+    2^k-entry factor.
+    """
     table = np.zeros(model.n_states)
+    cube = table.reshape((2,) * model.n_spins)
     for sites, coeff in model.terms:
-        sign = np.ones(model.n_states)
+        factor = coeff
         for s in sites:
-            sign *= 1.0 - 2.0 * ((idx >> s) & 1)
-        table += coeff * sign
+            factor = factor * _AXIS_SIGNS.reshape((2,) + (1,) * s)
+        cube += factor
     return table
 
 

@@ -1,12 +1,14 @@
-"""Scalar oracles for the package's vectorized spin tables.
+"""Oracles for the package's vectorized spin tables.
 
 `energy` and `flip_delta` evaluate one configuration at a time, term by
 term, and check `spins.energy_table` and `markov._FlipSystem.deltas`;
-`hopping` is the closed-form hopping of one flip under a rule. They
-read only `model.n_spins` and `model.terms`, and use no package code, so
-an error in the tables cannot reach its own oracle. Configurations follow
-the package convention: bit i of the index is 0 for sigma_i = +1 and 1
-for sigma_i = -1.
+`energy_table` is the same term-by-term sum over all 2^N indices at once,
+by index parity, for models too large to loop over; `hopping` is the
+closed-form hopping of one flip under a rule. They read only
+`model.n_spins` and `model.terms`, and use no package code, so an error
+in the tables cannot reach its own oracle. Configurations follow the
+package convention: bit i of the index is 0 for sigma_i = +1 and 1 for
+sigma_i = -1.
 """
 
 import math
@@ -47,6 +49,19 @@ def energy(model, config: int) -> float:
     for sites, coeff in model.terms:
         total += coeff * _sign(config, sites)
     return total
+
+
+def energy_table(model) -> np.ndarray:
+    """H0 at every index: each term, in stored order, adds coeff times the
+    product over its sites of 1 - 2 ((index >> s) & 1)."""
+    idx = np.arange(1 << model.n_spins)
+    table = np.zeros(idx.size)
+    for sites, coeff in model.terms:
+        sign = np.ones(idx.size)
+        for s in sites:
+            sign *= 1.0 - 2.0 * ((idx >> s) & 1)
+        table += coeff * sign
+    return table
 
 
 def flip_delta(model, config: int, site: int) -> float:

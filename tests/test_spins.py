@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,18 @@ def random_model(n, n_terms, rng, max_order=4):
         subsets.add(tuple(sorted(rng.choice(n, size=order, replace=False).tolist())))
     coeffs = rng.integers(-8, 9, size=len(subsets)) / 4.0
     return spins.IsingModel(n, list(zip(sorted(subsets), coeffs)))
+
+
+def planted_model(n, rng):
+    """Fields, ring bonds and n/2 three-body terms, all satisfied by one hidden
+    configuration; returns the model and that configuration's index."""
+    hidden = rng.choice([-1, 1], size=n)
+    subsets = {(i,) for i in range(n)} | {tuple(sorted((i, (i + 1) % n))) for i in range(n)}
+    while len(subsets) < 2 * n + n // 2:
+        subsets.add(tuple(sorted(rng.choice(n, size=3, replace=False).tolist())))
+    terms = [(s, -rng.uniform(0.5, 1.5) * int(np.prod(hidden[list(s)])))
+             for s in sorted(subsets)]
+    return spins.IsingModel(n, terms), oracles.encode(hidden)
 
 
 class TestChainModel:
@@ -60,6 +73,35 @@ class TestEnergy:
         table = spins.energy_table(model)
         for config in range(model.n_states):
             assert oracles.energy(model, config) == table[config]
+
+    def test_planted_model_at_the_cap_equals_the_parity_oracle(self):
+        model, hidden = planted_model(spins.MAX_SPINS, np.random.default_rng(3))
+        table = spins.energy_table(model)
+        assert table.tobytes() == oracles.energy_table(model).tobytes()
+        assert abs(table.min() + sum(abs(coeff) for _, coeff in model.terms)) <= 1e-12
+        assert table.argmin() == hidden
+
+    @pytest.mark.parametrize("model", [
+        spins.IsingModel(1, [((0,), -0.75)]),
+        spins.IsingModel(3, [((), 2.5), ((1,), 1.0), ((0, 2), -0.5)]),
+        spins.IsingModel(3, [((0,), -0.0), ((0, 2), 0.0), ((), -0.0)]),
+        spins.IsingModel(6, [((5,), 1.5), ((0,), -2.0), ((0, 5), 0.25), ((0, 1, 2, 3, 4, 5), 1.0)]),
+    ], ids=["one-spin", "constant-term", "negative-zero", "bits-0-and-N-1"])
+    def test_edge_cases_equal_the_oracles_bitwise(self, model):
+        table = spins.energy_table(model)
+        scalar = np.array([oracles.energy(model, c) for c in range(model.n_states)])
+        assert table.tobytes() == oracles.energy_table(model).tobytes() == scalar.tobytes()
+
+    def test_peak_allocation_stays_near_the_table(self):
+        """At the cap the build holds the 8 MiB table and 2^k-entry term factors only."""
+        model, _ = planted_model(spins.MAX_SPINS, np.random.default_rng(4))
+        tracemalloc.start()
+        try:
+            spins.energy_table(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * model.n_states
 
 
 def flip_deltas(model):
