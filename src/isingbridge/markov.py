@@ -9,15 +9,17 @@ the rates. Time is normalized to one flip attempt per site per unit time,
 so relaxation times are directly comparable with the spectral gap of the
 mapped Hamiltonian.
 
-`_FlipSystem` gives W and the mapped H as one single-flip operator, for one
-beta or stacked over an array of stage betas. `_rk4` is the one RK4 driver
-of `evolve_master` and the three `anneal` engines; it asks for the stage
+`_FlipOperator` is the one form of every W and H, written densely only when
+read. `_FlipSystem` gives W and the mapped H in it, for one beta or stacked
+over an array of stage betas. `_rk4` is the one RK4 driver of
+`evolve_master` and the three `anneal` engines; it asks for the stage
 operators of a chunk of steps in one call. Both master engines check
 |sum P - 1| <= 1e-8 after every step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,32 +112,12 @@ def parse_rule(text: str) -> RateRule:
     raise ValueError(f"unknown rate rule {text!r}")
 
 
-@dataclass(frozen=True)
-class MarkovGenerator:
-    """Dense transition-rate matrix, column-indexed by source configuration.
-
-    Off-diagonal entries are nonnegative single-flip rates; each diagonal
-    entry is minus its column's off-diagonal sum, so columns sum to zero.
-    `energies` is the H0 table used for detailed balance and for the
-    isospectral symmetrization. Immutable after construction.
-    """
-
-    matrix: np.ndarray
-    beta: float
-    energies: np.ndarray
-    n_spins: int
-    rule: RateRule | None = None
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-        self.energies.setflags(write=False)
-
-
 class _FlipOperator:
-    """A[c, c] = diag[c], A[c, flips[j, c]] = off[j, c]; calling it applies A, dense() writes A.
+    """A[c, c] = diag[c], A[c, flips[j, c]] = off[j, c], flips[j, c] = c ^ masks[j].
 
-    A leading stage axis on diag and off stacks one operator per stage, and
-    op[i] is the operator of stage i.
+    The package's W and H use the masks 1 << j; `from_dense` reads any pattern.
+    Calling it applies A, dense() writes A. A leading stage axis on diag and off
+    stacks one operator per stage, op[i] is stage i; without it, every stage.
     """
 
     __slots__ = ("diag", "off", "flips")
@@ -143,7 +125,25 @@ class _FlipOperator:
     def __init__(self, diag: np.ndarray, off: np.ndarray, flips: np.ndarray):
         self.diag, self.off, self.flips = diag, off, flips
 
+    @classmethod
+    def from_dense(cls, matrix) -> _FlipOperator:
+        """A square matrix of power-of-two size. Its masks are the r ^ c where an entry
+        has a set bit, so -0.0 and NaN are kept and dense() gives A back bit for bit."""
+        matrix = np.ascontiguousarray(matrix, dtype=float)
+        size = matrix.shape[0]
+        if matrix.shape != (size, size) or size & (size - 1):
+            raise ValueError(f"expected a square matrix of power-of-two size, "
+                             f"got shape {matrix.shape}")
+        rows, cols = np.nonzero(matrix.view(np.uint64))
+        used = np.zeros(size, dtype=bool)
+        used[rows ^ cols] = True
+        states = np.arange(size)
+        flips = states[None, :] ^ (np.flatnonzero(used[1:]) + 1)[:, None]  # 0: the diagonal
+        return cls(matrix.diagonal().copy(), matrix[states, flips], flips)
+
     def __getitem__(self, stage: int) -> _FlipOperator:
+        if self.diag.ndim == 1:
+            return self
         return _FlipOperator(self.diag[stage], self.off[stage], self.flips)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
@@ -153,6 +153,63 @@ class _FlipOperator:
         matrix = np.diag(self.diag.astype(np.result_type(self.diag, self.off, float)))
         matrix[np.arange(self.diag.size), self.flips] = self.off
         return matrix
+
+    def transpose(self) -> _FlipOperator:  # A^T[c, c ^ m] = A[c ^ m, c]
+        return _FlipOperator(self.diag, np.take_along_axis(self.off, self.flips, axis=1),
+                             self.flips)
+
+    def max_abs(self) -> float:
+        """max|A|, NaN when an entry is NaN."""
+        return float(np.maximum(np.abs(self.diag).max(initial=0.0),
+                                np.abs(self.off).max(initial=0.0)))
+
+    def asymmetry(self) -> float:
+        """max|A - A^T| / max|A|: 0 for A = 0, NaN when an entry is NaN or infinite."""
+        scale = self.max_abs()
+        if not 0.0 < scale < math.inf:
+            return 0.0 if scale == 0.0 else math.nan
+        return float(np.abs(self.off - self.transpose().off).max(initial=0.0) / scale)
+
+
+class _OperatorField:
+    """Base of the immutable types that hold an `operator` field."""
+
+    def __post_init__(self):
+        for array in (self.operator.diag, self.operator.off, self.operator.flips):
+            array.setflags(write=False)
+
+    @classmethod
+    def from_matrix(cls, matrix, **fields):
+        """The instance whose operator is read from a dense matrix, with its other fields."""
+        return cls(operator=_FlipOperator.from_dense(matrix), **fields)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, written on first read, cached and read-only."""
+        matrix = self.operator.dense()
+        matrix.setflags(write=False)
+        return matrix
+
+
+@dataclass(frozen=True)
+class MarkovGenerator(_OperatorField):
+    """Transition-rate operator W, column-indexed by source configuration.
+
+    Off-diagonal entries are nonnegative rates; each diagonal entry is
+    minus its column's off-diagonal sum, so columns sum to zero.
+    `energies` is the H0 table used for detailed balance and for the
+    isospectral symmetrization. Immutable after construction.
+    """
+
+    operator: _FlipOperator
+    beta: float
+    energies: np.ndarray
+    n_spins: int
+    rule: RateRule | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.energies.setflags(write=False)
 
 
 def _flip_table(n_spins: int) -> np.ndarray:
@@ -218,7 +275,7 @@ def build_generator(model: IsingModel, beta: float, rule: RateRule) -> MarkovGen
     """
     spins._check_beta(beta)
     system = _FlipSystem(model, rule)
-    return MarkovGenerator(matrix=system.generator(beta).dense(), beta=float(beta),
+    return MarkovGenerator(operator=system.generator(beta), beta=float(beta),
                            energies=system.energies, n_spins=system.n, rule=rule)
 
 
@@ -230,10 +287,9 @@ def stationary_distribution(generator: MarkovGenerator) -> np.ndarray:
 
 def detailed_balance_residual(generator: MarkovGenerator) -> float:
     """Max relative asymmetry of equilibrium fluxes W[a,b] P0[b] vs W[b,a] P0[a], a != b."""
+    w = generator.operator
     p0 = stationary_distribution(generator)
-    flux = _SparseOperator(generator.matrix)
-    flux.vals = np.where(flux.rows == flux.cols, 0.0, flux.vals * p0[flux.cols])
-    return flux.asymmetry()
+    return _FlipOperator(np.zeros_like(w.diag), w.off * p0[w.flips], w.flips).asymmetry()
 
 
 @dataclass(frozen=True)
@@ -317,48 +373,18 @@ def _check_probability(p: np.ndarray, t: float) -> None:
         raise RuntimeError(f"probability drifted to {total} at t={t}; reduce dt")
 
 
-class _SparseOperator:
-    """A fixed matrix applied through its nonzero entries; it is the operator of every stage."""
-
-    def __init__(self, matrix: np.ndarray):
-        self.rows, self.cols = np.nonzero(matrix)
-        self.vals = matrix[self.rows, self.cols]
-        self.diag = np.diag(matrix)
-
-    def __getitem__(self, stage: int) -> _SparseOperator:
-        return self
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        return np.bincount(self.rows, self.vals * y[self.cols], minlength=y.size)
-
-    def dense(self) -> np.ndarray:
-        matrix = np.zeros((self.diag.size, self.diag.size))
-        matrix[self.rows, self.cols] = self.vals
-        return matrix
-
-    def asymmetry(self) -> float:
-        """max|A - A^T| / max|A|: 0 for A = 0, NaN when an entry is NaN or infinite."""
-        scale = np.abs(self.vals).max(initial=0.0)
-        if not 0.0 < scale < math.inf:
-            return 0.0 if scale == 0.0 else math.nan
-        size = self.diag.size
-        keys = self.rows * size + self.cols  # ascending: np.nonzero lists entries row by row
-        transposed = self.cols * size + self.rows
-        at = np.minimum(np.searchsorted(keys, transposed), keys.size - 1)
-        partner = np.where(keys[at] == transposed, self.vals[at], 0.0)  # A[c, r], 0 if absent
-        return float(np.abs(self.vals - partner).max() / scale)
-
-
-def _symmetric_form(generator: MarkovGenerator, tol: float) -> _SparseOperator:
+def _symmetric_form(generator: MarkovGenerator, tol: float) -> _FlipOperator:
     """exp(beta*H0/2) W exp(-beta*H0/2), symmetric and isospectral to W; H is its negation.
 
-    Formed on the nonzeros of W, so no large exponential multiplies a zero
-    rate. Raises ValueError beyond `tol` relative asymmetry: W is then not in
-    detailed balance with its energies.
+    The exponential is taken only at nonzero rates, so no overflowed factor
+    multiplies a zero rate. Raises ValueError beyond `tol` relative
+    asymmetry: W is then not in detailed balance with its energies.
     """
-    symmetric = _SparseOperator(generator.matrix)
+    w = generator.operator
     half = 0.5 * generator.beta * generator.energies
-    symmetric.vals = np.exp(half[symmetric.rows] - half[symmetric.cols]) * symmetric.vals
+    factor = np.exp(half - half[w.flips], out=np.ones_like(w.off), where=w.off != 0)
+    # + 0.0 writes a -0.0 outflow +0.0: every zero of the form is +0.0
+    symmetric = _FlipOperator(w.diag + 0.0, factor * w.off, w.flips)
     if not symmetric.asymmetry() <= tol:
         raise ValueError("generator is not in detailed balance with its energies: its "
                          f"symmetric form is not symmetric within {tol:g} relative tolerance")
@@ -369,7 +395,6 @@ def evolve_master(generator: MarkovGenerator, p0: np.ndarray, t_final: float,
                   dt: float, record_stride: int | None = None) -> MasterTrajectory:
     """Integrate the fixed-temperature master equation, W constant, with `_rk4`.
 
-    W is applied through its nonzero entries, whatever their pattern.
     Records every record_stride-th step and the last (default: about 1024
     samples). Requires max(dt, h) * max|diagonal| <= 0.1. Probability
     conservation is asserted (not enforced) after every step, to 1e-8.
@@ -378,7 +403,7 @@ def evolve_master(generator: MarkovGenerator, p0: np.ndarray, t_final: float,
     if record_stride is not None and not record_stride >= 1:
         raise ValueError(f"record_stride must be positive, got {record_stride}")
     stride = record_stride or max(1, _step_count(t_final, dt) // 1024)
-    w = _SparseOperator(generator.matrix)
+    w = generator.operator
     times, states = [0.0], [np.array(p0, dtype=float)]
 
     def on_step(step, n_steps, t, p):
@@ -398,7 +423,7 @@ def relaxation_time(generator: MarkovGenerator) -> float:
     H = -exp(beta*H0/2) W exp(-beta*H0/2): its lowest eigenvalue on the
     complement of its ground vector sqrt(P0). A deflated Lanczos solve
     (`spectral._lowest_eigenvalue`) finds it, applying H through the
-    nonzeros of W, to a Ritz residual of 1e-13 * max(1, max|H|); no dense
+    operator of W, to a Ritz residual of 1e-13 * max(1, max|H|); no dense
     eigensolve runs, and the dense spectrum of the symmetric form is the
     test oracle. Raises ValueError when that form is not symmetric within
     1e-8 relative (W is not in detailed balance with its energies). A
@@ -409,7 +434,7 @@ def relaxation_time(generator: MarkovGenerator) -> float:
 
     symmetric = _symmetric_form(generator, spectral.SYMMETRY_TOL)
     root_p0 = np.sqrt(stationary_distribution(generator))
-    tol = 1e-13 * max(1.0, np.abs(symmetric.vals).max())
+    tol = 1e-13 * max(1.0, symmetric.max_abs())
     lam1 = -spectral._lowest_eigenvalue(lambda x: -symmetric(x), root_p0[None, :], tol)
     if abs(lam1) < 1e-10:
         raise ValueError(

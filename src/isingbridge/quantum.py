@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fermion, spins
 from .markov import (HEAT_BATH, METROPOLIS, MarkovGenerator, RateRule, _FlipOperator,
-                     _FlipSystem, _flip_table, _SparseOperator, _symmetric_form)
+                     _FlipSystem, _flip_table, _OperatorField, _symmetric_form)
 from .spins import IsingModel
 
 PROVENANCE_MAPPED = "mapped-from-W"
@@ -28,36 +28,37 @@ PROVENANCE_USER = "user-supplied"
 
 
 @dataclass(frozen=True)
-class QuantumHamiltonian:
-    """Dense real symmetric matrix in the sigma^z product basis.
+class QuantumHamiltonian(_OperatorField):
+    """Real symmetric operator in the sigma^z product basis, written densely only when read.
 
-    Rejects a matrix whose relative asymmetry exceeds 1e-12 or that has a
-    NaN or infinite entry.
+    Rejects an operator whose relative asymmetry exceeds 1e-12 or that has a
+    NaN or infinite entry. Immutable after construction.
     """
 
-    matrix: np.ndarray
+    operator: _FlipOperator
     n_spins: int
     provenance: str
     beta: float | None = None
     rule_name: str | None = None
 
     def __post_init__(self):
-        if not _SparseOperator(self.matrix).asymmetry() <= 1e-12:  # NaN entries fail too
+        if not self.operator.asymmetry() <= 1e-12:  # NaN entries fail too
             raise ValueError("Hamiltonian matrix is not symmetric within 1e-12 relative")
-        self.matrix.setflags(write=False)
+        super().__post_init__()
 
 
 def classical_to_quantum(generator: MarkovGenerator) -> QuantumHamiltonian:
     """Map a generator to its symmetric Hamiltonian, entry by entry.
 
     H[a,b] = -exp(beta*H0(a)/2) W[a,b] exp(-beta*H0(b)/2), the negated
-    `markov._symmetric_form` with zeros kept +0.0. Asymmetry beyond 1e-12
-    relative raises ValueError as a detailed-balance failure of the input.
+    `markov._symmetric_form` with every zero written +0.0. Asymmetry beyond
+    1e-12 relative raises ValueError as a detailed-balance failure of the input.
     """
-    h = _symmetric_form(generator, 1e-12).dense()
-    np.negative(h, out=h, where=h != 0)
+    symmetric = _symmetric_form(generator, 1e-12)
+    # 0.0 - x is -x, and +0.0 for x = +-0.0
+    h = _FlipOperator(0.0 - symmetric.diag, 0.0 - symmetric.off, symmetric.flips)
     rule_name = generator.rule.name if generator.rule is not None else None
-    return QuantumHamiltonian(matrix=h, n_spins=generator.n_spins,
+    return QuantumHamiltonian(operator=h, n_spins=generator.n_spins,
                               provenance=PROVENANCE_MAPPED,
                               beta=generator.beta, rule_name=rule_name)
 
@@ -71,8 +72,8 @@ def assemble_direct(model: IsingModel, beta: float, rule: RateRule) -> QuantumHa
     classical_to_quantum(build_generator(...)) to near machine precision.
     """
     spins._check_beta(beta)
-    h = _FlipSystem(model, rule).hamiltonian(beta).dense()
-    return QuantumHamiltonian(matrix=h, n_spins=model.n_spins, provenance=PROVENANCE_MAPPED,
+    h = _FlipSystem(model, rule).hamiltonian(beta)
+    return QuantumHamiltonian(operator=h, n_spins=model.n_spins, provenance=PROVENANCE_MAPPED,
                               beta=float(beta), rule_name=rule.name)
 
 
@@ -103,8 +104,8 @@ def _heatbath_chain(field: np.ndarray, hop: np.ndarray, hop2: np.ndarray,
     z = _z_columns(n)
     diag = 0.5 * n - hop @ _bonds(z)
     off = -(field[:, None] - hop2[:, None] * _across(z))
-    h = _FlipOperator(diag, off, _flip_table(n)).dense()
-    return QuantumHamiltonian(matrix=h, n_spins=n, provenance=PROVENANCE_EXPLICIT,
+    h = _FlipOperator(diag, off, _flip_table(n))
+    return QuantumHamiltonian(operator=h, n_spins=n, provenance=PROVENANCE_EXPLICIT,
                               beta=float(beta), rule_name=HEAT_BATH.name)
 
 
@@ -137,8 +138,8 @@ def chain_metropolis_hamiltonian(n: int, k: float) -> QuantumHamiltonian:
     e4, e2, th = math.exp(-4 * k), math.exp(-2 * k), math.tanh(k)
     diag = 0.25 * n * (3.0 + e4) - 0.25 * (1.0 - e4) * (2.0 * zz + across.sum(axis=0))
     off = -0.5 * (1.0 + e2) * (1.0 - th * across)
-    h = _FlipOperator(diag, off, _flip_table(n)).dense()
-    return QuantumHamiltonian(matrix=h, n_spins=n, provenance=PROVENANCE_EXPLICIT,
+    h = _FlipOperator(diag, off, _flip_table(n))
+    return QuantumHamiltonian(operator=h, n_spins=n, provenance=PROVENANCE_EXPLICIT,
                               beta=float(k), rule_name=METROPOLIS.name)
 
 
@@ -168,6 +169,6 @@ def transverse_field_chain(n: int, gamma: float) -> QuantumHamiltonian:
         raise ValueError(f"need n >= 2, got {n}")
     z = _z_columns(n)
     zz = _bonds(z).sum(axis=0)
-    h = _FlipOperator(-zz, np.full(z.shape, -gamma), _flip_table(n)).dense()
-    return QuantumHamiltonian(matrix=h, n_spins=n, provenance=PROVENANCE_USER)
+    h = _FlipOperator(-zz, np.full(z.shape, -gamma), _flip_table(n))
+    return QuantumHamiltonian(operator=h, n_spins=n, provenance=PROVENANCE_USER)
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spins
-from .markov import MarkovGenerator, detailed_balance_residual, stationary_distribution
+from .markov import (MarkovGenerator, _FlipOperator, detailed_balance_residual,
+                     stationary_distribution)
 from .quantum import QuantumHamiltonian
 from .spectral import eig_sym
 
@@ -27,34 +28,29 @@ CONDITION_TOL = 1e-9
 INVERSE_SHIFT = 1e-12  # sigma = E0 - 1e-12 max(1, max|H|); at 1e-16 LU can meet an exact 0 pivot
 
 
-def _stoquastic_offdiag(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Validate the sign structure; return the strictly negative off-diagonal graph."""
-    scale = np.abs(matrix).max()
-    tol = OFFDIAG_SIGN_TOL * max(scale, 1.0)
-    off = matrix.copy()
-    np.fill_diagonal(off, 0.0)
-    if off.max() > tol:
-        rows, cols = np.nonzero(off > tol)
+def _stoquastic_offdiag(h: _FlipOperator) -> np.ndarray:
+    """Validate the sign structure; return the strictly negative entries of h.off."""
+    tol = OFFDIAG_SIGN_TOL * max(h.max_abs(), 1.0)
+    positive = h.off > tol
+    if positive.any():  # report the first positive entry in row-major order
+        row = np.flatnonzero(positive.any(axis=0))[0]
+        j = min(np.flatnonzero(positive[:, row]), key=lambda j: h.flips[j, row])
         raise ValueError(
-            f"off-diagonal entry at ({rows[0]}, {cols[0]}) is positive "
-            f"({off[rows[0], cols[0]]:.3g}); only nonpositive off-diagonals map to "
+            f"off-diagonal entry at ({row}, {h.flips[j, row]}) is positive "
+            f"({h.off[j, row]:.3g}); only nonpositive off-diagonals map to "
             "classical flip rates (a positive transverse coupling has no rate analog)")
-    return np.nonzero(off < -tol)
+    return h.off < -tol
 
 
-def _check_connected(dim: int, rows: np.ndarray, cols: np.ndarray) -> None:
-    neighbors: list[list[int]] = [[] for _ in range(dim)]
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        neighbors[r].append(c)
-    seen = np.zeros(dim, dtype=bool)
-    stack = [0]
+def _check_connected(links: np.ndarray, flips: np.ndarray) -> None:
+    """Every configuration is reached from 0 along the entries (j, c) where links holds."""
+    seen = np.zeros(flips.shape[1], dtype=bool)
     seen[0] = True
-    while stack:
-        node = stack.pop()
-        for nb in neighbors[node]:
-            if not seen[nb]:
-                seen[nb] = True
-                stack.append(nb)
+    frontier = np.zeros(1, dtype=int)
+    while frontier.size:
+        reached = flips[:, frontier][links[:, frontier]]
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
     if not seen.all():
         raise ValueError(
             "off-diagonal graph is disconnected: the ground state need not be "
@@ -63,9 +59,9 @@ def _check_connected(dim: int, rows: np.ndarray, cols: np.ndarray) -> None:
 
 def _ground_state(hamiltonian: QuantumHamiltonian) -> tuple[float, np.ndarray]:
     """(ground energy, entrywise-positive unit ground vector), with guards."""
+    h = hamiltonian.operator
+    _check_connected(_stoquastic_offdiag(h), h.flips)
     matrix = hamiltonian.matrix
-    rows, cols = _stoquastic_offdiag(matrix)
-    _check_connected(matrix.shape[0], rows, cols)
     evals = eig_sym(matrix, eigvals_only=True)
     if evals[1] - evals[0] < DEGENERACY_GUARD:
         raise ValueError(
@@ -74,7 +70,7 @@ def _ground_state(hamiltonian: QuantumHamiltonian) -> tuple[float, np.ndarray]:
     # Shifted inverse iteration: for sigma < E0, H - sigma I is a nonsingular
     # M-matrix, so its solve gives even the tiny entries full relative accuracy,
     # where eigh gives them only absolute accuracy.
-    sigma = evals[0] - INVERSE_SHIFT * max(1.0, np.abs(matrix).max())
+    sigma = evals[0] - INVERSE_SHIFT * max(1.0, h.max_abs())
     shifted = matrix - sigma * np.eye(matrix.shape[0])
     vec = np.ones(matrix.shape[0])
     for _ in range(2):
@@ -106,7 +102,7 @@ def quantum_to_classical(hamiltonian: QuantumHamiltonian,
 
     Shifts the ground energy to zero (recording the shift), sets
     H0 = -2 log(ground vector), and forms
-    W = -exp(-H0/2) (H - shift) exp(H0/2) on the nonzero pattern. The
+    W = -exp(-H0/2) (H - shift) exp(H0/2) on the operator of H. The
     four generator conditions (nonnegative off-diagonals, zero column
     sums, stationarity of exp(-H0), detailed balance at beta = 1) are
     each verified against `condition_tol` and reported in the result.
@@ -116,13 +112,12 @@ def quantum_to_classical(hamiltonian: QuantumHamiltonian,
     recovered matrix misses a generator condition, a numeric failure.
     """
     shift, vec = _ground_state(hamiltonian)
-    shifted = hamiltonian.matrix - shift * np.eye(hamiltonian.matrix.shape[0])
+    h = hamiltonian.operator
     energy_table = -2.0 * np.log(vec)
 
-    w = np.zeros_like(shifted)
-    rows, cols = np.nonzero(shifted)
-    w[rows, cols] = -(vec[rows] / vec[cols]) * shifted[rows, cols]
-    generator = MarkovGenerator(matrix=w, beta=1.0, energies=energy_table,
+    # 0.0 - x is -x, and +0.0 for x = +-0.0
+    w = _FlipOperator(0.0 - (h.diag - shift), 0.0 - (vec / vec[h.flips]) * h.off, h.flips)
+    generator = MarkovGenerator(operator=w, beta=1.0, energies=energy_table,
                                 n_spins=hamiltonian.n_spins, rule=None)
 
     residuals = _generator_conditions(generator)
@@ -140,18 +135,17 @@ def quantum_to_classical(hamiltonian: QuantumHamiltonian,
 
 def _generator_conditions(generator: MarkovGenerator) -> dict[str, float]:
     """Normalized residuals of the four transition-matrix conditions."""
-    w = generator.matrix
-    off = w.copy()
-    np.fill_diagonal(off, 0.0)
-    rate_scale = max(np.abs(off).max(), 1e-30)
+    w = generator.operator
+    rate_scale = max(np.abs(w.off).max(initial=0.0), 1e-30)
 
-    sign = max(0.0, -off.min()) / rate_scale
+    sign = max(0.0, -w.off.min(initial=0.0)) / rate_scale
 
-    conservation = np.abs(w.sum(axis=0)).max() / max(np.abs(np.diag(w)).max(), 1e-30)
+    column_sums = w.transpose()(np.ones(w.diag.size))
+    conservation = np.abs(column_sums).max() / max(np.abs(w.diag).max(), 1e-30)
 
     p0 = stationary_distribution(generator)
-    flux_scale = max(np.abs(off * p0[None, :]).max(), 1e-30)
-    stationarity = np.abs(w @ p0).max() / flux_scale
+    flux_scale = max(np.abs(w.off * p0[w.flips]).max(initial=0.0), 1e-30)
+    stationarity = np.abs(w(p0)).max() / flux_scale
 
     return {"offdiagonal-sign": float(sign),
             "probability-conservation": float(conservation),

@@ -49,15 +49,17 @@ def eig_sym(matrix: np.ndarray, eigvals_only: bool = False
     second return value. With eigvals_only, only the eigenvalues are
     computed (LAPACK's values-only driver, about half the work) and
     returned. Rejects asymmetric input (beyond 1e-8 relative, by
-    `markov._SparseOperator.asymmetry`), NaN or infinite entries, and
+    `markov._FlipOperator.asymmetry`), NaN or infinite entries, and
     dimensions above 2^12 = 4096 (the dense-matrix spin cap).
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     dim = matrix.shape[0]
-    spins._check_spins((dim - 1).bit_length(), "dense matrix")  # ceil(log2(dim)) spins
-    if not markov._SparseOperator(matrix).asymmetry() <= SYMMETRY_TOL:  # NaN entries fail too
+    bits = (dim - 1).bit_length()  # ceil(log2(dim)) spins; XOR masks need 2^bits rows
+    spins._check_spins(bits, "dense matrix")
+    padded = np.pad(matrix, (0, (1 << bits) - dim)) if dim & (dim - 1) else matrix
+    if not markov._FlipOperator.from_dense(padded).asymmetry() <= SYMMETRY_TOL:
         raise ValueError("matrix is not symmetric within 1e-8 relative tolerance")
     return np.linalg.eigvalsh(matrix) if eigvals_only else np.linalg.eigh(matrix)
 

@@ -3,16 +3,17 @@
 Configuration convention, shared by every module in this package: a
 configuration of N spins is an integer index in [0, 2^N). Bit i of the
 index is 0 for sigma_i = +1 and 1 for sigma_i = -1, and flipping spin i
-toggles exactly bit i. All matrices elsewhere are indexed in this basis;
-bits are toggled by `markov._flip_table` and montecarlo, read by `quantum._z_columns`,
-and `energy_table` reads bit i as axis N - 1 - i of the hypercube view
-`table.reshape((2,) * N)`.
+toggles exactly bit i. All operators elsewhere are held in this basis by
+XOR masks, A[c, c ^ mask] (`markov._FlipOperator`); bits are toggled by
+`markov._flip_table` and montecarlo, read by `quantum._z_columns`, and
+`energy_table` reads bit i as axis N - 1 - i of `table.reshape((2,) * N)`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,14 @@ def _check_spins(n_spins: int, use: str) -> None:
         raise ValueError(f"{n_spins} spins exceed the {use} cap n_spins <= {_SPIN_CAPS[use]}")
 
 
+def _integer(value, name: str) -> int:
+    """`value` as an int, by `operator.index`: 1.5 or 1.0 is rejected, never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class IsingModel:
     """Diagonal spin Hamiltonian H0(sigma) = sum_terms coeff * prod_{i in sites} sigma_i.
@@ -50,13 +59,14 @@ class IsingModel:
     name: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n_spins", _integer(self.n_spins, "n_spins"))
         if self.n_spins < 1:
             raise ValueError(f"n_spins must be at least 1, got {self.n_spins}")
         _check_spins(self.n_spins, "model")
         normalized = []
         seen = set()
         for sites, coeff in self.terms:
-            sites = tuple(sorted(int(s) for s in sites))
+            sites = tuple(sorted(_integer(s, "site") for s in sites))
             if len(set(sites)) != len(sites):
                 raise ValueError(f"term {sites} repeats a site")
             if sites and not (0 <= sites[0] and sites[-1] < self.n_spins):
@@ -183,7 +193,7 @@ def model_to_dict(model: IsingModel) -> dict:
 
 def model_from_dict(data: dict) -> IsingModel:
     terms = [(t["sites"], t["coeff"]) for t in data["terms"]]
-    return IsingModel(int(data["n_spins"]), terms, name=data.get("name"))
+    return IsingModel(data["n_spins"], terms, name=data.get("name"))
 
 
 def save_model(model: IsingModel, path) -> None:

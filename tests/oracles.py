@@ -4,9 +4,10 @@
 term, and check `spins.energy_table` and `markov._FlipSystem.deltas`;
 `energy_table` is the same term-by-term sum over all 2^N indices at once,
 by index parity, for models too large to loop over; `hopping` is the
-closed-form hopping of one flip under a rule. They read only
-`model.n_spins` and `model.terms`, and use no package code, so an error
-in the tables cannot reach its own oracle. Configurations follow the
+closed-form hopping of one flip under a rule; `asymmetry` is the relative
+asymmetry of a dense matrix. They read only `model.n_spins` and
+`model.terms`, and use no package code, so an error in the tables cannot
+reach its own oracle. Configurations follow the
 package convention: bit i of the index is 0 for sigma_i = +1 and 1 for
 sigma_i = -1.
 """
@@ -91,6 +92,16 @@ def hopping(rule, beta: float, delta: float, n_spins: int) -> float:
     if rule.name == "metropolis":
         return math.exp(-ax)
     return math.exp(-rule.p * n_spins)
+
+
+def asymmetry(matrix) -> float:
+    """max|A - A^T| / max|A| of a dense matrix: 0 for A = 0, NaN when an entry is
+    NaN or infinite."""
+    a = np.asarray(matrix, dtype=float)
+    if not np.isfinite(a).all():
+        return math.nan
+    scale = np.abs(a).max(initial=0.0)
+    return 0.0 if scale == 0.0 else float(np.abs(a - a.T).max() / scale)
 
 
 def mapped_chain_hamiltonian(n: int, k: float, rule):

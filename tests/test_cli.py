@@ -75,6 +75,16 @@ class TestBridgeCheck:
         assert_usage_error(capsys, "bridge-check", "--model", str(path),
                            "--out", str(tmp_path), match="'terms'")
 
+    @pytest.mark.parametrize("model, match", [
+        ({"n_spins": 2, "terms": [{"sites": [0, 1.5], "coeff": -1.0}]}, "site"),
+        ({"n_spins": 4.5, "terms": [{"sites": [0, 1], "coeff": -1.0}]}, "n_spins")])
+    def test_non_integer_site_or_spin_count_is_usage_error(self, model, match, tmp_path,
+                                                           capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        assert_usage_error(capsys, "bridge-check", "--model", str(path),
+                           "--out", str(tmp_path), match=f"{match} must be an integer")
+
     @pytest.mark.parametrize("rule", ["heatbath", "metropolis", "uniform:0.1"])
     @pytest.mark.parametrize("k", [5.0, 10.0])
     def test_ground_check_does_not_depend_on_the_gap(self, rule, k, tmp_path):

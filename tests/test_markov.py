@@ -16,8 +16,8 @@ def two_flip_generator(n):
     states = np.arange(1 << n)
     for j in range(n):
         matrix[states, states ^ (1 << j) ^ (1 << (j + 1) % n)] -= 0.4
-    ham = quantum.QuantumHamiltonian(matrix=matrix, n_spins=n,
-                                     provenance=quantum.PROVENANCE_USER)
+    ham = quantum.QuantumHamiltonian.from_matrix(matrix, n_spins=n,
+                                                 provenance=quantum.PROVENANCE_USER)
     return reverse.quantum_to_classical(ham).generator
 
 
@@ -29,8 +29,8 @@ def perturbed_rate(gen, eps):
     delta = eps * matrix[r, c]
     matrix[r, c] += delta
     matrix[c, c] -= delta
-    return markov.MarkovGenerator(matrix=matrix, beta=gen.beta, energies=gen.energies,
-                                  n_spins=gen.n_spins)
+    return markov.MarkovGenerator.from_matrix(matrix, beta=gen.beta, energies=gen.energies,
+                                              n_spins=gen.n_spins)
 
 
 def rate_and_weight(rule, beta, delta, n_spins=None):
@@ -175,8 +175,8 @@ class TestDetailedBalanceResidual:
         r, c = np.unravel_index(np.argmax(np.abs(flux)), flux.shape)
         broken = gen.matrix.copy()
         broken[r, c] *= 1.1
-        bad = markov.MarkovGenerator(matrix=broken, beta=gen.beta,
-                                     energies=gen.energies, n_spins=gen.n_spins)
+        bad = markov.MarkovGenerator.from_matrix(broken, beta=gen.beta,
+                                                 energies=gen.energies, n_spins=gen.n_spins)
         assert markov.detailed_balance_residual(bad) > 0.01
 
     def test_single_spin_closed_form(self):
@@ -340,7 +340,8 @@ class TestRelaxationTime:
         else:  # a rate whose reverse rate is zero
             matrix[3, 0] += 0.5
             matrix[0, 0] -= 0.5
-        bad = markov.MarkovGenerator(matrix=matrix, beta=0.7, energies=energies, n_spins=4)
+        bad = markov.MarkovGenerator.from_matrix(matrix, beta=0.7, energies=energies,
+                                                 n_spins=4)
         with pytest.raises(ValueError, match="detailed balance"):
             markov.relaxation_time(bad)
 
@@ -373,8 +374,8 @@ class TestRelaxationTime:
         w = np.zeros((4, 4))
         w[:2, :2] = block
         w[2:, 2:] = block
-        gen = markov.MarkovGenerator(matrix=w, beta=0.0, energies=np.zeros(4),
-                                     n_spins=2)
+        gen = markov.MarkovGenerator.from_matrix(w, beta=0.0, energies=np.zeros(4),
+                                                 n_spins=2)
         with pytest.raises(ValueError, match="degenerate"):
             markov.relaxation_time(gen)
 
@@ -391,3 +392,48 @@ class TestGeneratorSpectrumInvariants:
         psi = vecs[:, top].real
         psi /= psi.sum()
         assert np.abs(psi - spins.boltzmann(model, 0.8)).max() <= 1e-10
+
+
+class TestOperatorForm:
+    def test_dense_matrices_are_written_only_when_read(self, monkeypatch):
+        """Generators, the W -> H map, the direct and closed-form Hamiltonians and the
+        master equation never write a dense matrix."""
+        def refuse(self):
+            raise AssertionError("a dense matrix was written")
+
+        monkeypatch.setattr(markov._FlipOperator, "dense", refuse)
+        model = spins.chain_model(6, [1.0, -0.5, 2.0, 0.3, -1.2, 0.8])
+        gen = markov.build_generator(model, 0.5, markov.HEAT_BATH)
+        assert markov.detailed_balance_residual(gen) <= 1e-15
+        assert markov.relaxation_time(gen) > 0.0
+        p0 = np.full(model.n_states, 1.0 / model.n_states)
+        assert markov.evolve_master(gen, p0, 0.1, 0.01).states.shape == (11, 64)
+        quantum.classical_to_quantum(gen)
+        quantum.assemble_direct(model, 0.5, markov.METROPOLIS)
+        quantum.chain_heatbath_hamiltonian(6, 0.5)
+        quantum.chain_metropolis_hamiltonian(6, 0.5)
+        quantum.chain_random_heatbath_hamiltonian([1.0, -0.5, 2.0, 0.3, -1.2, 0.8], 0.5)
+        ham = quantum.transverse_field_chain(6, 0.7)
+        with pytest.raises(AssertionError, match="dense matrix was written"):
+            ham.matrix
+
+    @pytest.mark.parametrize("rule", [markov.HEAT_BATH, markov.METROPOLIS])
+    @pytest.mark.parametrize("k", [400.0, 1000.0])
+    def test_conjugation_multiplies_only_nonzero_rates(self, rule, k):
+        """exp(K dE / 2) overflows at K = 400 where the uphill rate is 0, so a factor
+        taken at a zero rate would give 0 * inf = NaN (and a RuntimeWarning, which the
+        suite turns into an error). The mapped H holds no -0.0: the dump prints it."""
+        gen = markov.build_generator(spins.chain_model(4, [1.0] * 4), k, rule)
+        h = quantum.classical_to_quantum(gen).matrix
+        assert np.isfinite(h).all()
+        assert not np.signbit(h[h == 0.0]).any()
+        assert np.isfinite(spectral.spectrum_of_generator(gen).eigenvalues).all()
+        assert markov.detailed_balance_residual(gen) == 0.0
+
+    def test_from_matrix_reads_any_flip_pattern(self):
+        """A two-flip generator is held by its XOR masks: the single flips 1 << j and
+        the nearest-neighbour pairs."""
+        gen = two_flip_generator(5)
+        pairs = [(1 << j) | (1 << (j + 1) % 5) for j in range(5)]
+        assert sorted(gen.operator.flips[:, 0]) == sorted([1 << j for j in range(5)] + pairs)
+        assert not gen.matrix.flags.writeable and gen.matrix is gen.matrix

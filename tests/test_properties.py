@@ -1,16 +1,17 @@
 """Property tests over random multibody models, rules and temperatures.
 
 The energy table and flip deltas are checked against the scalar oracles
-of `oracles`. The single-flip operator of `markov._FlipSystem` is checked against its own
-dense form, stage by stage against the operators it builds for an array of
-stage betas, and the dense routes against each other: direct and mapped H
-agree, the direct H is exactly symmetric with the rule's closed-form
-hopping, W conserves probability, W and H share their spectrum, and the
-Lanczos relaxation time is the dense gap. The image exp(beta H0 / 2) P0 of
-the Boltzmann vector is the ground vector of H, and P -> phi -> P is the
-identity. The
-closed-form random-coupling heat-bath chain is checked against the direct
-route, and the Walsh expansion against the table it came from.
+of `oracles`. A random matrix read into XOR-mask form is written back bit
+for bit, with the dense asymmetry and product. The single-flip operator of
+`markov._FlipSystem` is checked against its own dense form, stage by stage
+against the operators it builds for an array of stage betas, and the dense
+routes against each other: direct and mapped H agree, the direct H is
+exactly symmetric with the rule's closed-form hopping, W conserves
+probability, W and H share their spectrum, and the Lanczos relaxation time
+is the dense gap. The image exp(beta H0 / 2) P0 of the Boltzmann vector is
+the ground vector of H, and P -> phi -> P is the identity. The closed-form
+random-coupling heat-bath chain is checked against the direct route, and
+the Walsh expansion against the table it came from.
 """
 
 import numpy as np
@@ -65,6 +66,48 @@ def test_operator_matches_its_dense_form(model, rule, stages, seed):
             dense = op.dense()
             scale = np.abs(dense).max() * np.abs(y).sum()
             assert np.abs(op(y) - dense @ y).max() <= 1e-13 * scale
+
+
+@st.composite
+def mask_matrices(draw):
+    """A 2^N x 2^N matrix, N <= 5, nonzero only on the diagonal and on a random set
+    of XOR masks (sometimes all), at a random density, optionally symmetrized, with
+    -0.0 where a negative entry is masked out and at most one special entry."""
+    size = 1 << draw(st.integers(0, 5))
+    masks = list(range(1, size))
+    if not draw(st.booleans()):
+        masks = sorted(draw(st.sets(st.sampled_from(masks)))) if masks else []
+    density = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    special = draw(st.sampled_from([None, 0.0, -0.0, np.nan, np.inf, -np.inf]))
+    symmetric = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = np.zeros((size, size))
+    states = np.arange(size)
+    for mask in [0] + masks:
+        matrix[states, states ^ mask] = rng.normal(size=size) * (rng.random(size) < density)
+    if symmetric:
+        matrix = matrix + matrix.T
+    if special is not None:
+        matrix[tuple(rng.integers(size, size=2))] = special
+    return matrix
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(mask_matrices(), st.integers(0, 2**32 - 1))
+def test_mask_form_of_a_dense_matrix(matrix, seed):
+    """from_dense(A).dense() is A bit for bit, its asymmetry is the dense one, and the
+    operator applies A to roundoff."""
+    op = markov._FlipOperator.from_dense(matrix)
+    assert _same_bits(op.dense(), matrix)
+    expected_asymmetry = oracles.asymmetry(matrix)
+    assert op.asymmetry() == expected_asymmetry or (
+        np.isnan(op.asymmetry()) and np.isnan(expected_asymmetry))
+    y = np.random.default_rng(seed).normal(size=matrix.shape[0])
+    got, expected = op(y), matrix @ y
+    finite = np.isfinite(expected)
+    assert np.array_equal(got[~finite], expected[~finite], equal_nan=True)
+    bound = 1e-13 * (np.abs(matrix) @ np.abs(y))[finite]
+    assert np.all(np.abs(got[finite] - expected[finite]) <= bound)
 
 
 @PROPERTY_SETTINGS

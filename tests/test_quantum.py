@@ -58,8 +58,8 @@ class TestClassicalToQuantum:
         off = rows != cols
         r, c = rows[off][0], cols[off][0]
         broken[r, c] *= 1.5
-        bad = markov.MarkovGenerator(matrix=broken, beta=gen.beta,
-                                     energies=gen.energies, n_spins=gen.n_spins)
+        bad = markov.MarkovGenerator.from_matrix(broken, beta=gen.beta,
+                                                 energies=gen.energies, n_spins=gen.n_spins)
         with pytest.raises(ValueError, match="detailed balance"):
             quantum.classical_to_quantum(bad)
 
@@ -204,13 +204,15 @@ class TestHamiltonianInvariants:
     def test_type_rejects_asymmetric_matrix(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            quantum.QuantumHamiltonian(matrix=bad, n_spins=1, provenance="user-supplied")
+            quantum.QuantumHamiltonian.from_matrix(bad, n_spins=1,
+                                                   provenance="user-supplied")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_type_rejects_nonfinite_entry(self, value):
         bad = np.array([[1.0, -1.0], [-1.0, value]])
         with pytest.raises(ValueError, match="not symmetric within 1e-12"):
-            quantum.QuantumHamiltonian(matrix=bad, n_spins=1, provenance="user-supplied")
+            quantum.QuantumHamiltonian.from_matrix(bad, n_spins=1,
+                                                   provenance="user-supplied")
 
     def test_diagonal_observable_matches_thermal_average(self):
         rng = np.random.default_rng(31)

@@ -46,6 +46,27 @@ class TestEigSym:
             solve(np.array([[0.0, value], [value, 0.0]]))
 
     @pytest.mark.parametrize("solve", SOLVES)
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_any_square_size(self, solve, dim):
+        """The symmetry check pads to a power of two for its XOR masks; the solve
+        sees the matrix as given."""
+        m = np.random.default_rng(dim).normal(size=(dim, dim))
+        m = m + m.T
+        result = solve(m)
+        evals = result if isinstance(result, np.ndarray) else result[0]
+        assert evals.shape == (dim,)
+        assert np.abs(evals - np.linalg.eigvalsh(m)).max() <= 1e-13 * np.abs(m).max()
+
+    @pytest.mark.parametrize("solve", SOLVES)
+    @pytest.mark.parametrize("value", [0.5, math.nan])
+    def test_rejects_asymmetric_or_nonfinite_three_by_three(self, solve, value):
+        m = np.array([[0.0, 1.0, 0.0], [1.0, 2.0, -1.0], [0.0, -1.0, 0.0]])
+        m[2, 1] = value
+        with pytest.raises(ValueError,
+                           match="^matrix is not symmetric within 1e-8 relative tolerance$"):
+            solve(m)
+
+    @pytest.mark.parametrize("solve", SOLVES)
     def test_rejects_oversized(self, solve):
         with pytest.raises(ValueError, match="cap"):
             solve(np.zeros((4097, 4097)))

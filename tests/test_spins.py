@@ -214,6 +214,22 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="non-finite"):
             spins.IsingModel(3, [((0, 1), math.nan)])
 
+    @pytest.mark.parametrize("sites, n_spins", [((0, 1.5), 3), ((0, 1.0), 3), ((0, "1"), 3),
+                                                ((0, 1), 4.5), ((0, 1), 3.0)])
+    def test_non_integer_site_or_spin_count_is_rejected(self, sites, n_spins):
+        """A site of 1.5 or a spin count of 4.5 is an error, not truncated to 1 or 4."""
+        with pytest.raises(ValueError, match="must be an integer"):
+            spins.IsingModel(n_spins, [(sites, 1.0)])
+
+    def test_model_from_dict_rejects_a_fractional_spin_count(self):
+        with pytest.raises(ValueError, match="n_spins must be an integer, got 4.5"):
+            spins.model_from_dict({"n_spins": 4.5, "terms": [{"sites": [0], "coeff": 1.0}]})
+
+    def test_numpy_integers_are_integers(self):
+        model = spins.IsingModel(np.int64(3), [((np.int32(0), np.uint8(2)), 1.0)])
+        assert model == spins.IsingModel(3, [((0, 2), 1.0)])
+        assert type(model.n_spins) is int and type(model.terms[0][0][1]) is int
+
     def test_spin_count_bounds(self):
         with pytest.raises(ValueError):
             spins.IsingModel(0, [])
