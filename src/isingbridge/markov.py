@@ -116,8 +116,9 @@ class _FlipOperator:
     """A[c, c] = diag[c], A[c, flips[j, c]] = off[j, c], flips[j, c] = c ^ masks[j].
 
     The package's W and H use the masks 1 << j; `from_dense` reads any pattern.
-    Calling it applies A, dense() writes A. A leading stage axis on diag and off
-    stacks one operator per stage, op[i] is stage i; without it, every stage.
+    Calling it applies A, dense() writes A, and A - B takes the difference of two
+    operators on one flip table. A leading stage axis on diag and off stacks one
+    operator per stage, op[i] is stage i; without it, every stage.
     """
 
     __slots__ = ("diag", "off", "flips")
@@ -153,6 +154,12 @@ class _FlipOperator:
         matrix = np.diag(self.diag.astype(np.result_type(self.diag, self.off, float)))
         matrix[np.arange(self.diag.size), self.flips] = self.off
         return matrix
+
+    def __sub__(self, other: _FlipOperator) -> _FlipOperator:
+        """A - B, entry by entry; A and B must share their flip table."""
+        if not np.array_equal(self.flips, other.flips):
+            raise ValueError("cannot subtract operators with different flip tables")
+        return _FlipOperator(self.diag - other.diag, self.off - other.off, self.flips)
 
     def transpose(self) -> _FlipOperator:  # A^T[c, c ^ m] = A[c ^ m, c]
         return _FlipOperator(self.diag, np.take_along_axis(self.off, self.flips, axis=1),
@@ -425,18 +432,25 @@ def relaxation_time(generator: MarkovGenerator) -> float:
     (`spectral._lowest_eigenvalue`) finds it, applying H through the
     operator of W, to a Ritz residual of 1e-13 * max(1, max|H|); no dense
     eigensolve runs, and the dense spectrum of the symmetric form is the
-    test oracle. Raises ValueError when that form is not symmetric within
-    1e-8 relative (W is not in detailed balance with its energies). A
-    chain whose second eigenvalue vanishes (within 1e-10) is reducible or
-    degenerate and is rejected.
+    test oracle. The solve runs on H scaled by 2^-e with 2^e > max|H|, exact
+    for normal entries, so no Lanczos norm overflows. Raises ValueError
+    when that form is not symmetric within 1e-8 relative (W is not in
+    detailed balance with its energies). A chain whose second eigenvalue
+    vanishes (below 1e-10, or below the Ritz tolerance, where it is
+    roundoff) is reducible or degenerate and is rejected.
     """
     from . import spectral
 
     symmetric = _symmetric_form(generator, spectral.SYMMETRY_TOL)
     root_p0 = np.sqrt(stationary_distribution(generator))
-    tol = 1e-13 * max(1.0, symmetric.max_abs())
-    lam1 = -spectral._lowest_eigenvalue(lambda x: -symmetric(x), root_p0[None, :], tol)
-    if abs(lam1) < 1e-10:
+    h_max = symmetric.max_abs()
+    tol = 1e-13 * max(1.0, h_max)
+    e = math.frexp(h_max)[1]
+    scaled = _FlipOperator(np.ldexp(symmetric.diag, -e), np.ldexp(symmetric.off, -e),
+                           symmetric.flips)
+    lam1 = -math.ldexp(spectral._lowest_eigenvalue(lambda x: -scaled(x), root_p0[None, :],
+                                                   math.ldexp(tol, -e)), e)
+    if abs(lam1) < max(1e-10, tol):
         raise ValueError(
             "generator is degenerate: second eigenvalue vanishes, "
             "no finite relaxation time")

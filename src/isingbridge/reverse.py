@@ -26,6 +26,9 @@ DEGENERACY_GUARD = 1e-10
 OFFDIAG_SIGN_TOL = 1e-12
 CONDITION_TOL = 1e-9
 INVERSE_SHIFT = 1e-12  # sigma = E0 - 1e-12 max(1, max|H|); at 1e-16 LU can meet an exact 0 pivot
+MAX_SOLVES = 16        # inverse-iteration solves before the vector counts as not converged
+LOG_ACCURACY = 1e-13   # bound on the log error that the iterates' geometric tail leaves
+STALL_CHANGE = 1e-11   # a largest |log(v_new / v_old)| at the solves' roundoff floor
 
 
 def _stoquastic_offdiag(h: _FlipOperator) -> np.ndarray:
@@ -63,26 +66,37 @@ def _ground_state(hamiltonian: QuantumHamiltonian) -> tuple[float, np.ndarray]:
     _check_connected(_stoquastic_offdiag(h), h.flips)
     matrix = hamiltonian.matrix
     evals = eig_sym(matrix, eigvals_only=True)
-    if evals[1] - evals[0] < DEGENERACY_GUARD:
+    gap = evals[1] - evals[0]
+    if gap < DEGENERACY_GUARD:
         raise ValueError(
-            f"ground state is degenerate (gap {evals[1] - evals[0]:.3g}); "
+            f"ground state is degenerate (gap {gap:.3g}); "
             "the elementwise logarithm is not well defined")
     # Shifted inverse iteration: for sigma < E0, H - sigma I is a nonsingular
     # M-matrix, so its solve gives even the tiny entries full relative accuracy,
-    # where eigh gives them only absolute accuracy.
-    sigma = evals[0] - INVERSE_SHIFT * max(1.0, h.max_abs())
-    shifted = matrix - sigma * np.eye(matrix.shape[0])
-    vec = np.ones(matrix.shape[0])
-    for _ in range(2):
-        vec = np.linalg.solve(shifted, vec)
-        vec /= np.linalg.norm(vec)
-    if vec.min() < ENTRY_FLOOR:
-        raise ValueError(
-            f"ground-vector entry {vec.min():.3g} is below the {ENTRY_FLOOR} floor; "
-            "its logarithm would be numerically meaningless")
-    # the Rayleigh quotient, not evals[0], zeroes (H - E0) v to roundoff; the
-    # two differ by up to 4e-14 relative, which the stationarity of W would inherit
-    return float(vec @ (matrix @ vec)), vec
+    # where eigh gives them only absolute accuracy. Each solve leaves the weight
+    # ratio r of the first excited level, so a log change d between iterates
+    # leaves about d r / (1 - r) to go. Once d is down at the solves' roundoff
+    # floor, more solves only add noise, which accumulates when r is near 1.
+    offset = INVERSE_SHIFT * max(1.0, h.max_abs())
+    r = offset / (gap + offset)
+    shifted = matrix - (evals[0] - offset) * np.eye(matrix.shape[0])
+    vec = np.full(matrix.shape[0], matrix.shape[0] ** -0.5)
+    for _ in range(MAX_SOLVES):
+        new = np.linalg.solve(shifted, vec)
+        new /= np.linalg.norm(new)
+        if new.min() < ENTRY_FLOOR:
+            raise ValueError(
+                f"ground-vector entry {new.min():.3g} is below the {ENTRY_FLOOR} floor; "
+                "its logarithm would be numerically meaningless")
+        change = np.abs(np.log(new / vec)).max()
+        vec = new
+        if change * r <= LOG_ACCURACY * (1.0 - r) or change <= STALL_CHANGE:
+            # the Rayleigh quotient, not evals[0], zeroes (H - E0) v to roundoff; the two
+            # differ by up to 4e-14 relative, which the stationarity of W would inherit
+            return float(vec @ h(vec)), vec
+    raise RuntimeError(
+        f"ground vector not converged after {MAX_SOLVES} inverse-iteration solves "
+        f"(gap {gap:.3g}, shift {offset:.3g})")
 
 
 @dataclass(frozen=True)
@@ -96,8 +110,7 @@ class ReverseMapResult:
     condition_residuals: dict[str, float]
 
 
-def quantum_to_classical(hamiltonian: QuantumHamiltonian,
-                         condition_tol: float = CONDITION_TOL) -> ReverseMapResult:
+def quantum_to_classical(hamiltonian: QuantumHamiltonian) -> ReverseMapResult:
     """Recover the energy table and generator encoded by a stoquastic Hamiltonian.
 
     Shifts the ground energy to zero (recording the shift), sets
@@ -105,11 +118,14 @@ def quantum_to_classical(hamiltonian: QuantumHamiltonian,
     W = -exp(-H0/2) (H - shift) exp(H0/2) on the operator of H. The
     four generator conditions (nonnegative off-diagonals, zero column
     sums, stationarity of exp(-H0), detailed balance at beta = 1) are
-    each verified against `condition_tol` and reported in the result.
+    each verified against `CONDITION_TOL` and reported in the result.
+    The ground vector comes from shifted inverse iteration, repeated
+    until its logarithm stops changing, at most MAX_SOLVES times.
     Raises ValueError for input that cannot be mapped (a positive
     off-diagonal, a disconnected graph, a degenerate ground level, a
-    ground-vector entry below the floor) and RuntimeError when the
-    recovered matrix misses a generator condition, a numeric failure.
+    ground-vector entry below the floor) and RuntimeError on a numeric
+    failure: a ground vector that does not converge, or a recovered
+    matrix that misses a generator condition.
     """
     shift, vec = _ground_state(hamiltonian)
     h = hamiltonian.operator
@@ -122,11 +138,11 @@ def quantum_to_classical(hamiltonian: QuantumHamiltonian,
 
     residuals = _generator_conditions(generator)
     worst = max(residuals.values())
-    if worst > condition_tol:
+    if worst > CONDITION_TOL:
         name = max(residuals, key=residuals.get)
         raise RuntimeError(
             f"recovered matrix fails the {name} condition "
-            f"(residual {residuals[name]:.3g} > {condition_tol:g})")
+            f"(residual {residuals[name]:.3g} > {CONDITION_TOL:g})")
 
     return ReverseMapResult(energy_table=energy_table, generator=generator,
                             beta_effective=1.0, ground_shift=shift,

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from isingbridge import cli, markov, spectral, spins
+from isingbridge import cli, markov, reverse, spectral, spins
+from test_reverse import unconverged_model
 
 
 def run_cli(*argv):
@@ -211,14 +212,62 @@ class TestReverse:
         assert rows[0] == "order,sites,coefficient"
         assert len(rows) == 65
 
-    def test_failed_generator_condition_is_numeric_failure(self, tmp_path, capsys):
-        # at K = 5 the gap 1 - tanh 10 is 4e-9, within a factor 500 of the 8e-12
-        # inverse-iteration shift: two solves leave excited-state weight in the
-        # ground vector, and the recovered W misses probability conservation by 2e-7
+    def test_failed_generator_condition_is_numeric_failure(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # the residuals are roundoff, near 1e-15, so a 1e-18 bound fails them
+        monkeypatch.setattr(reverse, "CONDITION_TOL", 1e-18)
         code = run_cli("reverse", "--chain", "8", "--K", "5", "--out", str(tmp_path))
         lines = capsys.readouterr().err.strip().splitlines()
         assert code == 1 and len(lines) == 1
         assert lines[0].startswith("numeric failure: recovered matrix fails the")
+
+    @pytest.mark.parametrize("argv", [
+        # the gap 1 - tanh 10 = 4.1e-9 lies within 500 times the 8e-12 shift:
+        # two solves leave excited weight, a third removes it
+        ("--chain", "8", "--K", "5"),
+        # the log change between iterates is 25, then 22: it shrinks slowly at first
+        ("--chain", "10", "--K", "5"),
+        # the shift 7.9e-8 exceeds the gap 4.9e-9 (r = 0.94): the tail rule would need a
+        # change below 6e-15, but the iterates stall at 1e-13 to 9e-12, at the floor
+        ("--chain", "8", "--K", "5", "--rule", "uniform:0.1"),
+        # as above at 10 spins (r = 0.955); the stall reaches 2e-11, and iterating on
+        # lets the roundoff wander up to the roundtrip gate within 16 solves
+        ("--chain", "10", "--K", "5", "--rule", "uniform:0.1"),
+    ])
+    def test_strong_coupling_ground_vector_converges(self, argv, tmp_path):
+        assert run_cli("reverse", *argv, "--out", str(tmp_path)) == 0
+
+    def test_transverse_chain_stops_when_iterates_stall(self, tmp_path, monkeypatch):
+        # r = 4.8e-6: the second change, 5.9e-8, leaves a tail of 2.8e-13 and the
+        # third stops it; the changes stall near 1.9e-11
+        solves = []
+        original = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or original(a, b))
+        assert run_cli("reverse", "--tfield", "10", "--gamma", "0.3",
+                       "--out", str(tmp_path)) == 0
+        assert 1 <= len(solves) <= 3
+
+    def test_unconverged_ground_vector_is_numeric_failure(self, tmp_path, capsys):
+        # the shift 1.4e-5 is half the gap, so each solve cuts the change by 3 from
+        # 18: after 16 the energy table is off by 6.5e-6 while every condition passes
+        path = tmp_path / "model.json"
+        spins.save_model(unconverged_model(), path)
+        code = run_cli("reverse", "--model", str(path), "--K", "1.947",
+                       "--rule", "uniform:0.5", "--out", str(tmp_path))
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and len(lines) == 1
+        assert lines[0].startswith("numeric failure: ground vector not converged")
+
+    @pytest.mark.parametrize("chain, k", [("10", "3"), ("4", "4")])
+    def test_roundtrip_gate_scales_with_the_rates(self, chain, k, tmp_path):
+        # uniform:0.1 rates reach 1.5e2 at K = 3 and 2.0e3 at K = 4, and the
+        # roundtrip of W deviates by roundoff relative to them: 1.0-1.6e-10 on chain 4
+        code = run_cli("reverse", "--chain", chain, "--K", k, "--rule", "uniform:0.1",
+                       "--out", str(tmp_path))
+        report = load_report(tmp_path, "reverse.json")
+        assert code == 0 and report["generator_max_rate"] > 100
+        assert (report["roundtrip_generator_deviation"]
+                <= 1e-10 * report["generator_max_rate"])
 
     def test_strong_coupling_chain_maps_back(self, tmp_path):
         # the ground vector spans e^-20: conservation needs its smallest entries
@@ -241,6 +290,27 @@ class TestReverse:
         report = load_report(tmp_path, "reverse.json")
         assert report["roundtrip_generator_deviation"] <= 1e-10
         assert max(report["condition_residuals"].values()) <= 1e-9
+
+
+class TestDenseWrites:
+    """A command writes a dense matrix only as eigensolver or LU input, or to dump it."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("bridge-check", "--chain", "6"), 2),
+        (("bridge-check", "--chain", "6", "--dump-hamiltonian"), 3),
+        (("reverse", "--chain", "6"), 1),
+        (("reverse", "--tfield", "6"), 1),
+        (("fermion-check", "--chain", "6"), 1),
+        (("anneal", "--chain", "6", "--schedule", "linear:0,1,0.1", "--dt", "0.002"), 0),
+        (("mc", "--chain", "6", "--sweeps", "10", "--seeds", "2"), 0),
+    ])
+    def test_dense_writes_per_command(self, argv, expected, tmp_path, monkeypatch):
+        calls = []
+        original = markov._FlipOperator.dense
+        monkeypatch.setattr(markov._FlipOperator, "dense",
+                            lambda self: calls.append(1) or original(self))
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+        assert len(calls) == expected
 
 
 class TestAnneal:

@@ -369,6 +369,16 @@ class TestRelaxationTime:
         symmetric = markov._symmetric_form(gen, 1e-12)
         assert 0.0 < symmetric.asymmetry() <= 1e-170
 
+    @pytest.mark.parametrize("k", [10.0, 20.0, 200.0])
+    def test_roundoff_gap_is_degenerate(self, k):
+        """uniform:0.1 rates reach max|H| = 1.4e174 at K = 200, which overflowed the
+        Lanczos norms into numpy's LinAlgError. On H scaled by 2^-e the solve runs, and
+        a gap below its Ritz tolerance 1e-13 max|H| is roundoff: at K = 10 and 20 the
+        unscaled solve returned 1.1e-7 and 14.8 against tolerances of 1.3e-4 and 6.3e4."""
+        gen = markov.build_generator(spins.chain_model(4, [1.0] * 4), k, markov.UniformRate(0.1))
+        with pytest.raises(ValueError, match="degenerate"):
+            markov.relaxation_time(gen)
+
     def test_degenerate_chain_flagged(self):
         block = np.array([[-1.0, 1.0], [1.0, -1.0]])
         w = np.zeros((4, 4))
@@ -429,6 +439,17 @@ class TestOperatorForm:
         assert not np.signbit(h[h == 0.0]).any()
         assert np.isfinite(spectral.spectrum_of_generator(gen).eigenvalues).all()
         assert markov.detailed_balance_residual(gen) == 0.0
+
+    def test_difference_needs_one_flip_table(self):
+        """A - B is the dense difference on one flip table and refuses two tables."""
+        model = spins.chain_model(4, [1.0, -0.5, 2.0, 0.3])
+        a = markov.build_generator(model, 0.7, markov.HEAT_BATH).operator
+        b = quantum.assemble_direct(model, 0.7, markov.METROPOLIS).operator
+        assert np.array_equal((a - b).dense(), a.dense() - b.dense())
+        assert (a - b).max_abs() == np.abs(a.dense() - b.dense()).max()
+        other = two_flip_generator(4).operator
+        with pytest.raises(ValueError, match="different flip tables"):
+            a - other
 
     def test_from_matrix_reads_any_flip_pattern(self):
         """A two-flip generator is held by its XOR masks: the single flips 1 << j and

@@ -11,14 +11,16 @@ probability, W and H share their spectrum, and the Lanczos relaxation time
 is the dense gap. The image exp(beta H0 / 2) P0 of the Boltzmann vector is
 the ground vector of H, and P -> phi -> P is the identity. The closed-form
 random-coupling heat-bath chain is checked against the direct route, and
-the Walsh expansion against the table it came from.
+the Walsh expansion against the table it came from. The reverse map
+takes the generator of a random dyadic model back from its H.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from isingbridge import anneal, markov, quantum, reverse, spectral, spins
 import oracles
+from test_spins import random_model
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                              database=None)
@@ -210,6 +212,47 @@ def test_probability_round_trips_through_phi(model, beta, seed):
     p = np.random.default_rng(seed).dirichlet(np.ones(model.n_states))
     back = anneal._to_probability(anneal._to_phi(p, energies, beta), energies, beta)
     assert np.abs(back - p).max() <= 1e-12 * p.max()
+
+
+@st.composite
+def dyadic_models(draw):
+    """`test_spins.random_model`: N <= 6, up to 8 terms of order <= 4, dyadic
+    coefficients up to 2. N and the term count are drawn evenly, not small-first."""
+    n = draw(st.sampled_from(range(1, 7)))
+    n_terms = draw(st.sampled_from(range(1, min(8, 2**n - 1) + 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_model(n, n_terms, rng, max_order=min(4, n))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(dyadic_models(),
+       st.sampled_from([markov.HEAT_BATH, markov.METROPOLIS, markov.UniformRate(0.1),
+                        markov.UniformRate(0.5)]),
+       st.floats(0.0, 2.0))
+# two draws where two fixed solves left excited weight: W came back 34 and 40
+# times the gate off
+@example(spins.IsingModel(6, [((0, 1, 3, 4), 1.25), ((0, 2), -2.0), ((0, 3, 4, 5), 2.0),
+                              ((0, 4), 1.75), ((1, 2, 5), -0.5)]),
+         markov.UniformRate(0.5), 1.6163488725671074)
+@example(spins.IsingModel(6, [((0, 1, 4, 5), -1.5), ((0, 2, 3, 5), 0.25), ((1, 2, 3, 4), 2.0),
+                              ((1, 2, 5), 1.75), ((2,), 1.0), ((2, 3, 4), 1.75),
+                              ((3, 5), -2.0)]),
+         markov.METROPOLIS, 1.9628833544304578)
+def test_reverse_map_round_trips(model, rule, beta):
+    """W -> H -> W and H0 come back, and every generator condition holds, wherever the
+    inverse-iteration shift is at most 1/100 of the gap: the vector then converges."""
+    generator = markov.build_generator(model, beta, rule)
+    hamiltonian = quantum.classical_to_quantum(generator)
+    levels = np.linalg.eigvalsh(hamiltonian.matrix)
+    shift = reverse.INVERSE_SHIFT * max(1.0, hamiltonian.operator.max_abs())
+    assume(shift <= (levels[1] - levels[0]) / 100)
+    result = reverse.quantum_to_classical(hamiltonian)
+    rate_max = generator.operator.off.max(initial=0.0)
+    deviation = (result.generator.operator - generator.operator).max_abs()
+    assert deviation <= 1e-10 * max(1.0, rate_max)
+    table = result.energy_table - beta * generator.energies
+    assert np.abs(table - table.mean()).max() <= 1e-9
+    assert max(result.condition_residuals.values()) <= 1e-9
 
 
 @st.composite

@@ -5,6 +5,15 @@ from isingbridge import markov, quantum, reverse, spectral, spins
 from test_spins import random_model
 
 
+def unconverged_model():
+    """A 6-spin model whose reverse map at K = 1.947 under uniform:0.5 does not converge
+    within the cap of inverse-iteration solves."""
+    terms = [((0,), 1.75), ((0, 1, 2, 3), -1.5), ((0, 1, 3), 1.5), ((0, 1, 3, 4), 1.25),
+             ((0, 3), -2.0), ((0, 5), -2.0), ((1, 2, 4, 5), 0.5), ((1, 3, 4), -1.25),
+             ((1, 3, 4, 5), 2.0), ((2,), 1.25), ((4,), 0.5)]
+    return spins.IsingModel(6, terms)
+
+
 def single_spin_flip_hamiltonian():
     """1 - sigma^x on one spin, ground energy 0."""
     matrix = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -62,10 +71,20 @@ class TestQuantumToClassical:
         expected = np.array([[-1.0, 1.0], [1.0, -1.0]])
         assert np.abs(result.generator.matrix - expected).max() <= 1e-12
 
-    def test_failed_condition_is_a_numeric_failure(self):
+    def test_failed_condition_is_a_numeric_failure(self, monkeypatch):
         ham = quantum.transverse_field_chain(4, 0.7)  # residuals are roundoff, about 1e-15
+        monkeypatch.setattr(reverse, "CONDITION_TOL", 1e-18)
         with pytest.raises(RuntimeError, match="recovered matrix fails the"):
-            reverse.quantum_to_classical(ham, condition_tol=1e-18)
+            reverse.quantum_to_classical(ham)
+
+    def test_unconverged_ground_vector_raises(self):
+        """The shift is half the gap, so each solve cuts the change by only 3, from 18;
+        returning the 16th iterate would leave the energy table off by 6.5e-6."""
+        gen = markov.build_generator(unconverged_model(), 1.947, markov.UniformRate(0.5))
+        ham = quantum.classical_to_quantum(gen)
+        with pytest.raises(RuntimeError, match=r"not converged after 16 .*\(gap 2.79e-05, "
+                                               r"shift 1.42e-05\)"):
+            reverse.quantum_to_classical(ham)
 
     def test_transverse_chain_satisfies_all_conditions(self):
         ham = quantum.transverse_field_chain(4, 0.7)
