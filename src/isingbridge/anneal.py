@@ -5,14 +5,17 @@ transforms under phi(t) = exp(beta(t) H0 / 2) P(t) (`_to_phi`) into an
 imaginary-time flow -dphi/dt = (H(t) - beta_dot(t) H0 / 2) phi, and
 replacing -d/dt by i d/dt gives the real-time flow. All three engines
 run on `markov._rk4` with `markov._FlipSystem` stage operators W(beta(t))
-and -s (H - beta_dot H0 / 2), s = 1 (imaginary) or i (real), and sample
-ground-state probability and overlap with the instantaneous ground state,
-which for mapped Hamiltonians is the square-root Boltzmann vector.
+and -s (H - beta_dot H0 / 2), s = 1 (imaginary) or i (real). `_rk4` keeps
+the samples, every (n_steps // n_samples)-th step, and `_trajectory`
+computes the ground-state probability and the overlap with the
+instantaneous ground state, which for mapped Hamiltonians is the
+square-root Boltzmann vector, once over the stacked samples.
 Per-step guards: master |sum P - 1| <= 1e-8; imaginary renormalizes and
-accumulates the log-norm decrement; real aborts if the norm leaves 1 by
-over 1e-4. Stability: max(dt, h) * max|diagonal| of the engine's own stage
-operator <= 0.1, max over 33 probe times: the outflow for the master
-engine, |outflow - beta_dot H0 / 2| for the two Schrodinger engines.
+returns the cumulative log-norm decrement, which `_rk4` keeps with each
+sample; real aborts if the norm leaves 1 by over 1e-4. Stability:
+max(dt, h) * max|diagonal| of the engine's own stage operator <= 0.1,
+max over 33 probe times: the outflow for the master engine,
+|outflow - beta_dot H0 / 2| for the two Schrodinger engines.
 `_rk4` asks for the stage operators of a chunk of steps in one call, and
 the flip system builds them for the whole array of stage betas at once.
 """
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spins
-from .markov import RateRule, _check_probability, _FlipSystem, _rk4
+from .markov import RateRule, _check_probability, _FlipSystem, _rk4, _step_count
 from .spins import IsingModel
 
 
@@ -103,10 +106,12 @@ class GemanGeman(Schedule):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.p > 0:
-            raise ValueError(f"p must be positive, got {self.p}")
-        if not self.t_offset >= 1.0:
-            raise ValueError(f"t_offset must be >= 1, got {self.t_offset}")
+        if not 0.0 < self.p < math.inf:
+            raise ValueError(f"p must be finite and positive, got {self.p}")
+        if not spins._integer(self.n_spins, "n_spins") >= 1:
+            raise ValueError(f"n_spins must be at least 1, got {self.n_spins}")
+        if not 1.0 <= self.t_offset < math.inf:
+            raise ValueError(f"t_offset must be finite and >= 1, got {self.t_offset}")
 
     def beta(self, t):
         return math.log(t + self.t_offset) / (self.p * self.n_spins)
@@ -137,17 +142,28 @@ class AnnealTrajectory:
         return self.times.size
 
 
-def _to_phi(p: np.ndarray, energies: np.ndarray, beta: float) -> np.ndarray:
-    """phi = exp(beta H0 / 2) P as a unit vector; a zero P stays zero."""
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_i|b_i> for each row i of a and b (of a and b themselves when 1-D), a conjugated."""
+    return (np.conj(a)[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of x (of x itself when 1-D), with a trailing unit axis."""
+    return np.sqrt(np.real(_row_dots(x, x)))[..., None]
+
+
+def _to_phi(p: np.ndarray, energies: np.ndarray, beta) -> np.ndarray:
+    """phi = exp(beta H0 / 2) P as a unit vector, row by row for a stack of P and a
+    1-D array of beta; a zero P stays zero."""
     phi = p * spins._tilt(energies, 0.5 * beta)
-    norm = np.linalg.norm(phi)
-    return phi / norm if norm > 0 else phi
+    norm = _row_norms(phi)
+    return phi / np.where(norm > 0, norm, 1.0)
 
 
-def _to_probability(phi: np.ndarray, energies: np.ndarray, beta: float) -> np.ndarray:
+def _to_probability(phi: np.ndarray, energies: np.ndarray, beta) -> np.ndarray:
     """P = exp(-beta H0 / 2) phi, normalized to sum 1: the inverse of `_to_phi`."""
     p = phi * spins._tilt(energies, -0.5 * beta)
-    return p / p.sum()
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def _at(fn, times: np.ndarray) -> np.ndarray:
@@ -158,9 +174,39 @@ def _at(fn, times: np.ndarray) -> np.ndarray:
 def _unit_state(phi0: np.ndarray, dtype) -> np.ndarray:
     phi = np.array(phi0, dtype=dtype)
     nrm = np.linalg.norm(phi)
-    if nrm == 0:
-        raise ValueError("phi0 must be nonzero")
+    if not 0.0 < nrm < math.inf:  # NaN too
+        raise ValueError(f"phi0 must be nonzero and finite, got norm {nrm}")
     return phi / nrm
+
+
+def _stride(schedule: Schedule, dt: float, n_samples: int) -> int:
+    """The `_rk4` stride that keeps about n_samples samples after t = 0."""
+    if not n_samples >= 1:
+        raise ValueError(f"n_samples must be positive, got {n_samples}")
+    return max(1, _step_count(schedule.t_final, dt) // n_samples)
+
+
+def _trajectory(engine: str, model: IsingModel, energies: np.ndarray, schedule: Schedule,
+                samples) -> AnnealTrajectory:
+    """The trajectory of `_rk4`'s samples (times, states, log-norm decrements), with the
+    ground probability and the overlap with sqrt(P0), the instantaneous ground state
+    of the mapped Hamiltonian, at every sample."""
+    times, states, log_norm = samples
+    betas = _at(schedule.beta, times)
+    if engine == "master":
+        probs, phi = states, _to_phi(states, energies, betas)
+    elif engine == "imaginary":
+        probs, phi = _to_probability(states, energies, betas), states / _row_norms(states)
+    else:
+        norm2 = np.real(_row_dots(states, states))[:, None]
+        probs, phi = np.real(states * np.conj(states)) / norm2, states / np.sqrt(norm2)
+    root_p0 = spins._tilt(energies, -0.5 * betas)
+    root_p0 /= _row_norms(root_p0)
+    return AnnealTrajectory(
+        engine=engine, times=times, betas=betas, states=states,
+        ground_probability=np.clip(probs[:, spins.ground_states(model)].sum(axis=1), 0.0, 1.0),
+        overlap=np.abs(_row_dots(root_p0, phi)) ** 2,
+        log_norm_decrement=log_norm)
 
 
 def evolve_master_timedep(model: IsingModel, rule: RateRule, schedule: Schedule,
@@ -169,16 +215,10 @@ def evolve_master_timedep(model: IsingModel, rule: RateRule, schedule: Schedule,
     """Integrate dP/dt = W(beta(t)) P with the generator rebuilt per stage."""
     sys = _FlipSystem(model, rule, "anneal engine")
     spins.check_probability_vector(p0)
-    p = np.array(p0, dtype=float)
-    samples = _SampleBuffer(model, sys.energies, "master", schedule, n_samples, p)
-
-    def on_step(step, n_steps, t, p):
-        _check_probability(p, t)
-        samples.at_step(step, n_steps, t, p)
-
-    _rk4(lambda times: sys.generator(_at(schedule.beta, times)), p, schedule.t_final, dt,
-         on_step)
-    return samples.build()
+    samples = _rk4(lambda times: sys.generator(_at(schedule.beta, times)),
+                   np.array(p0, dtype=float), schedule.t_final, dt,
+                   _stride(schedule, dt, n_samples), _check_probability)
+    return _trajectory("master", model, sys.energies, schedule, samples)
 
 
 def evolve_imaginary_schrodinger(model: IsingModel, rule: RateRule, schedule: Schedule,
@@ -194,7 +234,6 @@ def evolve_imaginary_schrodinger(model: IsingModel, rule: RateRule, schedule: Sc
     sys = _FlipSystem(model, rule, "anneal engine")
     phi = _unit_state(phi0, float)
     log_decrement = 0.0
-    samples = _SampleBuffer(model, sys.energies, "imaginary", schedule, n_samples, phi)
     beta_dot = schedule.beta_dot if include_beta_derivative else lambda t: 0.0
 
     def on_step(step, n_steps, t, phi):
@@ -202,11 +241,12 @@ def evolve_imaginary_schrodinger(model: IsingModel, rule: RateRule, schedule: Sc
         nrm = np.linalg.norm(phi)
         phi /= nrm
         log_decrement -= math.log(nrm)
-        samples.at_step(step, n_steps, t, phi, log_decrement)
+        return log_decrement
 
-    _rk4(lambda times: sys.hamiltonian(_at(schedule.beta, times), _at(beta_dot, times), -1.0),
-         phi, schedule.t_final, dt, on_step)
-    return samples.build()
+    samples = _rk4(lambda times: sys.hamiltonian(_at(schedule.beta, times),
+                                                 _at(beta_dot, times), -1.0),
+                   phi, schedule.t_final, dt, _stride(schedule, dt, n_samples), on_step)
+    return _trajectory("imaginary", model, sys.energies, schedule, samples)
 
 
 def evolve_real_schrodinger(model: IsingModel, rule: RateRule, schedule: Schedule,
@@ -219,7 +259,6 @@ def evolve_real_schrodinger(model: IsingModel, rule: RateRule, schedule: Schedul
     """
     sys = _FlipSystem(model, rule, "anneal engine")
     phi = _unit_state(phi0, complex)
-    samples = _SampleBuffer(model, sys.energies, "real", schedule, n_samples, phi)
 
     def on_step(step, n_steps, t, phi):
         drift = abs(np.linalg.norm(phi) - 1.0)
@@ -227,79 +266,20 @@ def evolve_real_schrodinger(model: IsingModel, rule: RateRule, schedule: Schedul
             raise RuntimeError(
                 f"norm drifted by {drift:.3g} at t={t}; reduce dt "
                 f"(try dt <= {schedule.t_final / n_steps / 4:.3g})")
-        samples.at_step(step, n_steps, t, phi)
 
-    _rk4(lambda times: sys.hamiltonian(_at(schedule.beta, times),
-                                       _at(schedule.beta_dot, times), -1j),
-         phi, schedule.t_final, dt, on_step)
-    return samples.build()
-
-
-class _SampleBuffer:
-    """Collects per-sample diagnostics for an engine run, from its initial state on."""
-
-    def __init__(self, model: IsingModel, energies: np.ndarray, engine: str,
-                 schedule: Schedule, n_samples: int, initial: np.ndarray):
-        if not n_samples >= 1:
-            raise ValueError(f"n_samples must be positive, got {n_samples}")
-        self.energies = energies
-        self.ground = spins.ground_states(model)
-        self.engine = engine
-        self.schedule = schedule
-        self.n_samples = n_samples
-        self.times, self.betas, self.states = [], [], []
-        self.ground_probability, self.overlap, self.log_norm = [], [], []
-        self.add(0.0, initial)
-
-    def at_step(self, step: int, n_steps: int, t: float, state: np.ndarray, log_norm=0.0):
-        """Record every (n_steps // n_samples)-th step and the last."""
-        stride = max(1, n_steps // self.n_samples)
-        if step % stride == 0 or step == n_steps:
-            self.add(t, state, log_norm)
-
-    def add(self, t: float, state: np.ndarray, log_norm: float = 0.0):
-        beta = self.schedule.beta(t)
-        if self.engine == "master":
-            probs = state
-            phi_dir = _to_phi(state, self.energies, beta)
-        elif self.engine == "imaginary":
-            probs = _to_probability(state, self.energies, beta)
-            phi_dir = state / np.linalg.norm(state)
-        else:
-            norm2 = float(np.real(np.vdot(state, state)))
-            probs = np.real(state * np.conj(state)) / norm2
-            phi_dir = state / math.sqrt(norm2)
-        # instantaneous ground state of the mapped Hamiltonian, sqrt(P0)
-        ground_vec = spins._tilt(self.energies, -0.5 * beta)
-        ground_vec /= np.linalg.norm(ground_vec)
-        self.times.append(t)
-        self.betas.append(beta)
-        self.states.append(np.array(state))
-        self.ground_probability.append(
-            float(np.clip(probs[self.ground].sum(), 0.0, 1.0)))
-        self.overlap.append(float(np.abs(np.vdot(ground_vec, phi_dir)) ** 2))
-        self.log_norm.append(log_norm)
-
-    def build(self) -> AnnealTrajectory:
-        return AnnealTrajectory(
-            engine=self.engine,
-            times=np.array(self.times),
-            betas=np.array(self.betas),
-            states=np.array(self.states),
-            ground_probability=np.array(self.ground_probability),
-            overlap=np.array(self.overlap),
-            log_norm_decrement=np.array(self.log_norm),
-        )
+    samples = _rk4(lambda times: sys.hamiltonian(_at(schedule.beta, times),
+                                                 _at(schedule.beta_dot, times), -1j),
+                   phi, schedule.t_final, dt, _stride(schedule, dt, n_samples), on_step)
+    return _trajectory("real", model, sys.energies, schedule, samples)
 
 
 def _mapped_master_states(master: AnnealTrajectory, imaginary: AnnealTrajectory,
                           model: IsingModel):
+    """The master states mapped to unit phi, and the imaginary states, as two stacks."""
     if master.n_samples != imaginary.n_samples or \
             np.abs(master.times - imaginary.times).max() > 1e-12:
         raise ValueError("trajectories must share their sample times")
-    energies = spins.energy_table(model)
-    for p, phi, beta in zip(master.states, imaginary.states, master.betas):
-        yield _to_phi(p, energies, beta), phi
+    return _to_phi(master.states, spins.energy_table(model), master.betas), imaginary.states
 
 
 def master_imaginary_deviation(master: AnnealTrajectory,
@@ -311,11 +291,8 @@ def master_imaginary_deviation(master: AnnealTrajectory,
     exp(beta H0 / 2), normalizes, and returns the largest
     1 - |cos| against the imaginary-time state.
     """
-    worst = 0.0
-    for mapped, phi in _mapped_master_states(master, imaginary, model):
-        cos = abs(float(np.real(np.vdot(mapped, phi))))
-        worst = max(worst, 1.0 - cos)
-    return worst
+    mapped, phi = _mapped_master_states(master, imaginary, model)
+    return float(np.max(1.0 - np.abs(_row_dots(mapped, phi)), initial=0.0))
 
 
 def master_imaginary_state_difference(master: AnnealTrajectory,
@@ -327,7 +304,5 @@ def master_imaginary_state_difference(master: AnnealTrajectory,
     quadratic and bottoms out at roundoff), so this is the right measure
     for integrator-order checks.
     """
-    worst = 0.0
-    for mapped, phi in _mapped_master_states(master, imaginary, model):
-        worst = max(worst, float(np.linalg.norm(mapped - phi)))
-    return worst
+    mapped, phi = _mapped_master_states(master, imaginary, model)
+    return float(np.max(_row_norms(mapped - phi), initial=0.0))

@@ -13,8 +13,10 @@ mapped Hamiltonian.
 read. `_FlipSystem` gives W and the mapped H in it, for one beta or stacked
 over an array of stage betas. `_rk4` is the one RK4 driver of
 `evolve_master` and the three `anneal` engines; it asks for the stage
-operators of a chunk of steps in one call. Both master engines check
-|sum P - 1| <= 1e-8 after every step.
+operators of a chunk of steps in one call, and it is the one place that
+samples: it keeps t = 0, every stride-th step and the last, and returns
+them stacked. Both master engines check |sum P - 1| <= 1e-8 after every
+step.
 """
 
 from __future__ import annotations
@@ -293,10 +295,15 @@ def stationary_distribution(generator: MarkovGenerator) -> np.ndarray:
 
 
 def detailed_balance_residual(generator: MarkovGenerator) -> float:
-    """Max relative asymmetry of equilibrium fluxes W[a,b] P0[b] vs W[b,a] P0[a], a != b."""
-    w = generator.operator
-    p0 = stationary_distribution(generator)
-    return _FlipOperator(np.zeros_like(w.diag), w.off * p0[w.flips], w.flips).asymmetry()
+    """Max relative asymmetry of equilibrium fluxes W[a,b] P0[b] vs W[b,a] P0[a], a != b.
+
+    Each flux is taken, up to one common factor, as S[a,b] * (r[a] * r[b]) with S
+    the symmetric form and r = exp(-beta H0 / 2): equal to W[a,b] P0[b], but a P0
+    entry that underflows cannot meet the finite rate out of it on one side only.
+    """
+    s = _symmetrize(generator)
+    r = spins._tilt(generator.energies, -0.5 * generator.beta)
+    return _FlipOperator(np.zeros_like(s.diag), s.off * (r * r[s.flips]), s.flips).asymmetry()
 
 
 @dataclass(frozen=True)
@@ -324,8 +331,9 @@ def _step_count(t_final: float, dt: float) -> int:
     return max(1, int(round(t_final / dt)))
 
 
-def _rk4(operators_at, y: np.ndarray, t_final: float, dt: float, on_step):
-    """Integrate dy/dt = A(t) y over [0, t_final] in round(t_final / dt) RK4 steps.
+def _rk4(operators_at, y: np.ndarray, t_final: float, dt: float, stride: int, on_step):
+    """Integrate dy/dt = A(t) y over [0, t_final] in round(t_final / dt) RK4 steps,
+    sampling y at t = 0, at every stride-th step and at the last.
 
     operators_at(times) returns the operators y -> A(t) y at a 1-D array of
     times as one stack: stack[i] is the operator at times[i], and stack.diag
@@ -333,7 +341,9 @@ def _rk4(operators_at, y: np.ndarray, t_final: float, dt: float, on_step):
     chunk = _CHUNK_ENTRIES // y.size steps (at least 1): first 33 equally
     spaced probe times, then t = 0, then the times (step - 0.5) h, step h
     of each step of a chunk, interleaved.
-    on_step(step, n_steps, step * h, y) gets each new y and may edit it in place.
+    on_step(step, n_steps, step * h, y) gets each new y, may edit it in place, and
+    returns a number kept with a sampled y (None keeps 0.0, as does t = 0).
+    Returns (times, states, kept), the sampled y stacked as rows.
     Raises ValueError for a dt that is not finite and positive, and when
     max(dt, h) * max|diag A| > 0.1 at the probe times.
     """
@@ -349,6 +359,7 @@ def _rk4(operators_at, y: np.ndarray, t_final: float, dt: float, on_step):
             f"dt={dt} too large for stability: max(dt, h) * max rate = {margin:.3g} "
             f"> 0.1{_stable_dt_hint(t_final, max_rate)}")
     start = operators_at(np.zeros(1))[0]
+    times, states, kept = [0.0], [y], [0.0]
     for first in range(1, n_steps + 1, chunk):
         steps = np.arange(first, min(first + chunk, n_steps + 1))
         stages = operators_at(np.column_stack(((steps - 0.5) * h, steps * h)).ravel())
@@ -359,8 +370,13 @@ def _rk4(operators_at, y: np.ndarray, t_final: float, dt: float, on_step):
             k3 = mid(y + 0.5 * h * k2)
             k4 = end(y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            on_step(step, n_steps, step * h, y)
+            value = on_step(step, n_steps, step * h, y)
+            if step % stride == 0 or step == n_steps:
+                times.append(step * h)
+                states.append(y)
+                kept.append(0.0 if value is None else value)
             start = end
+    return np.array(times), np.array(states), np.array(kept)
 
 
 def _stable_dt_hint(t_final: float, max_rate: float) -> str:
@@ -373,25 +389,31 @@ def _stable_dt_hint(t_final: float, max_rate: float) -> str:
     return f"; use dt <= {math.floor(limit / scale) * scale:.3g}"
 
 
-def _check_probability(p: np.ndarray, t: float) -> None:
-    """Probability guard of both master engines: |sum P - 1| <= 1e-8."""
+def _check_probability(step: int, n_steps: int, t: float, p: np.ndarray) -> None:
+    """Probability guard of both master engines, an `_rk4` on_step: |sum P - 1| <= 1e-8."""
     total = p.sum()
     if not abs(total - 1.0) <= 1e-8:
         raise RuntimeError(f"probability drifted to {total} at t={t}; reduce dt")
 
 
-def _symmetric_form(generator: MarkovGenerator, tol: float) -> _FlipOperator:
-    """exp(beta*H0/2) W exp(-beta*H0/2), symmetric and isospectral to W; H is its negation.
+def _symmetrize(generator: MarkovGenerator) -> _FlipOperator:
+    """exp(beta*H0/2) W exp(-beta*H0/2), isospectral to W, and symmetric when W is in
+    detailed balance with its energies; H is its negation.
 
     The exponential is taken only at nonzero rates, so no overflowed factor
-    multiplies a zero rate. Raises ValueError beyond `tol` relative
-    asymmetry: W is then not in detailed balance with its energies.
+    multiplies a zero rate.
     """
     w = generator.operator
     half = 0.5 * generator.beta * generator.energies
     factor = np.exp(half - half[w.flips], out=np.ones_like(w.off), where=w.off != 0)
     # + 0.0 writes a -0.0 outflow +0.0: every zero of the form is +0.0
-    symmetric = _FlipOperator(w.diag + 0.0, factor * w.off, w.flips)
+    return _FlipOperator(w.diag + 0.0, factor * w.off, w.flips)
+
+
+def _symmetric_form(generator: MarkovGenerator, tol: float) -> _FlipOperator:
+    """`_symmetrize(generator)`, checked: raises ValueError beyond `tol` relative
+    asymmetry, as W is then not in detailed balance with its energies."""
+    symmetric = _symmetrize(generator)
     if not symmetric.asymmetry() <= tol:
         raise ValueError("generator is not in detailed balance with its energies: its "
                          f"symmetric form is not symmetric within {tol:g} relative tolerance")
@@ -411,16 +433,9 @@ def evolve_master(generator: MarkovGenerator, p0: np.ndarray, t_final: float,
         raise ValueError(f"record_stride must be positive, got {record_stride}")
     stride = record_stride or max(1, _step_count(t_final, dt) // 1024)
     w = generator.operator
-    times, states = [0.0], [np.array(p0, dtype=float)]
-
-    def on_step(step, n_steps, t, p):
-        _check_probability(p, t)
-        if step % stride == 0 or step == n_steps:
-            times.append(t)
-            states.append(p)
-
-    _rk4(lambda times: w, states[0], t_final, dt, on_step)
-    return MasterTrajectory(times=np.array(times), states=np.array(states))
+    times, states, _ = _rk4(lambda times: w, np.array(p0, dtype=float), t_final, dt, stride,
+                            _check_probability)
+    return MasterTrajectory(times=times, states=states)
 
 
 def relaxation_time(generator: MarkovGenerator) -> float:

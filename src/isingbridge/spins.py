@@ -151,10 +151,13 @@ def _check_beta(beta: float, name: str = "beta") -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {beta}")
 
 
-def _tilt(energies: np.ndarray, s: float) -> np.ndarray:
-    """exp(s * H0) scaled so that its largest entry is 1: no entry can overflow."""
-    x = s * energies
-    return np.exp(x - x.max())
+def _tilt(energies: np.ndarray, s) -> np.ndarray:
+    """exp(s * H0) scaled so that its largest entry is 1: no entry can overflow.
+
+    For a 1-D array of s, one such row per s, each scaled by its own maximum.
+    """
+    x = np.multiply.outer(s, energies)
+    return np.exp(x - x.max(axis=-1, keepdims=True))
 
 
 def boltzmann(model: IsingModel, beta: float) -> np.ndarray:
@@ -175,9 +178,10 @@ def check_probability_vector(p: np.ndarray) -> None:
     p = np.asarray(p)
     if p.ndim != 1:
         raise ValueError("probability vector must be one-dimensional")
-    if np.any(p < -1e-12):
-        raise ValueError(f"negative probability entry {p.min()}")
-    if abs(p.sum() - 1.0) > 1e-12:
+    bad = p[~(p >= -1e-12)]  # NaN entries too
+    if bad.size:
+        raise ValueError(f"negative or NaN probability entry {bad[0]}")
+    if not abs(p.sum() - 1.0) <= 1e-12:
         raise ValueError(f"probabilities sum to {p.sum()}, not 1")
 
 

@@ -5,7 +5,8 @@ term, and check `spins.energy_table` and `markov._FlipSystem.deltas`;
 `energy_table` is the same term-by-term sum over all 2^N indices at once,
 by index parity, for models too large to loop over; `hopping` is the
 closed-form hopping of one flip under a rule; `asymmetry` is the relative
-asymmetry of a dense matrix. They read only `model.n_spins` and
+asymmetry of a dense matrix; `anneal_sample` is the ground probability and
+overlap of one sampled anneal state. They read only `model.n_spins` and
 `model.terms`, and use no package code, so an error in the tables cannot
 reach its own oracle. Configurations follow the
 package convention: bit i of the index is 0 for sigma_i = +1 and 1 for
@@ -102,6 +103,39 @@ def asymmetry(matrix) -> float:
         return math.nan
     scale = np.abs(a).max(initial=0.0)
     return 0.0 if scale == 0.0 else float(np.abs(a - a.T).max() / scale)
+
+
+def anneal_sample(engine: str, model, beta: float, state):
+    """(ground probability, overlap) of one sampled state of an anneal engine.
+
+    The state is P (master), phi with P proportional to exp(-beta H0 / 2) phi
+    (imaginary) or psi with P proportional to |psi|^2 (real). The ground
+    probability is P summed over the configurations within 1e-9 of the minimum
+    energy, the overlap |<sqrt(P0) | phi>|^2 with phi and sqrt(P0) as unit vectors.
+    """
+    energies = energy_table(model)
+
+    def tilt(s):
+        x = s * energies
+        return np.exp(x - x.max())
+
+    if engine == "master":
+        probs = state
+        phi = state * tilt(0.5 * beta)
+        phi = phi / np.linalg.norm(phi)
+    elif engine == "imaginary":
+        probs = state * tilt(-0.5 * beta)
+        probs = probs / probs.sum()
+        phi = state / np.linalg.norm(state)
+    else:
+        norm2 = float(np.real(np.vdot(state, state)))
+        probs = np.real(state * np.conj(state)) / norm2
+        phi = state / math.sqrt(norm2)
+    root_p0 = tilt(-0.5 * beta)
+    root_p0 = root_p0 / np.linalg.norm(root_p0)
+    ground = energies <= energies.min() + 1e-9
+    return (float(np.clip(probs[ground].sum(), 0.0, 1.0)),
+            float(np.abs(np.vdot(root_p0, phi)) ** 2))
 
 
 def mapped_chain_hamiltonian(n: int, k: float, rule):

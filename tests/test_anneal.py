@@ -8,6 +8,7 @@ from isingbridge import anneal, markov, quantum, spectral, spins
 import oracles
 
 CHAIN4 = spins.chain_model(4, [1.0] * 4)
+FRUSTRATED5 = spins.frustrated_instance(5, seed=2)  # ten degenerate ground states
 UNIFORM16 = np.full(16, 1.0 / 16.0)
 FLAT16 = np.full(16, 0.25)
 
@@ -69,6 +70,17 @@ class TestSchedules:
             with pytest.raises(ValueError):
                 make()
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"p": math.inf}, "p must be finite and positive, got inf"),
+        ({"t_offset": math.inf}, "t_offset must be finite and >= 1, got inf"),
+        ({"t_offset": math.nan}, "t_offset must be finite and >= 1, got nan"),
+        ({"n_spins": 0}, "n_spins must be at least 1, got 0"),
+        ({"n_spins": 2.5}, "n_spins must be an integer"),
+    ], ids=["p-inf", "offset-inf", "offset-nan", "no-spins", "fractional-spins"])
+    def test_geman_rejects_with_one_line(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            anneal.GemanGeman(**{"p": 1.0, "n_spins": 4, "t_final": 10.0, **kwargs})
+
 
 class TestMasterEngine:
     @pytest.mark.parametrize(
@@ -105,6 +117,13 @@ class TestMasterEngine:
             anneal.evolve_master_timedep(CHAIN4, markov.HEAT_BATH,
                                          anneal.LinearBeta(0.0, 1.0, 5.0),
                                          UNIFORM16, 0.5)
+
+    def test_rejects_nan_start(self):
+        p0 = np.zeros(16)
+        p0[:2] = [math.nan, 1.0]
+        with pytest.raises(ValueError, match="NaN probability entry"):
+            anneal.evolve_master_timedep(CHAIN4, markov.HEAT_BATH,
+                                         anneal.LinearBeta(0.0, 1.0, 1.0), p0, 0.01)
 
     def test_caps_system_size(self):
         model = spins.chain_model(11, [1.0] * 11)
@@ -324,12 +343,27 @@ class TestSharedDriver:
             start = end
 
         driven = []
-        markov._rk4(operators_at, FLAT16.astype(y.dtype), schedule.t_final, h,
-                    lambda step, n, t, y: driven.append((step, t, y)))
+        times, states, kept = markov._rk4(
+            operators_at, FLAT16.astype(y.dtype), schedule.t_final, h, 1,
+            lambda step, n, t, y: driven.append((step, t, y)))
         assert len(driven) == n_steps
         for (step, t, y), (ref_step, ref_t, ref_y) in zip(driven, reference):
             assert (step, t) == (ref_step, ref_t)
             assert y.tobytes() == ref_y.tobytes()
+        # stride 1 keeps the start and every step
+        assert times.tolist() == [0.0] + [t for _, t, _ in reference]
+        assert states[0].tobytes() == FLAT16.astype(y.dtype).tobytes()
+        assert states[1:].tobytes() == np.array([y for _, _, y in reference]).tobytes()
+        assert not kept.any()
+
+    @pytest.mark.parametrize("engine", [anneal.evolve_imaginary_schrodinger,
+                                        anneal.evolve_real_schrodinger])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite_start(self, engine, value):
+        phi0 = FLAT16.copy()
+        phi0[3] = value
+        with pytest.raises(ValueError, match="phi0 must be nonzero and finite"):
+            engine(CHAIN4, markov.HEAT_BATH, anneal.LinearBeta(0.0, 1.0, 1.0), phi0, 0.01)
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0])
@@ -373,6 +407,66 @@ class TestSharedDriver:
         suggested = float(str(err.value).rsplit("<= ", 1)[1])
         traj = self.STABILITY_RUNS[run](t_final, suggested)
         assert traj.times[-1] == pytest.approx(t_final)
+
+
+class TestSampling:
+    RUNS = {
+        "master": lambda model, schedule, dt, n_samples: anneal.evolve_master_timedep(
+            model, markov.HEAT_BATH, schedule, np.full(model.n_states, 1.0 / model.n_states),
+            dt, n_samples=n_samples),
+        "imaginary": lambda model, schedule, dt, n_samples: anneal.evolve_imaginary_schrodinger(
+            model, markov.HEAT_BATH, schedule, np.ones(model.n_states), dt,
+            n_samples=n_samples),
+        # a complex start whose overlap with sqrt(P0) is far from 0 and 1
+        "real": lambda model, schedule, dt, n_samples: anneal.evolve_real_schrodinger(
+            model, markov.HEAT_BATH, schedule,
+            np.exp(1j * np.arange(model.n_states)) + 1.0, dt, n_samples=n_samples),
+    }
+
+    @pytest.mark.parametrize("engine", sorted(RUNS))
+    @pytest.mark.parametrize("model", [CHAIN4, FRUSTRATED5], ids=["chain4", "frustrated5"])
+    def test_diagnostics_match_per_sample_oracle(self, engine, model):
+        trajectory = self.RUNS[engine](model, anneal.LinearBeta(0.0, 2.0, 2.0), 0.005, 40)
+        assert trajectory.n_samples == 41
+        for beta, state, ground, overlap in zip(trajectory.betas, trajectory.states,
+                                                trajectory.ground_probability,
+                                                trajectory.overlap):
+            want_ground, want_overlap = oracles.anneal_sample(engine, model, beta, state)
+            assert abs(ground - want_ground) <= 1e-14
+            assert abs(overlap - want_overlap) <= 1e-14
+
+    @pytest.mark.parametrize("engine", sorted(RUNS))
+    @pytest.mark.parametrize("n_samples", [1, 7, 99, 100, 103])  # n_steps = 100
+    def test_samples_start_every_stride_and_last(self, engine, n_samples):
+        n_steps = 100
+        trajectory = self.RUNS[engine](CHAIN4, anneal.LinearBeta(0.0, 1.0, 1.0),
+                                       1.0 / n_steps, n_samples)
+        stride = max(1, n_steps // n_samples)
+        steps = sorted({0, n_steps} | set(range(0, n_steps + 1, stride)))
+        assert trajectory.times.tolist() == [step * (1.0 / n_steps) for step in steps]
+
+    @pytest.mark.parametrize("engine", sorted(RUNS))
+    def test_samples_are_rows_of_the_every_step_run(self, engine):
+        """A sparser run keeps the same states and log-norm decrements at its steps."""
+        schedule = anneal.LinearBeta(0.0, 1.0, 1.0)
+        every = self.RUNS[engine](CHAIN4, schedule, 0.01, 100)
+        sparse = self.RUNS[engine](CHAIN4, schedule, 0.01, 7)
+        rows = [0, *range(14, 100, 14), 100]
+        for field in ("times", "betas", "states", "log_norm_decrement"):
+            assert getattr(sparse, field).tobytes() == getattr(every, field)[rows].tobytes()
+        assert (every.log_norm_decrement[1:] != 0.0).all() == (engine == "imaginary")
+
+    @pytest.mark.parametrize("engine", sorted(RUNS))
+    def test_tilts_per_run_do_not_grow_with_samples(self, engine, monkeypatch):
+        tilt, calls = spins._tilt, []
+        monkeypatch.setattr(spins, "_tilt", lambda energies, s: calls.append(s) or
+                            tilt(energies, s))
+        counts = []
+        for n_samples in (2, 50):
+            calls.clear()
+            self.RUNS[engine](CHAIN4, anneal.LinearBeta(0.0, 1.0, 1.0), 0.01, n_samples)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestTrajectoryInvariants:

@@ -135,6 +135,16 @@ class TestBridgeCheck:
         assert sorted(failed) == ["construction-agreement", "ground-state-boltzmann",
                                   "spectrum-shared"]
 
+    @pytest.mark.parametrize("rule", ["uniform:0.1", "uniform:0.3"])
+    def test_underflowed_boltzmann_weight_passes_detailed_balance(self, rule, tmp_path, capsys):
+        # P0 of the excited states underflows at K = 200; the map is exact
+        code = run_cli("bridge-check", "--chain", "4", "--K", "200", "--rule", rule,
+                       "--out", str(tmp_path))
+        report = load_report(tmp_path, "bridge_check.json")
+        assert report["checks"]["detailed-balance"]
+        assert report["detailed_balance_residual"] <= 1e-15
+        assert code == 0 and capsys.readouterr().err == ""
+
     def test_unknown_rule_is_usage_error(self, tmp_path):
         assert run_cli("bridge-check", "--chain", "4", "--rule", "glauber",
                        "--out", str(tmp_path)) == 2
@@ -373,6 +383,12 @@ class TestAnneal:
         assert_usage_error(capsys, command, "--chain", "4", "--schedule", schedule,
                            "--out", str(tmp_path),
                            match="t_final must be finite and positive")
+
+    @pytest.mark.parametrize("command", ["anneal", "mc"])
+    def test_infinite_geman_constant_is_usage_error(self, command, tmp_path, capsys):
+        # p = inf would run the whole schedule at beta = 0
+        assert_usage_error(capsys, command, "--chain", "4", "--schedule", "geman:inf,4,10",
+                           "--out", str(tmp_path), match="p must be finite and positive")
 
     def test_geman_spin_count_must_match_model(self, tmp_path, capsys):
         for command in ("anneal", "mc"):

@@ -184,6 +184,15 @@ class TestDetailedBalanceResidual:
                                      markov.HEAT_BATH)
         assert markov.detailed_balance_residual(gen) <= 1e-15
 
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("p", [0.1, 0.3])
+    def test_underflowed_boltzmann_weight_is_not_a_balance_failure(self, n, p):
+        """At K = 200 the excited P0 = exp(-800) underflows to 0 while the uniform rate out
+        of it, w exp(400), stays finite; W P0 then read 1.0 for a W exactly in balance."""
+        gen = markov.build_generator(spins.chain_model(n, [1.0] * n), 200.0,
+                                     markov.UniformRate(p))
+        assert markov.detailed_balance_residual(gen) <= 1e-15
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_nonfinite_rate_gives_nan(self, value):
         gen = markov.build_generator(spins.chain_model(4, [1.0] * 4), 0.6, markov.HEAT_BATH)

@@ -1,6 +1,8 @@
+import dataclasses
 import inspect
 
 import isingbridge
+from isingbridge import markov
 
 PUBLIC_NAMES = [
     "AnnealTrajectory", "CouplingExpansion", "ExponentialBeta", "FermionChainParams",
@@ -26,6 +28,17 @@ def test_public_names_are_the_listed_ones():
     exported = sorted(name for name, value in vars(isingbridge).items()
                       if not name.startswith("_") and not inspect.ismodule(value))
     assert exported == sorted(PUBLIC_NAMES)
+
+
+def test_trajectory_fields_are_the_listed_ones():
+    """The fields of both trajectory types, in order; a change edits this test."""
+    def fields(cls):
+        return [field.name for field in dataclasses.fields(cls)]
+
+    assert fields(isingbridge.AnnealTrajectory) == [
+        "engine", "times", "betas", "states", "ground_probability", "overlap",
+        "log_norm_decrement"]
+    assert fields(markov.MasterTrajectory) == ["times", "states"]
 
 
 def test_rate_rules_define_rates_only():

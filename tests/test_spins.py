@@ -178,6 +178,30 @@ class TestBoltzmann:
         assert np.abs(p - flipped).max() <= 1e-14
 
 
+class TestProbabilityVector:
+    @pytest.mark.parametrize("p, match", [
+        ([math.nan, 1.0], "NaN probability entry nan"),
+        ([-0.5, 1.5], "negative or NaN probability entry -0.5"),
+        ([math.inf, 1.0], "probabilities sum to inf"),
+        ([0.5, 0.4], "probabilities sum to 0.9"),
+    ], ids=["nan", "negative", "inf", "sum"])
+    def test_rejects_with_one_line(self, p, match):
+        with pytest.raises(ValueError, match=match):
+            spins.check_probability_vector(np.array(p))
+
+
+class TestTilt:
+    def test_stack_of_s_is_one_row_per_s(self):
+        """Each row equals the 1-D tilt of its s bit for bit, scaled by its own maximum."""
+        energies = spins.energy_table(spins.frustrated_instance(5, seed=2))
+        s = np.array([-3.0, -0.5, 0.0, 0.7, 400.0])
+        rows = spins._tilt(energies, s)
+        assert rows.shape == (s.size, energies.size)
+        for row, value in zip(rows, s):
+            assert row.tobytes() == spins._tilt(energies, value).tobytes()
+            assert row.max() == 1.0
+
+
 class TestConfigEncoding:
     def test_roundtrip_all_indices(self):
         for index in range(32):
