@@ -16,8 +16,11 @@ sample; real aborts if the norm leaves 1 by over 1e-4. Stability:
 max(dt, h) * max|diagonal| of the engine's own stage operator <= 0.1,
 max over 33 probe times: the outflow for the master engine,
 |outflow - beta_dot H0 / 2| for the two Schrodinger engines.
-`_rk4` asks for the stage operators of a chunk of steps in one call, and
-the flip system builds them for the whole array of stage betas at once.
+`_rk4` asks for the stage operators of a chunk of steps in one call: the
+schedule gives beta and beta_dot on the whole array of stage times, and the
+flip system builds the operators for the whole array of stage betas at once.
+`_trajectory` takes the betas of all sample times in one call too, so a run
+calls its schedule once per chunk, not once per stage or sample time.
 """
 
 from __future__ import annotations
@@ -33,18 +36,38 @@ from .spins import IsingModel
 
 
 class Schedule:
-    """Nondecreasing inverse temperature beta(t) with closed-form derivative."""
+    """Nondecreasing inverse temperature beta(t) with closed-form derivative.
+
+    `beta` and `beta_dot` are array closed forms: a float in gives a float
+    out, and an array of times gives the array of values, equal bit for bit
+    to the values at each time. On construction the base class checks
+    t_final, then the subclass's own fields (`_check_fields`), then that beta
+    and beta_dot are finite at t = 0 and t_final; beta is nondecreasing and
+    beta_dot monotonic, so the two ends bound them on [0, t_final].
+    """
 
     t_final: float
 
     def __post_init__(self):
         if not (math.isfinite(self.t_final) and self.t_final > 0):
             raise ValueError(f"t_final must be finite and positive, got {self.t_final}")
+        self._check_fields()
+        ends = np.array([0.0, self.t_final])
+        for name, fn in (("beta", self.beta), ("beta_dot", self.beta_dot)):
+            with np.errstate(all="ignore"):
+                values = fn(ends)
+            bad = ~np.isfinite(values)
+            if bad.any():
+                raise ValueError(f"schedule {name}({ends[bad][0]:g}) = {values[bad][0]} "
+                                 f"is not finite")
 
-    def beta(self, t: float) -> float:
+    def _check_fields(self) -> None:
+        """Reject invalid fields of the subclass, before beta is evaluated."""
+
+    def beta(self, t):
         raise NotImplementedError
 
-    def beta_dot(self, t: float) -> float:
+    def beta_dot(self, t):
         raise NotImplementedError
 
 
@@ -56,8 +79,7 @@ class LinearBeta(Schedule):
     beta1: float
     t_final: float
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check_fields(self):
         if self.beta1 < self.beta0:
             raise ValueError("beta must be nondecreasing: beta1 < beta0")
         spins._check_beta(self.beta0, "beta0")
@@ -67,7 +89,7 @@ class LinearBeta(Schedule):
         return self.beta0 + (self.beta1 - self.beta0) * t / self.t_final
 
     def beta_dot(self, t):
-        return (self.beta1 - self.beta0) / self.t_final
+        return np.full(np.shape(t), (self.beta1 - self.beta0) / self.t_final)[()]
 
 
 @dataclass(frozen=True)
@@ -78,17 +100,16 @@ class ExponentialBeta(Schedule):
     rate: float
     t_final: float
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check_fields(self):
         spins._check_beta(self.beta0, "beta0")
         if not (math.isfinite(self.rate) and self.rate >= 0):
             raise ValueError(f"rate must be finite and nonnegative, got {self.rate}")
 
     def beta(self, t):
-        return self.beta0 * math.exp(self.rate * t)
+        return self.beta0 * np.exp(self.rate * t)
 
     def beta_dot(self, t):
-        return self.rate * self.beta0 * math.exp(self.rate * t)
+        return self.rate * self.beta0 * np.exp(self.rate * t)
 
 
 @dataclass(frozen=True)
@@ -104,8 +125,7 @@ class GemanGeman(Schedule):
     t_final: float
     t_offset: float = 1.0
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check_fields(self):
         if not 0.0 < self.p < math.inf:
             raise ValueError(f"p must be finite and positive, got {self.p}")
         if not spins._integer(self.n_spins, "n_spins") >= 1:
@@ -114,7 +134,7 @@ class GemanGeman(Schedule):
             raise ValueError(f"t_offset must be finite and >= 1, got {self.t_offset}")
 
     def beta(self, t):
-        return math.log(t + self.t_offset) / (self.p * self.n_spins)
+        return np.log(t + self.t_offset) / (self.p * self.n_spins)
 
     def beta_dot(self, t):
         return 1.0 / ((t + self.t_offset) * self.p * self.n_spins)
@@ -166,11 +186,6 @@ def _to_probability(phi: np.ndarray, energies: np.ndarray, beta) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def _at(fn, times: np.ndarray) -> np.ndarray:
-    """fn(t) for each of the times, as an array."""
-    return np.array([fn(t) for t in times.tolist()])
-
-
 def _unit_state(phi0: np.ndarray, dtype) -> np.ndarray:
     phi = np.array(phi0, dtype=dtype)
     nrm = np.linalg.norm(phi)
@@ -192,7 +207,7 @@ def _trajectory(engine: str, model: IsingModel, energies: np.ndarray, schedule: 
     ground probability and the overlap with sqrt(P0), the instantaneous ground state
     of the mapped Hamiltonian, at every sample."""
     times, states, log_norm = samples
-    betas = _at(schedule.beta, times)
+    betas = schedule.beta(times)
     if engine == "master":
         probs, phi = states, _to_phi(states, energies, betas)
     elif engine == "imaginary":
@@ -215,7 +230,7 @@ def evolve_master_timedep(model: IsingModel, rule: RateRule, schedule: Schedule,
     """Integrate dP/dt = W(beta(t)) P with the generator rebuilt per stage."""
     sys = _FlipSystem(model, rule, "anneal engine")
     spins.check_probability_vector(p0)
-    samples = _rk4(lambda times: sys.generator(_at(schedule.beta, times)),
+    samples = _rk4(lambda times: sys.generator(schedule.beta(times)),
                    np.array(p0, dtype=float), schedule.t_final, dt,
                    _stride(schedule, dt, n_samples), _check_probability)
     return _trajectory("master", model, sys.energies, schedule, samples)
@@ -234,7 +249,6 @@ def evolve_imaginary_schrodinger(model: IsingModel, rule: RateRule, schedule: Sc
     sys = _FlipSystem(model, rule, "anneal engine")
     phi = _unit_state(phi0, float)
     log_decrement = 0.0
-    beta_dot = schedule.beta_dot if include_beta_derivative else lambda t: 0.0
 
     def on_step(step, n_steps, t, phi):
         nonlocal log_decrement
@@ -243,9 +257,12 @@ def evolve_imaginary_schrodinger(model: IsingModel, rule: RateRule, schedule: Sc
         log_decrement -= math.log(nrm)
         return log_decrement
 
-    samples = _rk4(lambda times: sys.hamiltonian(_at(schedule.beta, times),
-                                                 _at(beta_dot, times), -1.0),
-                   phi, schedule.t_final, dt, _stride(schedule, dt, n_samples), on_step)
+    def operators_at(times):
+        beta_dot = schedule.beta_dot(times) if include_beta_derivative else 0.0
+        return sys.hamiltonian(schedule.beta(times), beta_dot, -1.0)
+
+    samples = _rk4(operators_at, phi, schedule.t_final, dt, _stride(schedule, dt, n_samples),
+                   on_step)
     return _trajectory("imaginary", model, sys.energies, schedule, samples)
 
 
@@ -267,8 +284,8 @@ def evolve_real_schrodinger(model: IsingModel, rule: RateRule, schedule: Schedul
                 f"norm drifted by {drift:.3g} at t={t}; reduce dt "
                 f"(try dt <= {schedule.t_final / n_steps / 4:.3g})")
 
-    samples = _rk4(lambda times: sys.hamiltonian(_at(schedule.beta, times),
-                                                 _at(schedule.beta_dot, times), -1j),
+    samples = _rk4(lambda times: sys.hamiltonian(schedule.beta(times),
+                                                 schedule.beta_dot(times), -1j),
                    phi, schedule.t_final, dt, _stride(schedule, dt, n_samples), on_step)
     return _trajectory("real", model, sys.energies, schedule, samples)
 

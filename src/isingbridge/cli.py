@@ -301,6 +301,9 @@ def cmd_fermion_check(args) -> int:
 
 def cmd_reverse(args) -> int:
     if args.tfield is not None:
+        if args.chain is not None or args.model is not None:
+            raise UsageError("--tfield cannot be combined with --chain or --model")
+        spins._check_spins(args.tfield, "command-line")
         ham = quantum.transverse_field_chain(args.tfield, args.gamma)
         result = reverse.quantum_to_classical(ham)
         expansion = reverse.extract_couplings(result.energy_table)

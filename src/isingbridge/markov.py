@@ -181,7 +181,8 @@ class _FlipOperator:
 
 
 class _OperatorField:
-    """Base of the immutable types that hold an `operator` field."""
+    """Base of the immutable types that hold an `operator` field; their spin count is
+    read from the operator's size."""
 
     def __post_init__(self):
         for array in (self.operator.diag, self.operator.off, self.operator.flips):
@@ -191,6 +192,11 @@ class _OperatorField:
     def from_matrix(cls, matrix, **fields):
         """The instance whose operator is read from a dense matrix, with its other fields."""
         return cls(operator=_FlipOperator.from_dense(matrix), **fields)
+
+    @property
+    def n_spins(self) -> int:
+        """N of the operator's 2^N configurations."""
+        return self.operator.diag.size.bit_length() - 1
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -207,16 +213,20 @@ class MarkovGenerator(_OperatorField):
     Off-diagonal entries are nonnegative rates; each diagonal entry is
     minus its column's off-diagonal sum, so columns sum to zero.
     `energies` is the H0 table used for detailed balance and for the
-    isospectral symmetrization. Immutable after construction.
+    isospectral symmetrization, one entry per configuration. Immutable after
+    construction.
     """
 
     operator: _FlipOperator
     beta: float
     energies: np.ndarray
-    n_spins: int
     rule: RateRule | None = None
 
     def __post_init__(self):
+        size = self.operator.diag.size
+        if np.shape(self.energies) != (size,):
+            raise ValueError(f"energies table has shape {np.shape(self.energies)}, "
+                             f"expected ({size},) for the {size}-state generator")
         super().__post_init__()
         self.energies.setflags(write=False)
 
@@ -285,7 +295,7 @@ def build_generator(model: IsingModel, beta: float, rule: RateRule) -> MarkovGen
     spins._check_beta(beta)
     system = _FlipSystem(model, rule)
     return MarkovGenerator(operator=system.generator(beta), beta=float(beta),
-                           energies=system.energies, n_spins=system.n, rule=rule)
+                           energies=system.energies, rule=rule)
 
 
 def stationary_distribution(generator: MarkovGenerator) -> np.ndarray:

@@ -36,7 +36,6 @@ class QuantumHamiltonian(_OperatorField):
     """
 
     operator: _FlipOperator
-    n_spins: int
     provenance: str
     beta: float | None = None
     rule_name: str | None = None
@@ -58,8 +57,7 @@ def classical_to_quantum(generator: MarkovGenerator) -> QuantumHamiltonian:
     # 0.0 - x is -x, and +0.0 for x = +-0.0
     h = _FlipOperator(0.0 - symmetric.diag, 0.0 - symmetric.off, symmetric.flips)
     rule_name = generator.rule.name if generator.rule is not None else None
-    return QuantumHamiltonian(operator=h, n_spins=generator.n_spins,
-                              provenance=PROVENANCE_MAPPED,
+    return QuantumHamiltonian(operator=h, provenance=PROVENANCE_MAPPED,
                               beta=generator.beta, rule_name=rule_name)
 
 
@@ -73,8 +71,8 @@ def assemble_direct(model: IsingModel, beta: float, rule: RateRule) -> QuantumHa
     """
     spins._check_beta(beta)
     h = _FlipSystem(model, rule).hamiltonian(beta)
-    return QuantumHamiltonian(operator=h, n_spins=model.n_spins, provenance=PROVENANCE_MAPPED,
-                              beta=float(beta), rule_name=rule.name)
+    return QuantumHamiltonian(operator=h, provenance=PROVENANCE_MAPPED, beta=float(beta),
+                              rule_name=rule.name)
 
 
 def _z_columns(n: int) -> np.ndarray:
@@ -105,8 +103,8 @@ def _heatbath_chain(field: np.ndarray, hop: np.ndarray, hop2: np.ndarray,
     diag = 0.5 * n - hop @ _bonds(z)
     off = -(field[:, None] - hop2[:, None] * _across(z))
     h = _FlipOperator(diag, off, _flip_table(n))
-    return QuantumHamiltonian(operator=h, n_spins=n, provenance=PROVENANCE_EXPLICIT,
-                              beta=float(beta), rule_name=HEAT_BATH.name)
+    return QuantumHamiltonian(operator=h, provenance=PROVENANCE_EXPLICIT, beta=float(beta),
+                              rule_name=HEAT_BATH.name)
 
 
 def chain_heatbath_hamiltonian(n: int, k: float) -> QuantumHamiltonian:
@@ -139,8 +137,8 @@ def chain_metropolis_hamiltonian(n: int, k: float) -> QuantumHamiltonian:
     diag = 0.25 * n * (3.0 + e4) - 0.25 * (1.0 - e4) * (2.0 * zz + across.sum(axis=0))
     off = -0.5 * (1.0 + e2) * (1.0 - th * across)
     h = _FlipOperator(diag, off, _flip_table(n))
-    return QuantumHamiltonian(operator=h, n_spins=n, provenance=PROVENANCE_EXPLICIT,
-                              beta=float(k), rule_name=METROPOLIS.name)
+    return QuantumHamiltonian(operator=h, provenance=PROVENANCE_EXPLICIT, beta=float(k),
+                              rule_name=METROPOLIS.name)
 
 
 def chain_random_heatbath_hamiltonian(couplings, beta: float) -> QuantumHamiltonian:
@@ -170,5 +168,5 @@ def transverse_field_chain(n: int, gamma: float) -> QuantumHamiltonian:
     z = _z_columns(n)
     zz = _bonds(z).sum(axis=0)
     h = _FlipOperator(-zz, np.full(z.shape, -gamma), _flip_table(n))
-    return QuantumHamiltonian(operator=h, n_spins=n, provenance=PROVENANCE_USER)
+    return QuantumHamiltonian(operator=h, provenance=PROVENANCE_USER)
 

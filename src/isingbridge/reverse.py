@@ -133,8 +133,7 @@ def quantum_to_classical(hamiltonian: QuantumHamiltonian) -> ReverseMapResult:
 
     # 0.0 - x is -x, and +0.0 for x = +-0.0
     w = _FlipOperator(0.0 - (h.diag - shift), 0.0 - (vec / vec[h.flips]) * h.off, h.flips)
-    generator = MarkovGenerator(operator=w, beta=1.0, energies=energy_table,
-                                n_spins=hamiltonian.n_spins, rule=None)
+    generator = MarkovGenerator(operator=w, beta=1.0, energies=energy_table, rule=None)
 
     residuals = _generator_conditions(generator)
     worst = max(residuals.values())

@@ -6,9 +6,11 @@ term, and check `spins.energy_table` and `markov._FlipSystem.deltas`;
 by index parity, for models too large to loop over; `hopping` is the
 closed-form hopping of one flip under a rule; `asymmetry` is the relative
 asymmetry of a dense matrix; `anneal_sample` is the ground probability and
-overlap of one sampled anneal state. They read only `model.n_spins` and
-`model.terms`, and use no package code, so an error in the tables cannot
-reach its own oracle. Configurations follow the
+overlap of one sampled anneal state; `schedule_values` is beta(t) and
+beta_dot(t) of a schedule in scalar `math`, and `ScalarSchedule` serves an
+engine from it one time at a time. They read only `model.n_spins` and
+`model.terms` (or a schedule's fields), and use no package code, so an error
+in the tables cannot reach its own oracle. Configurations follow the
 package convention: bit i of the index is 0 for sigma_i = +1 and 1 for
 sigma_i = -1.
 """
@@ -136,6 +138,41 @@ def anneal_sample(engine: str, model, beta: float, state):
     ground = energies <= energies.min() + 1e-9
     return (float(np.clip(probs[ground].sum(), 0.0, 1.0)),
             float(np.abs(np.vdot(root_p0, phi)) ** 2))
+
+
+def schedule_values(schedule, t: float) -> tuple[float, float]:
+    """(beta(t), beta_dot(t)) of a LinearBeta, ExponentialBeta or GemanGeman schedule,
+    evaluated from its fields in scalar math."""
+    kind = type(schedule).__name__
+    if kind == "LinearBeta":
+        slope = (schedule.beta1 - schedule.beta0) / schedule.t_final
+        return schedule.beta0 + (schedule.beta1 - schedule.beta0) * t / schedule.t_final, slope
+    if kind == "ExponentialBeta":
+        growth = math.exp(schedule.rate * t)
+        return schedule.beta0 * growth, schedule.rate * schedule.beta0 * growth
+    if kind == "GemanGeman":
+        scale = schedule.p * schedule.n_spins
+        return (math.log(t + schedule.t_offset) / scale,
+                1.0 / ((t + schedule.t_offset) * schedule.p * schedule.n_spins))
+    raise TypeError(f"no scalar form for {kind}")
+
+
+class ScalarSchedule:
+    """A schedule whose beta and beta_dot take an array of times one time at a time,
+    through `schedule_values`."""
+
+    def __init__(self, schedule):
+        self.schedule, self.t_final = schedule, schedule.t_final
+
+    def _values(self, times, which: int) -> np.ndarray:
+        values = [schedule_values(self.schedule, t)[which] for t in np.ravel(times).tolist()]
+        return np.array(values).reshape(np.shape(times))
+
+    def beta(self, times):
+        return self._values(times, 0)
+
+    def beta_dot(self, times):
+        return self._values(times, 1)
 
 
 def mapped_chain_hamiltonian(n: int, k: float, rule):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,69 @@ class CountingHeatBath(markov.HeatBath):
         return super().rates(beta, delta, n_spins)
 
 
+class CountingSchedule:
+    """A schedule that counts its beta and beta_dot calls."""
+
+    def __init__(self, schedule):
+        self.schedule, self.t_final = schedule, schedule.t_final
+        self.calls = {"beta": 0, "beta_dot": 0}
+
+    def beta(self, t):
+        self.calls["beta"] += 1
+        return self.schedule.beta(t)
+
+    def beta_dot(self, t):
+        self.calls["beta_dot"] += 1
+        return self.schedule.beta_dot(t)
+
+
+SCHEDULES = {
+    "linear": anneal.LinearBeta(0.0, 2.0, 10.0),
+    "frozen": anneal.frozen_schedule(0.7, 3.0),
+    "exponential": anneal.ExponentialBeta(0.1, 0.3, 5.0),
+    "geman": anneal.GemanGeman(p=2.0, n_spins=4, t_final=100.0),
+    "geman-offset": anneal.GemanGeman(p=0.3, n_spins=5, t_final=7.0, t_offset=1.5),
+}
+
+
 class TestSchedules:
+    @pytest.mark.parametrize("name", sorted(SCHEDULES))
+    def test_array_gives_the_scalar_values_bit_for_bit(self, name):
+        schedule = SCHEDULES[name]
+        times = np.concatenate((np.linspace(0.0, schedule.t_final, 33),
+                                schedule.t_final * np.array([1 / 3, 2 / 7, 0.999])))
+        for fn in (schedule.beta, schedule.beta_dot):
+            scalars = [fn(t) for t in times.tolist()]
+            assert all(isinstance(value, float) for value in scalars)
+            values = fn(times)
+            assert values.shape == times.shape
+            assert values.tobytes() == np.array(scalars).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULES))
+    def test_closed_forms_match_the_scalar_math_oracle(self, name):
+        schedule = SCHEDULES[name]
+        times = np.linspace(0.0, schedule.t_final, 33)
+        for which, fn in enumerate((schedule.beta, schedule.beta_dot)):
+            want = [oracles.schedule_values(schedule, t)[which] for t in times.tolist()]
+            np.testing.assert_allclose(fn(times), want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda: anneal.GemanGeman(p=1e-320, n_spins=4, t_final=10.0),
+         "schedule beta(10) = inf is not finite"),
+        (lambda: anneal.GemanGeman(p=1e-320, n_spins=4, t_final=1e-300),
+         "schedule beta_dot(0) = inf is not finite"),
+        (lambda: anneal.ExponentialBeta(1.0, 1000.0, 10.0),
+         "schedule beta(10) = inf is not finite"),
+        (lambda: anneal.ExponentialBeta(1e300, 1e10, 1e-10),
+         "schedule beta_dot(0) = inf is not finite"),
+        (lambda: anneal.LinearBeta(0.0, 1e308, 1e-10),
+         "schedule beta_dot(0) = inf is not finite"),
+    ], ids=["geman-beta", "geman-beta-dot", "exponential-beta", "exponential-beta-dot",
+            "linear-beta-dot"])
+    def test_rejects_values_that_are_not_finite(self, make, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            make()
+
     @pytest.mark.parametrize("schedule", [
         anneal.LinearBeta(0.0, 2.0, 10.0),
         anneal.ExponentialBeta(0.1, 0.3, 5.0),
@@ -286,6 +349,9 @@ class TestSharedDriver:
             CHAIN4, rule, schedule, FLAT16, dt),
         "real": lambda rule, schedule, dt: anneal.evolve_real_schrodinger(
             CHAIN4, rule, schedule, FLAT16.astype(complex), dt),
+        "imaginary-no-beta-dot": lambda rule, schedule, dt:
+            anneal.evolve_imaginary_schrodinger(CHAIN4, rule, schedule, FLAT16, dt,
+                                                include_beta_derivative=False),
     }
 
     @pytest.mark.parametrize("n_samples", [0, -3])
@@ -302,11 +368,15 @@ class TestSharedDriver:
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_one_operator_build_per_chunk(self, engine):
         rule = CountingHeatBath()
+        schedule = CountingSchedule(anneal.LinearBeta(0.0, 1.0, 2.0))
         n_steps = 300
         chunk = markov._CHUNK_ENTRIES // CHAIN4.n_states
-        self.ENGINES[engine](rule, anneal.LinearBeta(0.0, 1.0, 2.0), 2.0 / n_steps)
+        self.ENGINES[engine](rule, schedule, 2.0 / n_steps)
         builds = 2 + math.ceil(n_steps / chunk)  # the probes, t = 0, then one per chunk
         assert rule.rate_calls == builds
+        # one schedule call per build, and one for the betas of the sample times
+        assert schedule.calls == {"beta": builds + 1,
+                                  "beta_dot": builds if engine in ("imaginary", "real") else 0}
 
     @pytest.mark.parametrize("stage", ["generator", "imaginary", "real"])
     @pytest.mark.parametrize("chunks", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 2)],
@@ -467,6 +537,54 @@ class TestSampling:
             self.RUNS[engine](CHAIN4, anneal.LinearBeta(0.0, 1.0, 1.0), 0.01, n_samples)
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+
+class TestScalarScheduleParity:
+    """Runs on the array closed forms against the same runs on the scalar math forms,
+    evaluated one stage time at a time: bit for bit for a linear schedule, whose two
+    forms round alike, and within 1e-14 where np.exp and np.log differ from math by
+    a few ulps."""
+
+    SCHEDULES = {"linear": (anneal.LinearBeta(0.1, 2.0, 2.0), 0.0),
+                 "exponential": (anneal.ExponentialBeta(0.1, 1.3, 2.0), 1e-14),
+                 "geman": (anneal.GemanGeman(p=0.05, n_spins=5, t_final=2.0), 1e-14)}
+    FIELDS = ("times", "betas", "states", "ground_probability", "overlap",
+              "log_norm_decrement")
+
+    RUNS = {  # every engine variant from the uniform state, heat-bath rates
+        "master": lambda model, schedule, dt: anneal.evolve_master_timedep(
+            model, markov.HEAT_BATH, schedule, np.full(model.n_states, 1.0 / model.n_states), dt,
+            n_samples=50),
+        "imaginary": lambda model, schedule, dt: anneal.evolve_imaginary_schrodinger(
+            model, markov.HEAT_BATH, schedule, np.ones(model.n_states), dt, n_samples=50),
+        "imaginary-no-beta-dot": lambda model, schedule, dt: anneal.evolve_imaginary_schrodinger(
+            model, markov.HEAT_BATH, schedule, np.ones(model.n_states), dt, n_samples=50,
+            include_beta_derivative=False),
+        "real": lambda model, schedule, dt: anneal.evolve_real_schrodinger(
+            model, markov.HEAT_BATH, schedule, np.ones(model.n_states, dtype=complex), dt,
+            n_samples=50),
+    }
+
+    @pytest.mark.parametrize("model", [CHAIN4, FRUSTRATED5], ids=["chain4", "frustrated5"])
+    @pytest.mark.parametrize("name", sorted(SCHEDULES))
+    def test_engines_match_the_scalar_forms(self, name, model):
+        schedule, tol = self.SCHEDULES[name]
+        runs = {}
+        for engine, run in self.RUNS.items():
+            array = run(model, schedule, 0.002)
+            scalar = run(model, oracles.ScalarSchedule(schedule), 0.002)
+            for field in self.FIELDS:
+                got, want = getattr(array, field), getattr(scalar, field)
+                if tol == 0.0:
+                    assert got.tobytes() == want.tobytes(), (engine, field)
+                else:
+                    assert np.abs(got - want).max() <= tol, (engine, field)
+            runs[engine] = array, scalar
+        for measure in (anneal.master_imaginary_deviation,
+                        anneal.master_imaginary_state_difference):
+            got, want = (measure(runs["master"][i], runs["imaginary"][i], model)
+                         for i in (0, 1))
+            assert abs(got - want) <= tol
 
 
 class TestTrajectoryInvariants:

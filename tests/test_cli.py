@@ -293,6 +293,19 @@ class TestReverse:
         assert report["roundtrip_generator_deviation"] <= 1e-10
         assert report["roundtrip_energy_deviation"] <= 1e-10
 
+    def test_transverse_chain_obeys_the_command_line_cap(self, tmp_path, capsys):
+        assert_usage_error(capsys, "reverse", "--tfield", "11", "--out", str(tmp_path),
+                           match="11 spins exceed the command-line cap")
+
+    @pytest.mark.parametrize("flag", ["--chain", "--model"])
+    def test_transverse_chain_excludes_chain_and_model(self, flag, tmp_path, capsys):
+        path = tmp_path / "chain4.json"
+        spins.save_model(spins.chain_model(4, [1.0] * 4), path)
+        value = "4" if flag == "--chain" else str(path)
+        assert_usage_error(capsys, "reverse", "--tfield", "4", flag, value,
+                           "--out", str(tmp_path),
+                           match="--tfield cannot be combined with --chain or --model")
+
     def test_roundtrip_mode(self, tmp_path):
         code = run_cli("reverse", "--chain", "4", "--K", "1.0",
                        "--rule", "heatbath", "--out", str(tmp_path))
@@ -395,6 +408,17 @@ class TestAnneal:
             assert_usage_error(capsys, command, "--chain", "6",
                                "--schedule", "geman:1,3,10", "--out", str(tmp_path),
                                match="does not match the model's 6 spins")
+
+    @pytest.mark.parametrize("command", ["anneal", "mc"])
+    @pytest.mark.parametrize("schedule, match", [
+        ("geman:1e-320,4,10", "schedule beta(10) = inf is not finite"),
+        ("linear:0,1e308,1e-10", "schedule beta_dot(0) = inf is not finite"),
+    ], ids=["geman-subnormal-p", "linear-overflowing-slope"])
+    def test_nonfinite_schedule_value_is_usage_error(self, command, schedule, match,
+                                                     tmp_path, capsys):
+        sizes = ["--sweeps", "3", "--seeds", "3"] if command == "mc" else []
+        assert_usage_error(capsys, command, "--chain", "4", "--schedule", schedule, *sizes,
+                           "--out", str(tmp_path), match=match)
 
 
 class TestMc:

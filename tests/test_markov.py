@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,7 @@ def two_flip_generator(n):
     states = np.arange(1 << n)
     for j in range(n):
         matrix[states, states ^ (1 << j) ^ (1 << (j + 1) % n)] -= 0.4
-    ham = quantum.QuantumHamiltonian.from_matrix(matrix, n_spins=n,
-                                                 provenance=quantum.PROVENANCE_USER)
+    ham = quantum.QuantumHamiltonian.from_matrix(matrix, provenance=quantum.PROVENANCE_USER)
     return reverse.quantum_to_classical(ham).generator
 
 
@@ -29,8 +29,7 @@ def perturbed_rate(gen, eps):
     delta = eps * matrix[r, c]
     matrix[r, c] += delta
     matrix[c, c] -= delta
-    return markov.MarkovGenerator.from_matrix(matrix, beta=gen.beta, energies=gen.energies,
-                                              n_spins=gen.n_spins)
+    return markov.MarkovGenerator.from_matrix(matrix, beta=gen.beta, energies=gen.energies)
 
 
 def rate_and_weight(rule, beta, delta, n_spins=None):
@@ -164,6 +163,22 @@ class TestBuildGenerator:
         with pytest.raises(ValueError, match="<= 12"):
             markov.build_generator(model, 0.5, markov.HEAT_BATH)
 
+    def test_spin_count_comes_from_the_operator(self):
+        gen = markov.MarkovGenerator.from_matrix(np.zeros((8, 8)), beta=1.0,
+                                                 energies=np.zeros(8))
+        assert gen.n_spins == 3
+        assert markov.build_generator(spins.chain_model(5, [1.0] * 5), 0.5,
+                                      markov.HEAT_BATH).n_spins == 5
+        with pytest.raises(TypeError, match="n_spins"):
+            markov.MarkovGenerator.from_matrix(np.zeros((8, 8)), beta=1.0,
+                                               energies=np.zeros(8), n_spins=5)
+
+    def test_rejects_an_energy_table_of_another_size(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "energies table has shape (4,), expected (8,) for the 8-state generator")):
+            markov.MarkovGenerator.from_matrix(np.zeros((8, 8)), beta=1.0,
+                                               energies=np.zeros(4))
+
 
 class TestDetailedBalanceResidual:
     def test_perturbed_entry_detected(self):
@@ -175,8 +190,7 @@ class TestDetailedBalanceResidual:
         r, c = np.unravel_index(np.argmax(np.abs(flux)), flux.shape)
         broken = gen.matrix.copy()
         broken[r, c] *= 1.1
-        bad = markov.MarkovGenerator.from_matrix(broken, beta=gen.beta,
-                                                 energies=gen.energies, n_spins=gen.n_spins)
+        bad = markov.MarkovGenerator.from_matrix(broken, beta=gen.beta, energies=gen.energies)
         assert markov.detailed_balance_residual(bad) > 0.01
 
     def test_single_spin_closed_form(self):
@@ -349,8 +363,7 @@ class TestRelaxationTime:
         else:  # a rate whose reverse rate is zero
             matrix[3, 0] += 0.5
             matrix[0, 0] -= 0.5
-        bad = markov.MarkovGenerator.from_matrix(matrix, beta=0.7, energies=energies,
-                                                 n_spins=4)
+        bad = markov.MarkovGenerator.from_matrix(matrix, beta=0.7, energies=energies)
         with pytest.raises(ValueError, match="detailed balance"):
             markov.relaxation_time(bad)
 
@@ -393,8 +406,7 @@ class TestRelaxationTime:
         w = np.zeros((4, 4))
         w[:2, :2] = block
         w[2:, 2:] = block
-        gen = markov.MarkovGenerator.from_matrix(w, beta=0.0, energies=np.zeros(4),
-                                                 n_spins=2)
+        gen = markov.MarkovGenerator.from_matrix(w, beta=0.0, energies=np.zeros(4))
         with pytest.raises(ValueError, match="degenerate"):
             markov.relaxation_time(gen)
 

@@ -58,8 +58,7 @@ class TestClassicalToQuantum:
         off = rows != cols
         r, c = rows[off][0], cols[off][0]
         broken[r, c] *= 1.5
-        bad = markov.MarkovGenerator.from_matrix(broken, beta=gen.beta,
-                                                 energies=gen.energies, n_spins=gen.n_spins)
+        bad = markov.MarkovGenerator.from_matrix(broken, beta=gen.beta, energies=gen.energies)
         with pytest.raises(ValueError, match="detailed balance"):
             quantum.classical_to_quantum(bad)
 
@@ -204,14 +203,21 @@ class TestHamiltonianInvariants:
     def test_type_rejects_asymmetric_matrix(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            quantum.QuantumHamiltonian.from_matrix(bad, n_spins=1,
-                                                   provenance="user-supplied")
+            quantum.QuantumHamiltonian.from_matrix(bad, provenance="user-supplied")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_type_rejects_nonfinite_entry(self, value):
         bad = np.array([[1.0, -1.0], [-1.0, value]])
         with pytest.raises(ValueError, match="not symmetric within 1e-12"):
-            quantum.QuantumHamiltonian.from_matrix(bad, n_spins=1,
+            quantum.QuantumHamiltonian.from_matrix(bad, provenance="user-supplied")
+
+    def test_spin_count_comes_from_the_operator(self):
+        ham = quantum.QuantumHamiltonian.from_matrix(-np.eye(8), provenance="user-supplied")
+        assert ham.n_spins == 3
+        assert quantum.chain_heatbath_hamiltonian(6, 0.5).n_spins == 6
+        assert quantum.transverse_field_chain(4, 0.7).n_spins == 4
+        with pytest.raises(TypeError, match="n_spins"):
+            quantum.QuantumHamiltonian.from_matrix(-np.eye(8), n_spins=7,
                                                    provenance="user-supplied")
 
     def test_diagonal_observable_matches_thermal_average(self):

@@ -17,8 +17,7 @@ def unconverged_model():
 def single_spin_flip_hamiltonian():
     """1 - sigma^x on one spin, ground energy 0."""
     matrix = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    return quantum.QuantumHamiltonian.from_matrix(matrix, n_spins=1,
-                                                  provenance="user-supplied")
+    return quantum.QuantumHamiltonian.from_matrix(matrix, provenance="user-supplied")
 
 
 class TestPerronGroundState:
@@ -37,14 +36,13 @@ class TestPerronGroundState:
                            [-1.0, 1.0, 0.2, 0.0],
                            [0.0, 0.2, 1.0, -1.0],
                            [0.1, 0.0, -1.0, 1.0]])
-        ham = quantum.QuantumHamiltonian.from_matrix(matrix, n_spins=2,
-                                                     provenance="user-supplied")
+        ham = quantum.QuantumHamiltonian.from_matrix(matrix, provenance="user-supplied")
         with pytest.raises(ValueError, match="positive"):
             reverse.quantum_to_classical(ham)
 
     def test_rejects_disconnected_graph(self):
         ham = quantum.QuantumHamiltonian.from_matrix(np.diag([0.0, 1.0, 2.0, 3.0]),
-                                                     n_spins=2, provenance="user-supplied")
+                                                     provenance="user-supplied")
         with pytest.raises(ValueError, match="disconnected"):
             reverse.quantum_to_classical(ham)
 
