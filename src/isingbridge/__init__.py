@@ -2,9 +2,10 @@
 
 Modules:
   spins       Ising models, configuration indexing, energies, Boltzmann vectors
-  markov      rate rules, dense generators, detailed balance, master equation
+  markov      rate rules, flip-form generators, detailed balance, master
+              equation, a Lanczos gap solver
   quantum     classical-to-quantum mapping and explicit chain Hamiltonians
-  spectral    dense symmetric eigensolves, a Lanczos gap solver, spectrum reports
+  spectral    dense symmetric eigensolves, spectrum reports
   fermion     exact free-fermion solution of the heat-bath chain
   reverse     quantum-to-classical mapping and multibody coupling expansion
   anneal      schedules and time-dependent master/Schrodinger engines

@@ -73,7 +73,8 @@ class Schedule:
 
 @dataclass(frozen=True)
 class LinearBeta(Schedule):
-    """beta(t) = beta0 + (beta1 - beta0) t / t_final."""
+    """beta(t) = beta0 + (beta1 - beta0) (t / t_final), divided first so that no
+    product overflows between two finite ends."""
 
     beta0: float
     beta1: float
@@ -86,7 +87,7 @@ class LinearBeta(Schedule):
         spins._check_beta(self.beta1, "beta1")
 
     def beta(self, t):
-        return self.beta0 + (self.beta1 - self.beta0) * t / self.t_final
+        return self.beta0 + (self.beta1 - self.beta0) * (t / self.t_final)
 
     def beta_dot(self, t):
         return np.full(np.shape(t), (self.beta1 - self.beta0) / self.t_final)[()]

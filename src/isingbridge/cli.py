@@ -159,9 +159,10 @@ def _parse_schedule(text: str, model: spins.IsingModel) -> anneal.Schedule:
         f"cannot parse schedule {text!r}; use linear:BETA0,BETA1,T or geman:P,N,T")
 
 
-def _resolved_config(args) -> dict:
-    config = {k: v for k, v in vars(args).items() if k != "func"}
-    return {k: v for k, v in config.items() if v is not None}
+def _resolved_config(args, ignored=()) -> dict:
+    """The flags that are set, less `func` and the `ignored` flags the run never read."""
+    return {k: v for k, v in vars(args).items()
+            if k != "func" and k not in ignored and v is not None}
 
 
 def _flatten(prefix: str, obj, rows: list) -> None:
@@ -174,9 +175,9 @@ def _flatten(prefix: str, obj, rows: list) -> None:
         rows.append((prefix, obj))
 
 
-def _report(args, name: str, payload: dict, checks: dict[str, bool]) -> int:
+def _report(args, name: str, payload: dict, checks: dict[str, bool], ignored=()) -> int:
     payload = {**payload, "checks": {k: bool(v) for k, v in checks.items()},
-               "config": _resolved_config(args)}
+               "config": _resolved_config(args, ignored)}
     write_json(os.path.join(args.out, f"{name}.json"), payload)
     if args.format == "csv":
         rows: list = []
@@ -300,6 +301,7 @@ def cmd_fermion_check(args) -> int:
 
 
 def cmd_reverse(args) -> int:
+    rule = markov.parse_rule(args.rule)  # on both paths, so a bad rule is always an error
     if args.tfield is not None:
         if args.chain is not None or args.model is not None:
             raise UsageError("--tfield cannot be combined with --chain or --model")
@@ -322,10 +324,9 @@ def cmd_reverse(args) -> int:
         payload = {"locality_profile": {str(k): v for k, v in profile.items()},
                    "condition_residuals": result.condition_residuals,
                    "ground_shift": result.ground_shift}
-        return _report(args, "reverse", payload, checks)
+        return _report(args, "reverse", payload, checks, ignored=("K", "rule"))
 
     model = _resolve_model(args)
-    rule = markov.parse_rule(args.rule)
     generator = markov.build_generator(model, args.K, rule)
     ham = quantum.classical_to_quantum(generator)
     result = reverse.quantum_to_classical(ham)
@@ -345,7 +346,7 @@ def cmd_reverse(args) -> int:
                "roundtrip_energy_deviation": h0_dev,
                "condition_residuals": result.condition_residuals,
                "ground_shift": result.ground_shift}
-    return _report(args, "reverse", payload, checks)
+    return _report(args, "reverse", payload, checks, ignored=("gamma",))
 
 
 def cmd_anneal(args) -> int:

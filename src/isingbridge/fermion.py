@@ -105,7 +105,7 @@ def many_body_spectrum(params: FermionChainParams) -> np.ndarray:
     subset is the zero-energy ground state.
     """
     n = params.n
-    spins._check_spins(n, "fermion enumeration")
+    spins._check_spins(n, "N x 2^N array")
     eps_even = np.asarray(dispersion(params.k, momentum_grid(n, "even")))
     eps_odd = np.asarray(dispersion(params.k, momentum_grid(n, "odd")))
 

@@ -11,12 +11,15 @@ mapped Hamiltonian.
 
 `_FlipOperator` is the one form of every W and H, written densely only when
 read. `_FlipSystem` gives W and the mapped H in it, for one beta or stacked
-over an array of stage betas. `_rk4` is the one RK4 driver of
-`evolve_master` and the three `anneal` engines; it asks for the stage
-operators of a chunk of steps in one call, and it is the one place that
-samples: it keeps t = 0, every stride-th step and the last, and returns
-them stacked. Both master engines check |sum P - 1| <= 1e-8 after every
-step.
+over an array of stage betas. Its arrays hold N x 2^N entries, capped at 16
+spins; `_FlipOperator.dense` is the one writer of a 2^N x 2^N matrix, capped
+at 12. `relaxation_time` finds the gap of H by a deflated Lanczos solve
+(`_lowest_eigenvalue`) that applies the operator and writes no dense matrix.
+`_rk4` is the one RK4 driver of `evolve_master` and the three `anneal`
+engines; it asks for the stage operators of a chunk of steps in one call,
+and it is the one place that samples: it keeps t = 0, every stride-th step
+and the last, and returns them stacked. Both master engines check
+|sum P - 1| <= 1e-8 after every step.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from . import spins
 from .spins import IsingModel
 
 _TINY = np.finfo(float).tiny
+SYMMETRY_TOL = 1e-8  # relative asymmetry allowed in a symmetric form or eigensolver input
 
 
 def _logistic(x):
@@ -153,6 +157,8 @@ class _FlipOperator:
         return self.diag * y + (self.off * y[self.flips]).sum(axis=0)
 
     def dense(self) -> np.ndarray:
+        """The 2^N x 2^N matrix; raises ValueError above the dense-matrix spin cap."""
+        spins._check_spins(self.diag.size.bit_length() - 1, "dense matrix")
         matrix = np.diag(self.diag.astype(np.result_type(self.diag, self.off, float)))
         matrix[np.arange(self.diag.size), self.flips] = self.off
         return matrix
@@ -249,7 +255,7 @@ class _FlipSystem:
     gives every returned array a leading stage axis.
     """
 
-    def __init__(self, model: IsingModel, rule: RateRule, cap: str = "dense matrix"):
+    def __init__(self, model: IsingModel, rule: RateRule, cap: str = "N x 2^N array"):
         spins._check_spins(model.n_spins, cap)
         self.rule = rule
         self.n = model.n_spins
@@ -287,7 +293,7 @@ class _FlipSystem:
 
 
 def build_generator(model: IsingModel, beta: float, rule: RateRule) -> MarkovGenerator:
-    """Assemble the dense generator for single-flip dynamics at fixed beta.
+    """Assemble the generator for single-flip dynamics at fixed beta, in flip form.
 
     One attempt channel per site with unit attempt rate; columns sum
     to zero by construction.
@@ -448,13 +454,76 @@ def evolve_master(generator: MarkovGenerator, p0: np.ndarray, t_final: float,
     return MasterTrajectory(times=times, states=states)
 
 
+def _project_out(vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """vector minus its components along the orthonormal rows, in two Gram-Schmidt passes."""
+    for _ in range(2):
+        vector = vector - rows.T @ (rows @ vector)
+    return vector
+
+
+def _lowest_ritz_pair(alpha: list, beta: list) -> tuple[float, float]:
+    """Lowest eigenvalue theta of the Lanczos tridiagonal and its Ritz residual.
+
+    alpha is the diagonal; beta[:-1] the off-diagonal and beta[-1] the norm
+    of the next Lanczos vector, so the residual is beta[-1] * |s[-1]| for
+    the unit eigenvector s of theta. s comes from two inverse-iteration
+    solves shifted just below theta, where the shifted matrix is positive
+    definite.
+    """
+    t = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+    theta = float(np.linalg.eigvalsh(t)[0])
+    shifted = t - (theta - 1e-12 * max(1.0, np.abs(t).max())) * np.eye(len(alpha))
+    s = np.ones(len(alpha))
+    for _ in range(2):
+        s = np.linalg.solve(shifted, s)
+        s /= np.linalg.norm(s)
+    return theta, beta[-1] * abs(s[-1])
+
+
+def _lowest_eigenvalue(apply, deflate: np.ndarray, tol: float) -> float:
+    """Lowest eigenvalue of a symmetric operator on the complement of `deflate`'s rows.
+
+    Lanczos with full reorthogonalisation (Lanczos 1950; Golub & Van Loan,
+    Matrix Computations, ch. 10). apply(x) returns A x for a vector x;
+    deflate holds orthonormal rows, such as a known ground vector. Each new
+    Lanczos vector is orthogonalised against the deflated rows and every
+    earlier Lanczos vector in each of two passes, so no roundoff component
+    along a deflated row survives to grow into a spurious eigenvalue. The
+    start is a seeded Gaussian vector: a symmetric start such as all ones
+    has no component along modes odd under a symmetry of A. Stops when the
+    lowest Ritz pair's residual is at most tol, or after dim - len(deflate)
+    steps, when the Krylov space is the whole complement and the value is
+    exact. The basis holds only the rows in use: room for 64 Lanczos
+    vectors at first, doubled whenever it fills.
+    """
+    n_deflate, dim = deflate.shape
+    basis = np.empty((min(dim, n_deflate + 64), dim))  # rows: deflate, then Lanczos vectors
+    basis[:n_deflate] = deflate
+    q = _project_out(np.random.default_rng(0).normal(size=dim), deflate)
+    alpha, beta = [], []
+    for k in range(n_deflate, dim):
+        if k == len(basis):
+            basis = np.concatenate((basis, np.empty((min(k, dim - k), dim))))
+        q = q / np.linalg.norm(q)
+        basis[k] = q
+        w = apply(q)
+        alpha.append(float(q @ w))
+        w = _project_out(w, basis[:k + 1])
+        beta.append(float(np.linalg.norm(w)))
+        theta, residual = _lowest_ritz_pair(alpha, beta)
+        if residual <= tol:
+            break
+        q = w
+    return theta
+
+
 def relaxation_time(generator: MarkovGenerator) -> float:
     """1/|lambda_1| from the slowest decaying mode of the generator.
 
     |lambda_1| is the gap of the mapped Hamiltonian
     H = -exp(beta*H0/2) W exp(-beta*H0/2): its lowest eigenvalue on the
     complement of its ground vector sqrt(P0). A deflated Lanczos solve
-    (`spectral._lowest_eigenvalue`) finds it, applying H through the
+    (`_lowest_eigenvalue`) finds it, applying H through the
     operator of W, to a Ritz residual of 1e-13 * max(1, max|H|); no dense
     eigensolve runs, and the dense spectrum of the symmetric form is the
     test oracle. The solve runs on H scaled by 2^-e with 2^e > max|H|, exact
@@ -464,17 +533,15 @@ def relaxation_time(generator: MarkovGenerator) -> float:
     vanishes (below 1e-10, or below the Ritz tolerance, where it is
     roundoff) is reducible or degenerate and is rejected.
     """
-    from . import spectral
-
-    symmetric = _symmetric_form(generator, spectral.SYMMETRY_TOL)
+    symmetric = _symmetric_form(generator, SYMMETRY_TOL)
     root_p0 = np.sqrt(stationary_distribution(generator))
     h_max = symmetric.max_abs()
     tol = 1e-13 * max(1.0, h_max)
     e = math.frexp(h_max)[1]
     scaled = _FlipOperator(np.ldexp(symmetric.diag, -e), np.ldexp(symmetric.off, -e),
                            symmetric.flips)
-    lam1 = -math.ldexp(spectral._lowest_eigenvalue(lambda x: -scaled(x), root_p0[None, :],
-                                                   math.ldexp(tol, -e)), e)
+    lam1 = -math.ldexp(_lowest_eigenvalue(lambda x: -scaled(x), root_p0[None, :],
+                                          math.ldexp(tol, -e)), e)
     if abs(lam1) < max(1e-10, tol):
         raise ValueError(
             "generator is degenerate: second eigenvalue vanishes, "

@@ -241,5 +241,5 @@ def extract_couplings(energy_table) -> CouplingExpansion:
     n = size.bit_length() - 1
     if size != 1 << n or n < 1:
         raise ValueError(f"table length {size} is not a power of two")
-    spins._check_spins(n, "Walsh expansion")
+    spins._check_spins(n, "N x 2^N array")
     return CouplingExpansion(n_spins=n, coefficients=_walsh(table) / size)

@@ -1,4 +1,4 @@
-"""Dense symmetric eigensolves, a Lanczos gap solver and spectrum reports.
+"""Dense symmetric eigensolves and spectrum reports.
 
 Every eigenproblem in the package goes through the symmetric path: a
 nonsymmetric generator is first conjugated by exp(beta*H0/2), which is
@@ -7,8 +7,8 @@ symmetric and isospectral (`markov._symmetric_form`), never decomposed directly.
 Each solve computes only what its caller reads. `eig_sym(...,
 eigvals_only=True)`, `spectrum_report(..., keep_ground_vector=False)` and
 `spectrum_of_generator` run LAPACK's values-only driver; only reports that
-carry a ground vector compute eigenvectors. `_lowest_eigenvalue` finds one
-eigenvalue of an operator given as a callable, without a dense matrix.
+carry a ground vector compute eigenvectors. The gap alone, without a dense
+matrix, is `markov.relaxation_time`'s Lanczos solve.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from . import markov, spins
 
 if TYPE_CHECKING:  # pragma: no cover
     from .quantum import QuantumHamiltonian
-
-SYMMETRY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,7 @@ def eig_sym(matrix: np.ndarray, eigvals_only: bool = False
     bits = (dim - 1).bit_length()  # ceil(log2(dim)) spins; XOR masks need 2^bits rows
     spins._check_spins(bits, "dense matrix")
     padded = np.pad(matrix, (0, (1 << bits) - dim)) if dim & (dim - 1) else matrix
-    if not markov._FlipOperator.from_dense(padded).asymmetry() <= SYMMETRY_TOL:
+    if not markov._FlipOperator.from_dense(padded).asymmetry() <= markov.SYMMETRY_TOL:
         raise ValueError("matrix is not symmetric within 1e-8 relative tolerance")
     return np.linalg.eigvalsh(matrix) if eigvals_only else np.linalg.eigh(matrix)
 
@@ -79,66 +77,6 @@ def spectrum_report(matrix: np.ndarray, keep_ground_vector: bool = True) -> Spec
                           matrix_dim=evals.size, ground_vector=ground)
 
 
-def _project_out(vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """vector minus its components along the orthonormal rows, in two Gram-Schmidt passes."""
-    for _ in range(2):
-        vector = vector - rows.T @ (rows @ vector)
-    return vector
-
-
-def _lowest_ritz_pair(alpha: list, beta: list) -> tuple[float, float]:
-    """Lowest eigenvalue theta of the Lanczos tridiagonal and its Ritz residual.
-
-    alpha is the diagonal; beta[:-1] the off-diagonal and beta[-1] the norm
-    of the next Lanczos vector, so the residual is beta[-1] * |s[-1]| for
-    the unit eigenvector s of theta. s comes from two inverse-iteration
-    solves shifted just below theta, where the shifted matrix is positive
-    definite.
-    """
-    t = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
-    theta = float(np.linalg.eigvalsh(t)[0])
-    shifted = t - (theta - 1e-12 * max(1.0, np.abs(t).max())) * np.eye(len(alpha))
-    s = np.ones(len(alpha))
-    for _ in range(2):
-        s = np.linalg.solve(shifted, s)
-        s /= np.linalg.norm(s)
-    return theta, beta[-1] * abs(s[-1])
-
-
-def _lowest_eigenvalue(apply, deflate: np.ndarray, tol: float) -> float:
-    """Lowest eigenvalue of a symmetric operator on the complement of `deflate`'s rows.
-
-    Lanczos with full reorthogonalisation (Lanczos 1950; Golub & Van Loan,
-    Matrix Computations, ch. 10). apply(x) returns A x for a vector x;
-    deflate holds orthonormal rows, such as a known ground vector. Each new
-    Lanczos vector is orthogonalised against the deflated rows and every
-    earlier Lanczos vector in each of two passes, so no roundoff component
-    along a deflated row survives to grow into a spurious eigenvalue. The
-    start is a seeded Gaussian vector: a symmetric start such as all ones
-    has no component along modes odd under a symmetry of A. Stops when the
-    lowest Ritz pair's residual is at most tol, or after dim - len(deflate)
-    steps, when the Krylov space is the whole complement and the value is
-    exact.
-    """
-    n_deflate, dim = deflate.shape
-    basis = np.empty((dim, dim))  # rows: deflate, then Lanczos vectors; pages fill as used
-    basis[:n_deflate] = deflate
-    q = _project_out(np.random.default_rng(0).normal(size=dim), deflate)
-    alpha, beta = [], []
-    for k in range(n_deflate, dim):
-        q = q / np.linalg.norm(q)
-        basis[k] = q
-        w = apply(q)
-        alpha.append(float(q @ w))
-        w = _project_out(w, basis[:k + 1])
-        beta.append(float(np.linalg.norm(w)))
-        theta, residual = _lowest_ritz_pair(alpha, beta)
-        if residual <= tol:
-            break
-        q = w
-    return theta
-
-
 def spectrum_of_generator(generator: markov.MarkovGenerator) -> SpectrumReport:
     """Eigenvalues of a generator via `markov._symmetric_form`, values only.
 
@@ -149,7 +87,7 @@ def spectrum_of_generator(generator: markov.MarkovGenerator) -> SpectrumReport:
     `spectrum_of_hamiltonian(quantum.classical_to_quantum(generator))`.
     Raises ValueError when W is out of detailed balance beyond 1e-8 relative.
     """
-    evals = eig_sym(markov._symmetric_form(generator, SYMMETRY_TOL).dense(), eigvals_only=True)
+    evals = eig_sym(markov._symmetric_form(generator, markov.SYMMETRY_TOL).dense(), eigvals_only=True)
     return SpectrumReport(eigenvalues=evals, gap=float(evals[-1] - evals[-2]),
                           matrix_dim=evals.size)
 

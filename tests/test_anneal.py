@@ -71,6 +71,14 @@ class TestSchedules:
             want = [oracles.schedule_values(schedule, t)[which] for t in times.tolist()]
             np.testing.assert_allclose(fn(times), want, rtol=1e-15, atol=0.0)
 
+    def test_linear_divides_before_it_multiplies(self):
+        """(beta1 - beta0) * t overflows at beta1 = 1e308 before / t_final brings it back."""
+        schedule = anneal.LinearBeta(0.0, 1e308, 10.0)
+        assert schedule.beta(5.0) == 5e307 and schedule.beta(10.0) == 1e308
+        times = np.linspace(0.0, 10.0, 33)
+        scalars = np.array([schedule.beta(t) for t in times.tolist()])
+        assert schedule.beta(times).tobytes() == scalars.tobytes()
+
     @pytest.mark.parametrize("make, match", [
         (lambda: anneal.GemanGeman(p=1e-320, n_spins=4, t_final=10.0),
          "schedule beta(10) = inf is not finite"),

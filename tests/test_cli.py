@@ -306,6 +306,21 @@ class TestReverse:
                            "--out", str(tmp_path),
                            match="--tfield cannot be combined with --chain or --model")
 
+    @pytest.mark.parametrize("path", [("--tfield", "4"), ("--chain", "4")])
+    def test_invalid_rule_is_usage_error_on_both_paths(self, path, tmp_path, capsys):
+        assert_usage_error(capsys, "reverse", *path, "--rule", "nonsense",
+                           "--out", str(tmp_path), match="unknown rate rule 'nonsense'")
+
+    @pytest.mark.parametrize("argv, ignored", [
+        (("--tfield", "4", "--K", "3"), {"K", "rule"}),
+        (("--chain", "4", "--gamma", "5"), {"gamma"}),
+    ])
+    def test_config_leaves_out_the_flags_the_path_ignores(self, argv, ignored, tmp_path):
+        assert run_cli("reverse", *argv, "--out", str(tmp_path)) == 0
+        config = load_report(tmp_path, "reverse.json")["config"]
+        assert not ignored & set(config)
+        assert config[argv[0][2:]] == 4
+
     def test_roundtrip_mode(self, tmp_path):
         code = run_cli("reverse", "--chain", "4", "--K", "1.0",
                        "--rule", "heatbath", "--out", str(tmp_path))

@@ -1,0 +1,67 @@
+"""The package's import structure, read from its source with `ast`.
+
+Every intra-package import sits at module level, where the import graph
+shows it, and that graph has no cycle: a module that needs another's code
+imports it in one direction only.
+"""
+
+import ast
+import graphlib
+import pathlib
+
+import isingbridge
+
+PACKAGE = pathlib.Path(isingbridge.__file__).parent
+MODULES = {path.stem: ast.parse(path.read_text(), filename=str(path))
+           for path in sorted(PACKAGE.glob("*.py"))}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _package_imports(node) -> set[str]:
+    """The package modules an import statement reads; `__init__` for a package name."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names if alias.name.split(".")[0] == "isingbridge"]
+        return {name.partition(".")[2].split(".")[0] or "__init__" for name in names}
+    if not isinstance(node, ast.ImportFrom):
+        return set()
+    if node.level == 0:
+        if node.module.split(".")[0] != "isingbridge":
+            return set()
+        base = node.module.partition(".")[2]
+    else:
+        base = node.module or ""
+    if base:
+        return {base.split(".")[0]}
+    return {alias.name if alias.name in MODULES else "__init__" for alias in node.names}
+
+
+def _imports(tree) -> tuple[set[str], list[tuple[str, str]]]:
+    """(modules imported at module level, (function, module) for imports in a body)."""
+    top, nested = set(), []
+
+    def visit(node, function):
+        if isinstance(node, FUNCTIONS):
+            function = getattr(node, "name", "<lambda>")
+        targets = _package_imports(node)
+        if function is None:
+            top.update(targets)
+        else:
+            nested.extend((function, target) for target in sorted(targets))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return top, nested
+
+
+def test_no_function_body_imports_a_package_module():
+    found = [f"{module}.{function} imports {target}"
+             for module, tree in MODULES.items()
+             for function, target in _imports(tree)[1]]
+    assert found == []
+
+
+def test_module_level_import_graph_has_no_cycle():
+    graph = {module: _imports(tree)[0] for module, tree in MODULES.items()}
+    assert "markov" in graph["spectral"]  # the reader sees module-level imports
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError naming the cycle

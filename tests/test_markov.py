@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from isingbridge import markov, quantum, reverse, spectral, spins
 import oracles
@@ -19,6 +21,14 @@ def two_flip_generator(n):
         matrix[states, states ^ (1 << j) ^ (1 << (j + 1) % n)] -= 0.4
     ham = quantum.QuantumHamiltonian.from_matrix(matrix, provenance=quantum.PROVENANCE_USER)
     return reverse.quantum_to_classical(ham).generator
+
+
+def sparse_matrix(op):
+    """A flip operator as a scipy CSR matrix: A[c, flips[j, c]] = off[j, c] plus the diagonal."""
+    rows = np.broadcast_to(np.arange(op.diag.size), op.flips.shape)
+    off = scipy.sparse.csr_matrix((op.off.ravel(), (rows.ravel(), op.flips.ravel())),
+                                  shape=(op.diag.size,) * 2)
+    return off + scipy.sparse.diags(op.diag)
 
 
 def perturbed_rate(gen, eps):
@@ -159,9 +169,13 @@ class TestBuildGenerator:
         assert abs(gen.matrix[1, 0] - expected) <= 1e-15
 
     def test_rejects_oversized_model(self):
-        model = spins.chain_model(13, [1.0] * 13)
-        with pytest.raises(ValueError, match="<= 12"):
+        model = spins.chain_model(17, [1.0] * 17)
+        with pytest.raises(ValueError, match="<= 16"):
             markov.build_generator(model, 0.5, markov.HEAT_BATH)
+        generator = markov.build_generator(spins.chain_model(13, [1.0] * 13), 0.5,
+                                           markov.HEAT_BATH)
+        with pytest.raises(ValueError, match="<= 12"):
+            generator.matrix
 
     def test_spin_count_comes_from_the_operator(self):
         gen = markov.MarkovGenerator.from_matrix(np.zeros((8, 8)), beta=1.0,
@@ -348,9 +362,29 @@ class TestRelaxationTime:
         gap = 1.0 / markov.relaxation_time(gen)
         assert abs(gap - (1.0 - math.tanh(2.0 * k))) <= 1e-13 * n
 
+    @pytest.mark.parametrize("rule", [markov.HEAT_BATH, markov.METROPOLIS],
+                             ids=["heatbath", "metropolis"])
+    @pytest.mark.parametrize("k", [0.5, 1.5])
+    def test_gap_beyond_the_dense_cap(self, rule, k):
+        """At 14 spins, past the dense cap, the Lanczos gap matches ARPACK on the same
+        operator, and the heat-bath gap matches 1 - tanh 2K."""
+        gen = markov.build_generator(spins.chain_model(14, [1.0] * 14), k, rule)
+        gap = 1.0 / markov.relaxation_time(gen)
+        h = -sparse_matrix(markov._symmetric_form(gen, markov.SYMMETRY_TOL))
+        ground, first = np.sort(scipy.sparse.linalg.eigsh(h, k=2, which="SA",
+                                                          return_eigenvectors=False))
+        assert abs(gap - (first - ground)) <= 1e-12
+        if rule is markov.HEAT_BATH:
+            assert abs(gap - (1.0 - math.tanh(2.0 * k))) <= 1e-12
+
+    def test_heatbath_gap_at_the_array_cap(self):
+        """16 spins: the Lanczos basis grows with its steps, not to 2^16 rows."""
+        gen = markov.build_generator(spins.chain_model(16, [1.0] * 16), 0.5, markov.HEAT_BATH)
+        assert abs(1.0 / markov.relaxation_time(gen) - (1.0 - math.tanh(1.0))) <= 1e-12
+
     def test_two_flip_generator_matches_dense_gap(self):
         gen = two_flip_generator(5)
-        symmetric = markov._symmetric_form(gen, spectral.SYMMETRY_TOL).dense()
+        symmetric = markov._symmetric_form(gen, markov.SYMMETRY_TOL).dense()
         lam1 = np.linalg.eigvalsh(symmetric)[-2]
         assert abs(markov.relaxation_time(gen) * abs(lam1) - 1.0) <= 1e-10
 

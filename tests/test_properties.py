@@ -183,7 +183,7 @@ def test_spectrum_is_shared(model, rule, beta):
 def test_relaxation_time_is_the_dense_gap(model, rule, beta):
     """The Lanczos gap is the second eigenvalue of the dense symmetric form."""
     generator = markov.build_generator(model, beta, rule)
-    symmetric = markov._symmetric_form(generator, spectral.SYMMETRY_TOL).dense()
+    symmetric = markov._symmetric_form(generator, markov.SYMMETRY_TOL).dense()
     lam1 = np.linalg.eigvalsh(symmetric)[-2]
     try:
         gap = 1.0 / markov.relaxation_time(generator)
