@@ -116,15 +116,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="json",
                         help="primary report format (csv adds no information; "
                         "the JSON report is always written)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for seeded inputs")
 
 
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", help="path to a model JSON file")
     parser.add_argument("--chain", type=int, metavar="N",
                         help="built-in uniform periodic chain with N sites")
-    parser.add_argument("--K", type=float, default=0.5,
-                        help="inverse temperature times coupling (J=1)")
     parser.add_argument("--rule", default="heatbath",
                         help="heatbath | metropolis | uniform:P")
 
@@ -297,7 +294,7 @@ def cmd_fermion_check(args) -> int:
         "gap_deviation": float(gap_dev),
         "ground_energy_offset": float(ground_offset),
     }
-    return _report(args, "fermion_check", payload, checks)
+    return _report(args, "fermion_check", payload, checks, ignored=("seed",))
 
 
 def cmd_reverse(args) -> int:
@@ -357,6 +354,8 @@ def cmd_anneal(args) -> int:
     unknown = set(engines) - {"master", "imaginary", "real"}
     if unknown or not engines:
         raise UsageError("--engines must name master, imaginary and/or real")
+    if args.dump_states and "master" not in engines:
+        raise UsageError("--dump-states exports the master engine; add master to --engines")
 
     # every engine starts in equilibrium at beta(0): P0, and phi0 = sqrt(P0), the
     # image exp(beta0 H0 / 2) P0 up to the norm the engines divide out
@@ -382,7 +381,7 @@ def cmd_anneal(args) -> int:
                    for t, b, g, o, l in zip(traj.times, traj.betas,
                                             traj.ground_probability, traj.overlap,
                                             traj.log_norm_decrement)))
-    if args.dump_states and "master" in trajectories:
+    if args.dump_states:
         traj = trajectories["master"]
         export_states(os.path.join(args.out, "states_master.csv"),
                       traj.times, traj.states, args.dump_states, model.n_spins)
@@ -435,6 +434,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                        help="map a generator to a Hamiltonian both ways and verify")
     _add_common(p)
     _add_model_args(p)
+    p.add_argument("--K", type=float, default=0.5,
+                   help="inverse temperature times coupling (J=1)")
     p.add_argument("--dump-hamiltonian", action="store_true")
     p.add_argument("--tol-spectrum", type=_finite_float, default=1e-9)
     p.add_argument("--tol-entry", type=_finite_float, default=1e-12)
@@ -449,12 +450,15 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--K", type=float, default=0.5)
     p.add_argument("--random-couplings", action="store_true",
                    help="seeded +-1 couplings; emit single-particle energies")
+    p.add_argument("--seed", type=int, default=0, help="seed for --random-couplings")
     p.set_defaults(func=cmd_fermion_check)
 
     p = sub.add_parser("reverse",
                        help="map a Hamiltonian back to classical dynamics")
     _add_common(p)
     _add_model_args(p)
+    p.add_argument("--K", type=float, default=0.5,
+                   help="inverse temperature times coupling, for --chain or --model")
     p.add_argument("--tfield", type=int, metavar="N",
                    help="use the standard transverse-field chain on N sites instead")
     p.add_argument("--gamma", type=_finite_float, default=0.7,
@@ -478,6 +482,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     _add_common(p)
     _add_model_args(p)
     p.add_argument("--schedule", default="linear:0,3,1000")
+    p.add_argument("--seed", type=int, default=0, help="seed of the chains' RNG stream")
     p.add_argument("--sweeps", type=int, default=1000)
     p.add_argument("--seeds", type=int, default=200)
     p.add_argument("--ground-energy", type=_finite_float)

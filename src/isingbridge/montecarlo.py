@@ -48,7 +48,9 @@ def mc_simulated_annealing(model: IsingModel, rule: RateRule, schedule: Schedule
     is either "random" (uniform initial configurations) or a fixed
     configuration index for every chain. A chain succeeds when its final
     energy matches the ground energy; the ground energy is found by
-    exhaustive scan unless supplied.
+    exhaustive scan unless supplied. With `track_histogram` the states
+    after each sweep from `histogram_burn_in` on are counted, so the
+    burn-in must leave at least one sweep.
     """
     if not isinstance(rule, (HeatBath, Metropolis)):
         raise ValueError(
@@ -58,6 +60,11 @@ def mc_simulated_annealing(model: IsingModel, rule: RateRule, schedule: Schedule
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     if n_sweeps < 1:
         raise ValueError(f"n_sweeps must be >= 1, got {n_sweeps}")
+    if histogram_burn_in and not track_histogram:
+        raise ValueError("histogram_burn_in needs track_histogram=True")
+    if not 0 <= histogram_burn_in < n_sweeps:
+        raise ValueError(f"histogram_burn_in must lie in [0, n_sweeps = {n_sweeps}), "
+                         f"got {histogram_burn_in}")
 
     n = model.n_spins
     size = model.n_states
@@ -78,8 +85,8 @@ def mc_simulated_annealing(model: IsingModel, rule: RateRule, schedule: Schedule
     trace[0] = table[states].mean()
     histogram = np.zeros(size, dtype=np.int64) if track_histogram else None
 
-    for sweep in range(n_sweeps):
-        beta = schedule.beta(min(float(sweep), schedule.t_final))
+    betas = schedule.beta(np.minimum(np.arange(n_sweeps, dtype=float), schedule.t_final))
+    for sweep, beta in enumerate(betas):
         for _ in range(n):
             sites = rng.integers(0, n, size=n_seeds)
             flipped = states ^ (np.int64(1) << sites)

@@ -16,8 +16,13 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+def _reject_constant(token):
+    raise ValueError(f"report holds {token}, which is not JSON")
+
+
 def load_report(tmp_path, name):
-    return json.loads((tmp_path / name).read_text())
+    """Parse a report as strict JSON: a NaN or Infinity token fails the test."""
+    return json.loads((tmp_path / name).read_text(), parse_constant=_reject_constant)
 
 
 def assert_usage_error(capsys, *argv, match):
@@ -550,6 +555,64 @@ class TestConfigAndFormat:
         second = load_report(tmp_path, "bridge_check.json")
         assert first["spectrum_deviation"] == second["spectrum_deviation"]
         assert first["gap"] == second["gap"]
+
+
+class TestFlagsPerCommand:
+    """A command declares only the flags its run reads, and records only those."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("anneal", "--chain", "4", "--schedule", "linear:0,1,0.1", "--K", "nan"), "--K"),
+        (("mc", "--chain", "4", "--sweeps", "3", "--seeds", "2", "--K", "inf"), "--K"),
+        (("bridge-check", "--chain", "4", "--seed", "1"), "--seed"),
+        (("reverse", "--chain", "4", "--seed", "1"), "--seed"),
+        (("anneal", "--chain", "4", "--schedule", "linear:0,1,0.1", "--seed", "1"), "--seed"),
+    ], ids=["anneal-K", "mc-K", "bridge-check-seed", "reverse-seed", "anneal-seed"])
+    def test_unread_flag_is_usage_error(self, argv, flag, tmp_path, capsys):
+        assert_usage_error(capsys, *argv, "--out", str(tmp_path),
+                           match=f"unrecognized arguments: {flag}")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, config", [
+        ("anneal", {"chain": 4, "schedule": "linear:0,1,0.1", "K": 0.5}),
+        ("mc", {"chain": 4, "sweeps": 3, "seeds": 2, "K": 0.5}),
+        ("bridge-check", {"chain": 4, "seed": 0}),
+    ], ids=["anneal-K", "mc-K", "bridge-check-seed"])
+    def test_unread_config_key_is_usage_error(self, command, config, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        key = list(config)[-1]
+        assert_usage_error(capsys, command, "--config", str(cfg_path), "--out", str(tmp_path),
+                           match=f"--config keys that match no flag: {key}")
+
+    def test_state_dump_needs_the_master_engine(self, tmp_path, capsys):
+        assert_usage_error(capsys, "anneal", "--chain", "4", "--engines", "imaginary",
+                           "--dump-states", "long", "--out", str(tmp_path),
+                           match="--dump-states exports the master engine")
+        assert not list(tmp_path.iterdir())
+
+    COMMON = {"out", "format"}
+    MODEL = COMMON | {"chain", "rule"}
+
+    @pytest.mark.parametrize("argv, report, keys", [
+        (("bridge-check", "--chain", "4"), "bridge_check",
+         MODEL | {"K", "dump_hamiltonian", "tol_spectrum", "tol_entry", "tol_balance",
+                  "tol_ground"}),
+        (("fermion-check", "--chain", "4"), "fermion_check",
+         COMMON | {"chain", "K", "random_couplings"}),
+        (("fermion-check", "--chain", "4", "--random-couplings"), "fermion_check",
+         COMMON | {"chain", "K", "random_couplings", "seed"}),
+        (("reverse", "--chain", "4"), "reverse", MODEL | {"K"}),
+        (("reverse", "--tfield", "4"), "reverse", COMMON | {"tfield", "gamma"}),
+        (("anneal", "--chain", "4", "--schedule", "linear:0,1,0.1"), "anneal",
+         MODEL | {"schedule", "dt", "samples", "engines"}),
+        (("mc", "--chain", "4", "--sweeps", "3", "--seeds", "2"), "mc",
+         MODEL | {"schedule", "seed", "sweeps", "seeds"}),
+    ], ids=["bridge-check", "fermion-check", "fermion-check-random", "reverse-chain",
+            "reverse-tfield", "anneal", "mc"])
+    def test_config_records_only_the_flags_the_run_reads(self, argv, report, keys,
+                                                         tmp_path):
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+        assert set(load_report(tmp_path, f"{report}.json")["config"]) == keys | {"command"}
 
 
 def test_module_entry_point(tmp_path):

@@ -73,6 +73,22 @@ class TestAnnealedRuns:
         assert np.array_equal(a.final_states, b.final_states)
         assert np.array_equal(a.energy_trace, b.energy_trace)
 
+    def test_schedule_is_called_once_per_run(self):
+        calls = []
+
+        class CountingBeta(anneal.LinearBeta):
+            def beta(self, t):
+                calls.append(np.shape(t))
+                return super().beta(t)
+
+        schedule = CountingBeta(0.0, 2.0, 30.0)
+        calls.clear()  # construction evaluates both ends
+        model = spins.chain_model(4, [1.0] * 4)
+        report = montecarlo.mc_simulated_annealing(model, markov.HEAT_BATH, schedule,
+                                                   n_sweeps=40, n_seeds=8, seed0=1)
+        assert calls == [(40,)]
+        assert report.energy_trace.size == 41
+
 
 class TestValidation:
     def test_uniform_rule_rejected(self):
@@ -106,6 +122,22 @@ class TestValidation:
             montecarlo.mc_simulated_annealing(model, markov.HEAT_BATH, schedule,
                                               n_sweeps=10, n_seeds=4, seed0=0,
                                               start=16)
+
+    @pytest.mark.parametrize("burn_in", [-1, 10, 11], ids=["negative", "all", "beyond"])
+    def test_burn_in_must_leave_a_sweep(self, burn_in):
+        model = spins.chain_model(4, [1.0] * 4)
+        with pytest.raises(ValueError, match=r"histogram_burn_in must lie in \[0, n_sweeps"):
+            montecarlo.mc_simulated_annealing(
+                model, markov.HEAT_BATH, anneal.frozen_schedule(0.5, 10.0),
+                n_sweeps=10, n_seeds=4, seed0=0,
+                track_histogram=True, histogram_burn_in=burn_in)
+
+    def test_burn_in_needs_a_histogram(self):
+        model = spins.chain_model(4, [1.0] * 4)
+        with pytest.raises(ValueError, match="histogram_burn_in needs track_histogram"):
+            montecarlo.mc_simulated_annealing(
+                model, markov.HEAT_BATH, anneal.frozen_schedule(0.5, 10.0),
+                n_sweeps=10, n_seeds=4, seed0=0, histogram_burn_in=5)
 
     def test_histogram_requires_tracking(self):
         model = spins.chain_model(4, [1.0] * 4)
