@@ -229,7 +229,7 @@ def evolve_master_timedep(model: IsingModel, rule: RateRule, schedule: Schedule,
                           p0: np.ndarray, dt: float,
                           n_samples: int = 512) -> AnnealTrajectory:
     """Integrate dP/dt = W(beta(t)) P with the generator rebuilt per stage."""
-    sys = _FlipSystem(model, rule, "anneal engine")
+    sys = _FlipSystem(model, rule)
     spins.check_probability_vector(p0)
     samples = _rk4(lambda times: sys.generator(schedule.beta(times)),
                    np.array(p0, dtype=float), schedule.t_final, dt,
@@ -247,7 +247,7 @@ def evolve_imaginary_schrodinger(model: IsingModel, rule: RateRule, schedule: Sc
     include_beta_derivative=False drops the beta_dot term, reproducing
     the stationary-mapping approximation.
     """
-    sys = _FlipSystem(model, rule, "anneal engine")
+    sys = _FlipSystem(model, rule)
     phi = _unit_state(phi0, float)
     log_decrement = 0.0
 
@@ -275,7 +275,7 @@ def evolve_real_schrodinger(model: IsingModel, rule: RateRule, schedule: Schedul
     The norm must stay within 1e-4 of 1 or the run aborts with a dt
     suggestion; at reasonable dt it is conserved to better than 1e-6.
     """
-    sys = _FlipSystem(model, rule, "anneal engine")
+    sys = _FlipSystem(model, rule)
     phi = _unit_state(phi0, complex)
 
     def on_step(step, n_steps, t, phi):

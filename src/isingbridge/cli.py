@@ -1,9 +1,9 @@
-"""Command-line experiments with CSV/JSON reports.
+"""Command-line experiments with JSON reports and CSV data files.
 
 Every command resolves its configuration (flags, optionally seeded from a
-JSON config file), runs a reproducible experiment, writes report files
-atomically into --out, and exits 0 when all numeric checks pass, 1 when a
-numeric check fails, and 2 on usage or validation errors.
+JSON config file), runs a reproducible experiment, writes its JSON report
+and data files atomically into --out, and exits 0 when all numeric checks
+pass, 1 when a numeric check fails, and 2 on usage or validation errors.
 """
 
 from __future__ import annotations
@@ -21,6 +21,12 @@ from . import anneal, fermion, markov, montecarlo, quantum, reverse, spectral, s
 EXIT_OK = 0
 EXIT_NUMERIC = 1
 EXIT_USAGE = 2
+
+# bridge-check's acceptance gates; the spectrum gate is relative to max(1, max|H|)
+TOL_SPECTRUM = 1e-9
+TOL_ENTRY = 1e-12
+TOL_BALANCE = 1e-10
+TOL_GROUND = 1e-9
 
 
 class UsageError(ValueError):
@@ -113,9 +119,6 @@ def _finite_float(text: str) -> float:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file whose keys preload these flags")
     parser.add_argument("--out", default=".", help="output directory for reports")
-    parser.add_argument("--format", choices=("csv", "json"), default="json",
-                        help="primary report format (csv adds no information; "
-                        "the JSON report is always written)")
 
 
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
@@ -162,24 +165,10 @@ def _resolved_config(args, ignored=()) -> dict:
             if k != "func" and k not in ignored and v is not None}
 
 
-def _flatten(prefix: str, obj, rows: list) -> None:
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            _flatten(f"{prefix}.{k}" if prefix else str(k), v, rows)
-    elif isinstance(obj, (list, tuple)):
-        rows.append((prefix, json.dumps(obj)))
-    else:
-        rows.append((prefix, obj))
-
-
 def _report(args, name: str, payload: dict, checks: dict[str, bool], ignored=()) -> int:
     payload = {**payload, "checks": {k: bool(v) for k, v in checks.items()},
                "config": _resolved_config(args, ignored)}
     write_json(os.path.join(args.out, f"{name}.json"), payload)
-    if args.format == "csv":
-        rows: list = []
-        _flatten("", payload, rows)
-        write_csv(os.path.join(args.out, f"{name}.csv"), ["key", "value"], rows)
     failed = [k for k, ok in checks.items() if not ok]
     for k in failed:
         print(f"FAIL {k}", file=sys.stderr)
@@ -190,10 +179,6 @@ def _report(args, name: str, payload: dict, checks: dict[str, bool], ignored=())
 # commands
 
 def cmd_bridge_check(args) -> int:
-    for flag in ("tol_spectrum", "tol_entry", "tol_balance", "tol_ground"):
-        if getattr(args, flag) < 0:
-            raise UsageError(f"--{flag.replace('_', '-')} must be nonnegative, "
-                             f"got {getattr(args, flag)}")
     model = _resolve_model(args)
     rule = markov.parse_rule(args.rule)
     generator = markov.build_generator(model, args.K, rule)
@@ -207,8 +192,12 @@ def cmd_bridge_check(args) -> int:
     ham_report = spectral.spectrum_of_hamiltonian(direct)
     # eigh is accurate to roundoff times max|H|, and uniform:P rates reach exp(K|dE|/2)
     h_max = direct.operator.max_abs()
+    tolerances = {"spectrum-shared": TOL_SPECTRUM * max(1.0, h_max),
+                  "construction-agreement": TOL_ENTRY,
+                  "detailed-balance": TOL_BALANCE,
+                  "ground-state-boltzmann": TOL_GROUND}
     spectra = spectral.compare_spectra(-gen_report.eigenvalues, ham_report.eigenvalues,
-                                       args.tol_spectrum * max(1.0, h_max))
+                                       tolerances["spectrum-shared"])
 
     balance = markov.detailed_balance_residual(generator)
     # gate on H sqrt(P0) = 0 and on the residual H v0 of eigh's ground vector, not
@@ -228,9 +217,9 @@ def cmd_bridge_check(args) -> int:
 
     checks = {
         "spectrum-shared": spectra.matched,
-        "construction-agreement": entry_dev <= args.tol_entry,
-        "detailed-balance": balance <= args.tol_balance,
-        "ground-state-boltzmann": max(ground_residual, eigh_residual) <= args.tol_ground,
+        "construction-agreement": entry_dev <= TOL_ENTRY,
+        "detailed-balance": balance <= TOL_BALANCE,
+        "ground-state-boltzmann": max(ground_residual, eigh_residual) <= TOL_GROUND,
     }
     payload = {
         "spectrum_deviation": spectra.max_deviation,
@@ -241,6 +230,7 @@ def cmd_bridge_check(args) -> int:
         "ground_boltzmann_deviation": ground_dev,
         "gap": ham_report.gap,
         "hamiltonian_max_abs": h_max,
+        "tolerances": tolerances,
     }
     return _report(args, "bridge_check", payload, checks)
 
@@ -257,11 +247,16 @@ def cmd_fermion_check(args) -> int:
         couplings = rng.choice([-1.0, 1.0], size=n)
         _, spectrum = fermion.random_single_particle_matrix(couplings, args.K)
         energies = spectrum[n:]  # ascending, so the top half is the +eps branch
-        symmetry_dev = float(np.abs(spectrum + spectrum[::-1]).max())
+        # sigma_j -> +-sigma_j gauges +-1 couplings on the even ring to the uniform
+        # chain, periodic ("odd" grid) if their product is +1, antiperiodic if -1
+        sector = "odd" if np.prod(couplings) > 0 else "even"
+        expected = np.sort(fermion.dispersion(args.K, fermion.momentum_grid(n, sector)))
+        gauge_dev = float(np.abs(energies - expected).max())
         write_csv(os.path.join(args.out, "single_particle.csv"),
                   ["index", "energy"], enumerate(map(float, energies)))
-        checks = {"spectrum-plusminus-symmetric": symmetry_dev <= 1e-10}
-        payload = {"couplings": list(couplings), "symmetry_deviation": symmetry_dev,
+        checks = {"gauge-equivalent-dispersion": gauge_dev <= 1e-12}
+        payload = {"couplings": list(couplings), "sector": sector,
+                   "gauge_deviation": gauge_dev,
                    "single_particle_energies": [float(e) for e in energies]}
         return _report(args, "fermion_check", payload, checks)
 
@@ -437,10 +432,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--K", type=float, default=0.5,
                    help="inverse temperature times coupling (J=1)")
     p.add_argument("--dump-hamiltonian", action="store_true")
-    p.add_argument("--tol-spectrum", type=_finite_float, default=1e-9)
-    p.add_argument("--tol-entry", type=_finite_float, default=1e-12)
-    p.add_argument("--tol-balance", type=_finite_float, default=1e-10)
-    p.add_argument("--tol-ground", type=_finite_float, default=1e-9)
     p.set_defaults(func=cmd_bridge_check)
 
     p = sub.add_parser("fermion-check",

@@ -160,20 +160,17 @@ def random_single_particle_matrix(couplings, beta: float):
     """
     field, hop, hop2 = _site_dependent_constants(couplings, beta)
     n = field.size
-    a = np.zeros((n, n))
+    site = np.arange(n)
+    # hop_j couples sites (j, j+1) and hop2_j couples (j-1, j+1)
+    rows = np.concatenate([site, (site - 1) % n])
+    cols = np.concatenate([(site + 1) % n] * 2)
+    half = -0.5 * np.concatenate([hop, hop2])
+    a = np.diag(-field)
     b = np.zeros((n, n))
-    for j in range(n):
-        a[j, j] = -field[j]
-        nxt = (j + 1) % n
-        a[j, nxt] += -0.5 * hop[j]
-        a[nxt, j] += -0.5 * hop[j]
-        b[j, nxt] += -0.5 * hop[j]
-        b[nxt, j] += +0.5 * hop[j]
-        prv, nxt2 = (j - 1) % n, (j + 1) % n
-        a[prv, nxt2] += -0.5 * hop2[j]
-        a[nxt2, prv] += -0.5 * hop2[j]
-        b[prv, nxt2] += -0.5 * hop2[j]
-        b[nxt2, prv] += +0.5 * hop2[j]
+    np.add.at(a, (rows, cols), half)
+    np.add.at(a, (cols, rows), half)
+    np.add.at(b, (rows, cols), half)
+    np.add.at(b, (cols, rows), -half)
 
     block = np.block([[a, b], [-b, -a]])
     return block, np.linalg.eigvalsh(block)

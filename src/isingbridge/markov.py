@@ -249,14 +249,14 @@ def _stage_axis(values, trailing: int) -> np.ndarray:
 
 
 class _FlipSystem:
-    """H0, flips and deltas = H0[flips] - H0 of a model under a rule; `cap` is its spin cap.
+    """H0, flips and deltas = H0[flips] - H0 of a model under a rule, up to 16 spins.
 
     beta and beta_dot are a scalar or a 1-D array of stage values; an array
     gives every returned array a leading stage axis.
     """
 
-    def __init__(self, model: IsingModel, rule: RateRule, cap: str = "N x 2^N array"):
-        spins._check_spins(model.n_spins, cap)
+    def __init__(self, model: IsingModel, rule: RateRule):
+        spins._check_spins(model.n_spins, "N x 2^N array")
         self.rule = rule
         self.n = model.n_spins
         self.energies = spins.energy_table(model)

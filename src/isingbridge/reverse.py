@@ -64,7 +64,7 @@ def _ground_state(hamiltonian: QuantumHamiltonian) -> tuple[float, np.ndarray]:
     """(ground energy, entrywise-positive unit ground vector), with guards."""
     h = hamiltonian.operator
     _check_connected(_stoquastic_offdiag(h), h.flips)
-    matrix = hamiltonian.matrix
+    matrix = h.dense()  # not hamiltonian.matrix, which would stay cached on the caller's H
     evals = eig_sym(matrix, eigvals_only=True)
     gap = evals[1] - evals[0]
     if gap < DEGENERACY_GUARD:
@@ -79,10 +79,10 @@ def _ground_state(hamiltonian: QuantumHamiltonian) -> tuple[float, np.ndarray]:
     # floor, more solves only add noise, which accumulates when r is near 1.
     offset = INVERSE_SHIFT * max(1.0, h.max_abs())
     r = offset / (gap + offset)
-    shifted = matrix - (evals[0] - offset) * np.eye(matrix.shape[0])
+    matrix[np.diag_indices_from(matrix)] -= evals[0] - offset  # H - sigma I, in place
     vec = np.full(matrix.shape[0], matrix.shape[0] ** -0.5)
     for _ in range(MAX_SOLVES):
-        new = np.linalg.solve(shifted, vec)
+        new = np.linalg.solve(matrix, vec)
         new /= np.linalg.norm(new)
         if new.min() < ENTRY_FLOOR:
             raise ValueError(

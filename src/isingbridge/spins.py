@@ -22,7 +22,6 @@ _SPIN_CAPS = {
     "model": 20,              # energy tables / Boltzmann vectors stay addressable
     "N x 2^N array": 16,      # flip tables, rates, z columns, Walsh stages, occupation bits
     "dense matrix": 12,       # 2^N x 2^N matrices: _FlipOperator.dense and eig_sym only
-    "anneal engine": 10,      # the three time-dependent engines
     "command-line": 10,       # every CLI command but mc
     "wide state export": 8,   # anneal --dump-states wide: 2^N CSV columns
 }

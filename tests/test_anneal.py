@@ -196,12 +196,15 @@ class TestMasterEngine:
             anneal.evolve_master_timedep(CHAIN4, markov.HEAT_BATH,
                                          anneal.LinearBeta(0.0, 1.0, 1.0), p0, 0.01)
 
-    def test_caps_system_size(self):
+    def test_runs_beyond_the_command_line_cap(self):
+        # the engines share evolve_master's N x 2^N arrays, capped at 16 spins, not 10
         model = spins.chain_model(11, [1.0] * 11)
-        with pytest.raises(ValueError, match="<= 10"):
-            anneal.evolve_master_timedep(model, markov.HEAT_BATH,
-                                         anneal.LinearBeta(0.0, 1.0, 1.0),
-                                         np.full(2048, 1 / 2048), 0.01)
+        p0 = np.full(2048, 1 / 2048)
+        fixed = markov.evolve_master(markov.build_generator(model, 0.7, markov.HEAT_BATH),
+                                     p0, t_final=0.05, dt=0.005)
+        frozen = anneal.evolve_master_timedep(model, markov.HEAT_BATH,
+                                              anneal.frozen_schedule(0.7, 0.05), p0, 0.005)
+        assert np.array_equal(frozen.states[-1], fixed.states[-1])
 
 
 class TestTransformationIdentity:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from isingbridge import cli, markov, reverse, spectral, spins
+from isingbridge import cli, fermion, markov, reverse, spectral, spins
 from test_reverse import unconverged_model
 
 
@@ -174,8 +174,11 @@ class TestBridgeCheck:
                        "--out", str(tmp_path))
         report = load_report(tmp_path, "bridge_check.json")
         h_max = report["hamiltonian_max_abs"]
+        tolerances = report["tolerances"]
         assert code == 0 and h_max > 1e17
-        assert report["spectrum_deviation"] <= report["config"]["tol_spectrum"] * h_max
+        assert tolerances == {"spectrum-shared": 1e-9 * h_max, "construction-agreement": 1e-12,
+                              "detailed-balance": 1e-10, "ground-state-boltzmann": 1e-9}
+        assert report["spectrum_deviation"] <= tolerances["spectrum-shared"]
 
 
 class TestFermionCheck:
@@ -195,13 +198,32 @@ class TestFermionCheck:
         report = load_report(tmp_path, "fermion_check.json")
         assert report["gap_measured"] == 1.0
 
-    def test_random_couplings(self, tmp_path):
+    @pytest.mark.parametrize("seed, product, sector", [(3, 1.0, "odd"), (0, -1.0, "even")])
+    def test_random_couplings_match_the_gauged_dispersion(self, seed, product, sector,
+                                                          tmp_path):
+        # +-1 couplings gauge to the uniform chain, periodic or antiperiodic by their product
+        code = run_cli("fermion-check", "--chain", "6", "--K", "0.5",
+                       "--random-couplings", "--seed", str(seed), "--out", str(tmp_path))
+        report = load_report(tmp_path, "fermion_check.json")
+        assert code == 0 and np.prod(report["couplings"]) == product
+        assert report["checks"] == {"gauge-equivalent-dispersion": True}
+        assert report["sector"] == sector and report["gauge_deviation"] <= 1e-14
+        assert (tmp_path / "single_particle.csv").exists()
+
+    def test_perturbed_random_hopping_fails_the_gauge_check(self, tmp_path, monkeypatch,
+                                                            capsys):
+        original = fermion._site_dependent_constants
+
+        def scaled_hop(couplings, beta):
+            field, hop, hop2 = original(couplings, beta)
+            return field, hop * (1 + 1e-9), hop2
+
+        monkeypatch.setattr(fermion, "_site_dependent_constants", scaled_hop)
         code = run_cli("fermion-check", "--chain", "6", "--K", "0.5",
                        "--random-couplings", "--seed", "3", "--out", str(tmp_path))
-        assert code == 0
         report = load_report(tmp_path, "fermion_check.json")
-        assert report["checks"]["spectrum-plusminus-symmetric"]
-        assert (tmp_path / "single_particle.csv").exists()
+        assert code == 1 and report["checks"] == {"gauge-equivalent-dispersion": False}
+        assert capsys.readouterr().err == "FAIL gauge-equivalent-dispersion\n"
 
     def test_odd_chain_is_usage_error(self, tmp_path):
         assert run_cli("fermion-check", "--chain", "7", "--out", str(tmp_path)) == 2
@@ -464,10 +486,6 @@ class TestMc:
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("argv", [
     ("bridge-check", "--chain", "4", "--K"),
-    ("bridge-check", "--chain", "4", "--tol-spectrum"),
-    ("bridge-check", "--chain", "4", "--tol-entry"),
-    ("bridge-check", "--chain", "4", "--tol-balance"),
-    ("bridge-check", "--chain", "4", "--tol-ground"),
     ("fermion-check", "--chain", "4", "--K"),
     ("reverse", "--tfield", "4", "--gamma"),
     ("anneal", "--chain", "4", "--dt"),
@@ -480,18 +498,14 @@ def test_nonfinite_float_flag_is_usage_error(argv, value, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, match", [
-    (("bridge-check", "--tol-spectrum", "-1"), "--tol-spectrum must be nonnegative, got -1.0"),
-    (("bridge-check", "--tol-entry", "-1"), "--tol-entry must be nonnegative, got -1.0"),
-    (("bridge-check", "--tol-balance", "-1"), "--tol-balance must be nonnegative, got -1.0"),
-    (("bridge-check", "--tol-ground", "-1"), "--tol-ground must be nonnegative, got -1.0"),
     (("anneal", "--samples", "0"), "n_samples must be positive, got 0"),
     (("anneal", "--samples", "-3"), "n_samples must be positive, got -3"),
-], ids=["tol-spectrum", "tol-entry", "tol-balance", "tol-ground", "samples0", "samples-3"])
+], ids=["samples0", "samples-3"])
 def test_out_of_range_flag_is_usage_error(argv, match, tmp_path, capsys):
     assert_usage_error(capsys, *argv, "--chain", "4", "--out", str(tmp_path), match=match)
 
 
-class TestConfigAndFormat:
+class TestConfig:
     def test_config_file_preloads_flags(self, tmp_path):
         config = {"chain": 6, "K": 0.5, "rule": "heatbath"}
         cfg_path = tmp_path / "config.json"
@@ -521,28 +535,20 @@ class TestConfigAndFormat:
         assert_usage_error(capsys, "bridge-check", "--config", str(cfg_path),
                            "--out", str(tmp_path), match="chian")
 
-    @pytest.mark.parametrize("config", [
-        {"chain": 6.5},
-        {"chain": 4, "format": "xml"},
-        {"chain": 4, "dump_hamiltonian": "no"},
-        {"chain": 4, "tol_spectrum": math.nan},
+    @pytest.mark.parametrize("command, config", [
+        ("bridge-check", {"chain": 6.5}),
+        ("anneal", {"chain": 4, "dump_states": "tall"}),
+        ("bridge-check", {"chain": 4, "dump_hamiltonian": "no"}),
+        ("reverse", {"tfield": 4, "gamma": math.nan}),
     ], ids=["float-for-int", "bad-choice", "string-for-switch", "nonfinite-float"])
-    def test_config_value_is_checked_like_its_flag(self, config, tmp_path, capsys):
+    def test_config_value_is_checked_like_its_flag(self, command, config, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))
         key = list(config)[-1]
-        assert_usage_error(capsys, "bridge-check", "--config", str(cfg_path),
-                           "--out", str(tmp_path), match=f"--config key {key}:")
-        assert not (tmp_path / "hamiltonian.txt").exists()
-        assert not (tmp_path / "bridge_check.json").exists()
-
-    def test_csv_report_format(self, tmp_path):
-        run_cli("bridge-check", "--chain", "4", "--format", "csv",
-                "--out", str(tmp_path))
-        lines = (tmp_path / "bridge_check.csv").read_text().splitlines()
-        assert lines[0] == "key,value"
-        keys = {line.split(",")[0] for line in lines[1:]}
-        assert "spectrum_deviation" in keys
+        out = tmp_path / "out"
+        assert_usage_error(capsys, command, "--config", str(cfg_path),
+                           "--out", str(out), match=f"--config key {key}:")
+        assert not out.exists()
 
     def test_rerun_from_reported_config(self, tmp_path):
         run_cli("bridge-check", "--chain", "4", "--K", "0.7", "--out", str(tmp_path))
@@ -557,6 +563,17 @@ class TestConfigAndFormat:
         assert first["gap"] == second["gap"]
 
 
+# the smallest valid arguments of each command, and the flags it no longer takes:
+# a gate's bound is a constant, and the JSON report is the only report
+RUNS = {"bridge-check": ("--chain", "4"), "fermion-check": ("--chain", "4"),
+        "reverse": ("--chain", "4"), "anneal": ("--chain", "4", "--schedule", "linear:0,1,0.1"),
+        "mc": ("--chain", "4", "--sweeps", "3", "--seeds", "2")}
+REMOVED = [(command, "--format", "json") for command in RUNS] + [
+    ("bridge-check", f"--tol-{gate}", "1e-9")
+    for gate in ("spectrum", "entry", "balance", "ground")]
+REMOVED_IDS = [f"{command}{flag}" for command, flag, _ in REMOVED]
+
+
 class TestFlagsPerCommand:
     """A command declares only the flags its run reads, and records only those."""
 
@@ -566,7 +583,9 @@ class TestFlagsPerCommand:
         (("bridge-check", "--chain", "4", "--seed", "1"), "--seed"),
         (("reverse", "--chain", "4", "--seed", "1"), "--seed"),
         (("anneal", "--chain", "4", "--schedule", "linear:0,1,0.1", "--seed", "1"), "--seed"),
-    ], ids=["anneal-K", "mc-K", "bridge-check-seed", "reverse-seed", "anneal-seed"])
+    ] + [((command, *RUNS[command], flag, value), flag) for command, flag, value in REMOVED],
+        ids=["anneal-K", "mc-K", "bridge-check-seed", "reverse-seed", "anneal-seed"]
+        + REMOVED_IDS)
     def test_unread_flag_is_usage_error(self, argv, flag, tmp_path, capsys):
         assert_usage_error(capsys, *argv, "--out", str(tmp_path),
                            match=f"unrecognized arguments: {flag}")
@@ -576,7 +595,9 @@ class TestFlagsPerCommand:
         ("anneal", {"chain": 4, "schedule": "linear:0,1,0.1", "K": 0.5}),
         ("mc", {"chain": 4, "sweeps": 3, "seeds": 2, "K": 0.5}),
         ("bridge-check", {"chain": 4, "seed": 0}),
-    ], ids=["anneal-K", "mc-K", "bridge-check-seed"])
+    ] + [(command, {"chain": 4, flag[2:].replace("-", "_"): value})
+         for command, flag, value in REMOVED],
+        ids=["anneal-K", "mc-K", "bridge-check-seed"] + REMOVED_IDS)
     def test_unread_config_key_is_usage_error(self, command, config, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))
@@ -590,13 +611,12 @@ class TestFlagsPerCommand:
                            match="--dump-states exports the master engine")
         assert not list(tmp_path.iterdir())
 
-    COMMON = {"out", "format"}
+    COMMON = {"out"}
     MODEL = COMMON | {"chain", "rule"}
 
     @pytest.mark.parametrize("argv, report, keys", [
         (("bridge-check", "--chain", "4"), "bridge_check",
-         MODEL | {"K", "dump_hamiltonian", "tol_spectrum", "tol_entry", "tol_balance",
-                  "tol_ground"}),
+         MODEL | {"K", "dump_hamiltonian"}),
         (("fermion-check", "--chain", "4"), "fermion_check",
          COMMON | {"chain", "K", "random_couplings"}),
         (("fermion-check", "--chain", "4", "--random-couplings"), "fermion_check",
@@ -613,6 +633,21 @@ class TestFlagsPerCommand:
                                                          tmp_path):
         assert run_cli(*argv, "--out", str(tmp_path)) == 0
         assert set(load_report(tmp_path, f"{report}.json")["config"]) == keys | {"command"}
+
+    def test_each_parser_declares_exactly_its_flags(self):
+        declared = {name: {action.option_strings[0][2:] for action in parser._actions
+                           if action.dest != "help"}
+                    for name, parser in cli.build_parser()[1].items()}
+        assert declared == {
+            "bridge-check": {"config", "out", "model", "chain", "rule", "K",
+                             "dump-hamiltonian"},
+            "fermion-check": {"config", "out", "chain", "K", "random-couplings", "seed"},
+            "reverse": {"config", "out", "model", "chain", "rule", "K", "tfield", "gamma"},
+            "anneal": {"config", "out", "model", "chain", "rule", "schedule", "dt", "samples",
+                       "engines", "dump-states"},
+            "mc": {"config", "out", "model", "chain", "rule", "schedule", "seed", "sweeps",
+                   "seeds", "ground-energy", "min-success"},
+        }
 
 
 def test_module_entry_point(tmp_path):

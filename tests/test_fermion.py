@@ -22,6 +22,22 @@ def parity_sector_spectra(matrix, n):
             np.linalg.eigvalsh(anti.T @ matrix @ anti))
 
 
+def loop_block_matrix(couplings, beta):
+    """[[A, B], [-B, -A]] assembled site by site, the reference for the vectorized builder."""
+    field, hop, hop2 = fermion._site_dependent_constants(couplings, beta)
+    n = field.size
+    a = np.zeros((n, n))
+    b = np.zeros((n, n))
+    for j in range(n):
+        a[j, j] = -field[j]
+        for (r, c), t in (((j, (j + 1) % n), hop[j]), (((j - 1) % n, (j + 1) % n), hop2[j])):
+            a[r, c] += -0.5 * t
+            a[c, r] += -0.5 * t
+            b[r, c] += -0.5 * t
+            b[c, r] += +0.5 * t
+    return np.block([[a, b], [-b, -a]])
+
+
 class TestDerivedConstants:
     @pytest.mark.parametrize("k", [0.0, 0.25, 0.5, 1.0, 2.0, 5.0])
     def test_field_plus_hop2_is_half(self, k):
@@ -198,6 +214,16 @@ class TestRandomSingleParticle:
         block, spectrum = fermion.random_single_particle_matrix(couplings, 0.5)
         assert np.array_equal(spectrum, np.sort(np.linalg.eigvalsh(block)))
         assert np.abs(spectrum + spectrum[::-1]).max() <= 1e-10
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 12])
+    def test_block_matrix_equals_the_site_loop(self, n):
+        # every entry sums at most two terms from zero, so the order of np.add.at
+        # cannot change a bit
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            couplings, beta = rng.normal(size=n), rng.uniform(0.0, 2.0)
+            block, _ = fermion.random_single_particle_matrix(couplings, beta)
+            assert np.array_equal(block, loop_block_matrix(couplings, beta))
 
     def test_block_matrix_is_symmetric(self):
         block, _ = fermion.random_single_particle_matrix([1.0, -1.0, 1.0, -1.0], 0.4)

@@ -93,6 +93,12 @@ class TestQuantumToClassical:
         assert max(result.condition_residuals.values()) <= 1e-9
         assert result.ground_shift < 0  # unshifted chain has negative ground energy
 
+    def test_map_caches_no_dense_matrix_on_its_input(self):
+        # the map's one dense copy of H is its solver's workspace, freed when it returns
+        ham = quantum.transverse_field_chain(6, 0.7)
+        reverse.quantum_to_classical(ham)
+        assert "matrix" not in ham.__dict__
+
     def test_spectrum_negation_preserved(self):
         ham = quantum.transverse_field_chain(5, 0.6)
         result = reverse.quantum_to_classical(ham)

@@ -306,7 +306,7 @@ CAPPED = [
     ("N x 2^N array", lambda n: quantum.chain_random_heatbath_hamiltonian([1.0] * (n + 1), 0.5)),
     ("N x 2^N array", lambda n: quantum.transverse_field_chain(n, 0.7)),
     ("dense matrix", lambda n: spectral.eig_sym(np.broadcast_to(0.0, ((1 << n - 1) + 1,) * 2))),
-    ("anneal engine", lambda n: anneal.evolve_master_timedep(
+    ("N x 2^N array", lambda n: anneal.evolve_master_timedep(
         _chain(n), markov.HEAT_BATH, anneal.LinearBeta(0.0, 1.0, 1.0),
         np.full(1 << n, 1.0 / (1 << n)), 0.01)),
     ("wide state export",
