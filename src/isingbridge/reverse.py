@@ -19,7 +19,7 @@ from . import spins
 from .markov import (MarkovGenerator, _FlipOperator, detailed_balance_residual,
                      stationary_distribution)
 from .quantum import QuantumHamiltonian
-from .spectral import eig_sym
+from .spectral import _flip_symmetric, _half_block, eig_sym
 
 ENTRY_FLOOR = 1e-300
 DEGENERACY_GUARD = 1e-10
@@ -79,11 +79,17 @@ def _ground_state(hamiltonian: QuantumHamiltonian) -> tuple[float, np.ndarray]:
     # floor, more solves only add noise, which accumulates when r is near 1.
     offset = INVERSE_SHIFT * max(1.0, h.max_abs())
     r = offset / (gap + offset)
+    # The Perron vector of a flip-symmetric H is flip-even, [u; u[::-1]], so u solves
+    # the even half block, still a Z-matrix whose shift below E0 leaves an M-matrix.
+    # Each copy of u is normalised as half of the unit vector.
+    copies = 2 if _flip_symmetric(matrix) else 1
+    if copies == 2:
+        matrix = _half_block(matrix, 1.0)
     matrix[np.diag_indices_from(matrix)] -= evals[0] - offset  # H - sigma I, in place
-    vec = np.full(matrix.shape[0], matrix.shape[0] ** -0.5)
+    vec = np.full(len(matrix), (copies * len(matrix)) ** -0.5)
     for _ in range(MAX_SOLVES):
         new = np.linalg.solve(matrix, vec)
-        new /= np.linalg.norm(new)
+        new /= np.linalg.norm(new) * np.sqrt(copies)
         if new.min() < ENTRY_FLOOR:
             raise ValueError(
                 f"ground-vector entry {new.min():.3g} is below the {ENTRY_FLOOR} floor; "
@@ -91,6 +97,8 @@ def _ground_state(hamiltonian: QuantumHamiltonian) -> tuple[float, np.ndarray]:
         change = np.abs(np.log(new / vec)).max()
         vec = new
         if change * r <= LOG_ACCURACY * (1.0 - r) or change <= STALL_CHANGE:
+            if copies == 2:
+                vec = np.concatenate([vec, vec[::-1]])
             # the Rayleigh quotient, not evals[0], zeroes (H - E0) v to roundoff; the two
             # differ by up to 4e-14 relative, which the stationarity of W would inherit
             return float(vec @ h(vec)), vec
@@ -120,7 +128,8 @@ def quantum_to_classical(hamiltonian: QuantumHamiltonian) -> ReverseMapResult:
     sums, stationarity of exp(-H0), detailed balance at beta = 1) are
     each verified against `CONDITION_TOL` and reported in the result.
     The ground vector comes from shifted inverse iteration, repeated
-    until its logarithm stops changing, at most MAX_SOLVES times.
+    until its logarithm stops changing, at most MAX_SOLVES times; on the
+    even half block of H when H commutes with the global spin flip.
     Raises ValueError for input that cannot be mapped (a positive
     off-diagonal, a disconnected graph, a degenerate ground level, a
     ground-vector entry below the floor) and RuntimeError on a numeric

@@ -12,14 +12,22 @@ is the dense gap. The image exp(beta H0 / 2) P0 of the Boltzmann vector is
 the ground vector of H, and P -> phi -> P is the identity. The closed-form
 random-coupling heat-bath chain is checked against the direct route, and
 the Walsh expansion against the table it came from. The reverse map
-takes the generator of a random dyadic model back from its H.
+takes the generator of a random dyadic model back from its H. Models whose
+terms all have even order commute with the global spin flip: they pass
+`bridge-check`, the split solve gives W the unsplit spectrum, and the
+reverse map round-trips through the even half block.
 """
+
+import json
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
-from isingbridge import anneal, markov, quantum, reverse, spectral, spins
+from isingbridge import anneal, cli, markov, quantum, reverse, spectral, spins
 import oracles
+from test_spectral import SPLIT_TOL, _same_bits
 from test_spins import random_model
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
@@ -47,10 +55,6 @@ def _operators(system, beta, beta_dot):
     return (system.generator(beta), system.hamiltonian(beta),
             system.hamiltonian(beta, beta_dot, -1.0),
             system.hamiltonian(beta, beta_dot, -1j))
-
-
-def _same_bits(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @PROPERTY_SETTINGS
@@ -241,6 +245,10 @@ def dyadic_models(draw):
 def test_reverse_map_round_trips(model, rule, beta):
     """W -> H -> W and H0 come back, and every generator condition holds, wherever the
     inverse-iteration shift is at most 1/100 of the gap: the vector then converges."""
+    _assert_round_trip(model, rule, beta)
+
+
+def _assert_round_trip(model, rule, beta):
     generator = markov.build_generator(model, beta, rule)
     hamiltonian = quantum.classical_to_quantum(generator)
     levels = np.linalg.eigvalsh(hamiltonian.matrix)
@@ -253,6 +261,59 @@ def test_reverse_map_round_trips(model, rule, beta):
     table = result.energy_table - beta * generator.energies
     assert np.abs(table - table.mean()).max() <= 1e-9
     assert max(result.condition_residuals.values()) <= 1e-9
+
+
+@st.composite
+def even_order_models(draw):
+    """Models whose terms all have even order, so that every table and matrix built
+    from them commutes with the global spin flip, without being the uniform chain:
+    2 <= N <= 6, up to 8 terms of even order <= N, dyadic coefficients up to 2."""
+    n = draw(st.sampled_from(range(2, 7)))
+    n_terms = draw(st.sampled_from(range(1, min(8, 2 ** (n - 1) - 1) + 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    subsets = set()
+    while len(subsets) < n_terms:
+        order = 2 * rng.integers(1, n // 2 + 1)
+        subsets.add(tuple(sorted(rng.choice(n, size=order, replace=False).tolist())))
+    coeffs = rng.integers(-8, 9, size=n_terms) / 4.0
+    return spins.IsingModel(n, list(zip(sorted(subsets), coeffs)))
+
+
+RULE_NAMES = ["heatbath", "metropolis", "uniform:0.1", "uniform:0.5"]
+
+
+@PROPERTY_SETTINGS
+@given(even_order_models(), st.sampled_from(RULE_NAMES), st.floats(0.0, 2.0))
+def test_flip_symmetric_models_pass_bridge_check(model, rule, beta):
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "model.json")
+        spins.save_model(model, path)
+        assert cli.main(["bridge-check", "--model", path, "--rule", rule,
+                         "--K", repr(beta), "--out", out]) == 0
+        with open(os.path.join(out, "bridge_check.json")) as fh:
+            checks = json.load(fh)["checks"]
+    assert len(checks) == 4 and all(checks.values())
+
+
+@PROPERTY_SETTINGS
+@given(even_order_models(), rules, betas)
+def test_flip_split_spectrum_is_the_unsplit_one(model, rule, beta):
+    generator = markov.build_generator(model, beta, rule)
+    symmetric = markov._symmetric_form(generator, markov.SYMMETRY_TOL).dense()
+    assert spectral._flip_symmetric(symmetric)
+    expected = np.linalg.eigvalsh(symmetric)
+    split = spectral.spectrum_of_generator(generator).eigenvalues
+    assert np.abs(split - expected).max() <= SPLIT_TOL * np.abs(expected).max()
+
+
+@PROPERTY_SETTINGS
+@given(even_order_models(), st.sampled_from([markov.HEAT_BATH, markov.METROPOLIS,
+                                             markov.UniformRate(0.1), markov.UniformRate(0.5)]),
+       st.floats(0.0, 2.0))
+def test_reverse_map_round_trips_on_the_even_block(model, rule, beta):
+    assert spectral._flip_symmetric(quantum.classical_to_quantum(
+        markov.build_generator(model, beta, rule)).matrix)
+    _assert_round_trip(model, rule, beta)
 
 
 @st.composite

@@ -77,6 +77,121 @@ class TestEigSym:
             solve(np.zeros((3, 4)))
 
 
+RULES = [markov.HEAT_BATH, markov.METROPOLIS, markov.UniformRate(0.1)]
+# bounds set from the worst case measured over the inputs below, about 10x above it:
+# eigenvalues 5.7e-15, residuals 1.0e-15 and orthonormality 5.7e-15, each relative
+# to the spectral norm, and projector distances 1.1e-14 norm / separation
+SPLIT_TOL = 5e-14
+SPLIT_PROJECTOR_TOL = 1e-13
+
+
+def _chain_hamiltonian(n, beta, rule):
+    return quantum.assemble_direct(spins.chain_model(n, [1.0] * n), beta, rule).matrix.copy()
+
+
+def _chain_symmetric_form(n, beta, rule):
+    generator = markov.build_generator(spins.chain_model(n, [1.0] * n), beta, rule)
+    return markov._symmetric_form(generator, markov.SYMMETRY_TOL).dense()
+
+
+def _clusters(evals, tol=1e-8):
+    """(start, stop) of each run of levels with neighbours closer than tol."""
+    start = 0
+    while start < evals.size:
+        stop = start + 1
+        while stop < evals.size and evals[stop] - evals[stop - 1] < tol:
+            stop += 1
+        yield start, stop
+        start = stop
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFlipSplit:
+    """A flip-symmetric matrix is solved as two half blocks; one `np.linalg` call on
+    the same matrix is the oracle, and every other matrix gets exactly that call."""
+
+    def assert_matches_unsplit(self, matrix):
+        assert spectral._flip_symmetric(matrix)
+        ref_values, ref_vectors = np.linalg.eigh(matrix)
+        norm = np.abs(ref_values).max()
+        values, vectors = spectral.eig_sym(matrix)
+        assert np.abs(values - ref_values).max() <= SPLIT_TOL * norm
+        assert np.abs(spectral.eig_sym(matrix, eigvals_only=True)
+                      - ref_values).max() <= SPLIT_TOL * norm
+        assert np.abs(matrix @ vectors - vectors * values).max() <= SPLIT_TOL * norm
+        assert np.abs(vectors.T @ vectors - np.eye(len(matrix))).max() <= SPLIT_TOL
+        # the spectral projectors P, Q of each cluster closer than 1e-8, as
+        # ||P - Q||_F^2 = 2 ||vectors_cluster^T ref_vectors_rest||_F^2, which has no
+        # cancellation; Davis-Kahan bounds it by roundoff * norm / separation
+        overlap = vectors.T @ ref_vectors
+        for start, stop in _clusters(ref_values):
+            rest = np.delete(overlap[start:stop], np.s_[start:stop], axis=1)
+            distance = np.sqrt(2.0 * (rest ** 2).sum())
+            separation = min(ref_values[start] - ref_values[start - 1] if start else np.inf,
+                             ref_values[stop] - ref_values[stop - 1]
+                             if stop < ref_values.size else np.inf)
+            assert distance * separation <= SPLIT_PROJECTOR_TOL * norm
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.name)
+    def test_chain_hamiltonian(self, n, beta, rule):
+        self.assert_matches_unsplit(_chain_hamiltonian(n, beta, rule))
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.name)
+    def test_generator_symmetric_form(self, n, beta, rule):
+        self.assert_matches_unsplit(_chain_symmetric_form(n, beta, rule))
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_transverse_field_chain(self, n, gamma):
+        self.assert_matches_unsplit(quantum.transverse_field_chain(n, gamma).matrix)
+
+    def assert_unsplit_bitwise(self, matrix):
+        assert not spectral._flip_symmetric(matrix)
+        values, vectors = spectral.eig_sym(matrix)
+        ref_values, ref_vectors = np.linalg.eigh(matrix)
+        assert _same_bits(values, ref_values) and _same_bits(vectors, ref_vectors)
+        assert _same_bits(spectral.eig_sym(matrix, eigvals_only=True),
+                          np.linalg.eigvalsh(matrix))
+
+    def test_field_model_is_not_split(self):
+        model = spins.IsingModel(6, [((0, 1), 1.0), ((2, 3), -0.5), ((4,), 0.3)])
+        self.assert_unsplit_bitwise(quantum.assemble_direct(model, 0.7, markov.HEAT_BATH).matrix)
+
+    def test_odd_size_is_not_split(self):
+        matrix = np.random.default_rng(5).normal(size=(5, 5))
+        matrix = matrix + matrix.T
+        matrix = matrix + matrix[::-1, ::-1]  # flip-symmetric, but odd
+        assert np.array_equal(matrix, matrix[::-1, ::-1])
+        self.assert_unsplit_bitwise(matrix)
+
+    def test_flip_symmetric_to_one_ulp_is_not_split(self):
+        matrix = _chain_hamiltonian(6, 0.5, markov.HEAT_BATH)
+        matrix[0, 1] = matrix[1, 0] = np.nextafter(matrix[1, 0], 0.0)
+        assert np.abs(matrix - matrix[::-1, ::-1]).max() <= 1e-16
+        self.assert_unsplit_bitwise(matrix)
+
+    @pytest.mark.parametrize("solve", SOLVES)
+    def test_asymmetric_flip_symmetric_input_raises_before_any_solve(self, solve, solves,
+                                                                     monkeypatch):
+        def no_split(*args):
+            raise AssertionError("split before the symmetry check")
+        monkeypatch.setattr(spectral, "_half_block", no_split)
+        matrix = _chain_hamiltonian(4, 0.5, markov.HEAT_BATH)
+        matrix[0, 1] += 0.5
+        matrix[-1, -2] += 0.5  # the flip image, so only the symmetry is broken
+        assert spectral._flip_symmetric(matrix)
+        with pytest.raises(ValueError, match="not symmetric"):
+            solve(matrix)
+        assert solves == []
+
+
 class TestGeneratorSpectrum:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_nonfinite_rate(self, value):
@@ -213,14 +328,22 @@ class TestSolveCounts:
 
     def test_bridge_check_solves_vectors_once(self, solves, tmp_path):
         # the mapped H's vectors feed the ground-state residual; the generator
-        # spectrum is read as values only
+        # spectrum is read as values only. The chain commutes with the spin flip,
+        # so each matrix is solved as its two 32-row half blocks.
         assert cli.main(["bridge-check", "--chain", "6", "--out", str(tmp_path)]) == 0
+        assert sorted(solves) == [("values", 32)] * 2 + [("vectors", 32)] * 2
+
+    def test_field_model_solves_whole_matrices(self, solves, tmp_path):
+        # one field term breaks the flip symmetry: one solve per matrix, as np.linalg
+        path = tmp_path / "model.json"
+        spins.save_model(spins.IsingModel(6, [((0, 1), 1.0), ((2, 3), -0.5), ((4,), 0.3)]),
+                         path)
+        assert cli.main(["bridge-check", "--model", str(path), "--out", str(tmp_path)]) == 0
         assert sorted(solves) == [("values", 64), ("vectors", 64)]
 
     def test_uniform_fermion_check_solves_no_vectors(self, solves, tmp_path):
         assert cli.main(["fermion-check", "--chain", "6", "--out", str(tmp_path)]) == 0
-        assert ("values", 64) in solves
-        assert [call for call in solves if call[0] == "vectors"] == []
+        assert solves and all(call == ("values", 32) for call in solves)
 
     def test_relaxation_time_solves_no_dense_matrix(self, solves):
         gen = markov.build_generator(spins.chain_model(8, [1.0] * 8), 0.5, markov.HEAT_BATH)
