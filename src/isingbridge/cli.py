@@ -9,6 +9,7 @@ pass, 1 when a numeric check fails, and 2 on usage or validation errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -87,22 +88,12 @@ def dump_hamiltonian(path: str, ham: quantum.QuantumHamiltonian) -> None:
     _atomic_write(path, header + "\n" + body + "\n")
 
 
-def export_states(path: str, times: np.ndarray, states: np.ndarray,
-                  layout: str, n_spins: int) -> None:
-    """State-trajectory CSV, long (time,state_index,probability) or wide."""
-    if layout == "long":
-        rows = ((float(t), idx, float(p))
-                for t, vec in zip(times, states)
-                for idx, p in enumerate(vec))
-        write_csv(path, ["time", "state_index", "probability"], rows)
-    elif layout == "wide":
-        spins._check_spins(n_spins, "wide state export")
-        header = ["time"] + [f"p{idx}" for idx in range(states.shape[1])]
-        rows = ([float(t)] + [float(p) for p in vec]
-                for t, vec in zip(times, states))
-        write_csv(path, header, rows)
-    else:
-        raise UsageError(f"unknown state layout {layout!r}")
+def export_states(path: str, times: np.ndarray, states: np.ndarray) -> None:
+    """State-trajectory CSV, one (time,state_index,probability) row per entry."""
+    rows = ((float(t), idx, float(p))
+            for t, vec in zip(times, states)
+            for idx, p in enumerate(vec))
+    write_csv(path, ["time", "state_index", "probability"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -129,20 +120,16 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
                         help="heatbath | metropolis | uniform:P")
 
 
-def _resolve_model(args, cap: str = "command-line") -> spins.IsingModel:
+def _resolve_model(args) -> spins.IsingModel:
     if (args.model is None) == (args.chain is None):
         raise UsageError("specify exactly one of --model PATH or --chain N")
-    if args.model is not None:
-        try:
-            model = spins.load_model(args.model)
-        except (OSError, KeyError, TypeError) as exc:
-            raise UsageError(f"cannot read --model file {args.model}: {exc!r}") from exc
-    else:
-        if args.chain < 3:
-            raise UsageError("--chain needs N >= 3")
-        model = spins.chain_model(args.chain, [1.0] * args.chain)
-    spins._check_spins(model.n_spins, cap)
-    return model
+    if args.chain is not None:
+        # lazy couplings: chain_model checks N against the model cap before it reads them
+        return spins.chain_model(args.chain, itertools.repeat(1.0, args.chain))
+    try:
+        return spins.load_model(args.model)
+    except (OSError, KeyError, TypeError) as exc:
+        raise UsageError(f"cannot read --model file {args.model}: {exc!r}") from exc
 
 
 def _parse_schedule(text: str, model: spins.IsingModel) -> anneal.Schedule:
@@ -239,10 +226,8 @@ def cmd_fermion_check(args) -> int:
     n = args.chain
     if n is None:
         raise UsageError("fermion-check needs --chain N")
-    fermion._check_chain(n, args.K)  # the random couplings below are +-1
-    spins._check_spins(n, "command-line")
-
     if args.random_couplings:
+        fermion._check_chain(n, args.K)  # before the draw; the couplings are +-1
         rng = np.random.default_rng(args.seed)
         couplings = rng.choice([-1.0, 1.0], size=n)
         _, spectrum = fermion.random_single_particle_matrix(couplings, args.K)
@@ -261,13 +246,6 @@ def cmd_fermion_check(args) -> int:
         return _report(args, "fermion_check", payload, checks)
 
     params = fermion.FermionChainParams(n, args.K)
-    rows = []
-    for sector in ("even", "odd"):
-        grid = fermion.momentum_grid(n, sector)
-        eps = np.asarray(fermion.dispersion(args.K, grid))
-        rows.extend((sector, float(p), float(e)) for p, e in zip(grid, eps))
-    write_csv(os.path.join(args.out, "dispersion.csv"), ["sector", "p", "epsilon"], rows)
-
     reconstructed = fermion.many_body_spectrum(params)
     dense = spectral.spectrum_report(quantum.chain_heatbath_hamiltonian(n, args.K).matrix,
                                      keep_ground_vector=False)
@@ -276,6 +254,14 @@ def cmd_fermion_check(args) -> int:
     gap = fermion.finite_gap(params)
     gap_dev = abs(gap - gap_formula)
     ground_offset = abs(fermion.ground_energy_offset(params))
+
+    # written only now that every spectrum, and so every spin cap, has passed
+    rows = []
+    for sector in ("even", "odd"):
+        grid = fermion.momentum_grid(n, sector)
+        eps = np.asarray(fermion.dispersion(args.K, grid))
+        rows.extend((sector, float(p), float(e)) for p, e in zip(grid, eps))
+    write_csv(os.path.join(args.out, "dispersion.csv"), ["sector", "p", "epsilon"], rows)
 
     checks = {
         "spectrum-reconstruction": spectrum_dev <= 1e-8,
@@ -297,7 +283,8 @@ def cmd_reverse(args) -> int:
     if args.tfield is not None:
         if args.chain is not None or args.model is not None:
             raise UsageError("--tfield cannot be combined with --chain or --model")
-        spins._check_spins(args.tfield, "command-line")
+        if args.tfield < 4:  # the multibody witness reads couplings of order 4 and up
+            raise UsageError(f"--tfield needs N >= 4, got {args.tfield}")
         ham = quantum.transverse_field_chain(args.tfield, args.gamma)
         result = reverse.quantum_to_classical(ham)
         expansion = reverse.extract_couplings(result.energy_table)
@@ -378,8 +365,7 @@ def cmd_anneal(args) -> int:
                                             traj.log_norm_decrement)))
     if args.dump_states:
         traj = trajectories["master"]
-        export_states(os.path.join(args.out, "states_master.csv"),
-                      traj.times, traj.states, args.dump_states, model.n_spins)
+        export_states(os.path.join(args.out, "states_master.csv"), traj.times, traj.states)
 
     payload = {"final": {name: {"ground_probability": float(t.ground_probability[-1]),
                                 "overlap": float(t.overlap[-1])}
@@ -394,7 +380,7 @@ def cmd_anneal(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    model = _resolve_model(args, cap="model")
+    model = _resolve_model(args)
     rule = markov.parse_rule(args.rule)
     schedule = _parse_schedule(args.schedule, model)
     report = montecarlo.mc_simulated_annealing(
@@ -465,7 +451,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--engines", default="master,imaginary",
                    help="comma list from master,imaginary,real")
-    p.add_argument("--dump-states", choices=("long", "wide"),
+    p.add_argument("--dump-states", action="store_true",
                    help="also export the master-engine state trajectory")
     p.set_defaults(func=cmd_anneal)
 
@@ -511,7 +497,7 @@ def _config_value(action: argparse.Action, key: str, value):
             value = (action.type or str)(str(value))
         except (ValueError, argparse.ArgumentTypeError):
             ok = False
-    if not ok or (action.choices is not None and value not in action.choices):
+    if not ok:
         raise UsageError(f"--config key {key}: invalid value {value!r} for "
                          f"{action.option_strings[0]}")
     return value

@@ -22,12 +22,15 @@ from . import spins
 
 
 def _check_chain(n: int, beta: float, max_abs_coupling: float | None = 1.0) -> None:
-    """Reject odd n or n < 4, a bad beta, and beta*max|J| > 350 (cosh(2*350) ~ 5e303).
+    """Reject odd n, n < 4 or n over its cap, a bad beta, and beta*max|J| > 350.
 
-    Pass max_abs_coupling=None where no cosh is taken (the Metropolis chain).
+    cosh(2*350) ~ 5e303. The chain entry points call this before they build
+    an n-mode grid or a (2n)^2 block. Pass max_abs_coupling=None where no
+    cosh is taken (the Metropolis chain).
     """
     if n < 4 or n % 2:
         raise ValueError(f"the closed-form chain needs even n >= 4, got {n}")
+    spins._check_spins(n, "single-particle block")
     spins._check_beta(beta)
     if max_abs_coupling is not None and not beta * max_abs_coupling <= 350:
         raise ValueError(f"beta*max|J| = {beta * max_abs_coupling} exceeds 350, "

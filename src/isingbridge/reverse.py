@@ -79,6 +79,10 @@ def _ground_state(hamiltonian: QuantumHamiltonian) -> tuple[float, np.ndarray]:
     # floor, more solves only add noise, which accumulates when r is near 1.
     offset = INVERSE_SHIFT * max(1.0, h.max_abs())
     r = offset / (gap + offset)
+    # A solve's entries are near |vec| / offset, whose squares underflow in the norm
+    # once max|H| > 1e154; an input scaled exactly by offset's power of two keeps them
+    # near |vec|, and the normalised iterate loses no bit.
+    scale = np.frexp(offset)[1]
     # The Perron vector of a flip-symmetric H is flip-even, [u; u[::-1]], so u solves
     # the even half block, still a Z-matrix whose shift below E0 leaves an M-matrix.
     # Each copy of u is normalised as half of the unit vector.
@@ -88,7 +92,7 @@ def _ground_state(hamiltonian: QuantumHamiltonian) -> tuple[float, np.ndarray]:
     matrix[np.diag_indices_from(matrix)] -= evals[0] - offset  # H - sigma I, in place
     vec = np.full(len(matrix), (copies * len(matrix)) ** -0.5)
     for _ in range(MAX_SOLVES):
-        new = np.linalg.solve(matrix, vec)
+        new = np.linalg.solve(matrix, np.ldexp(vec, scale))
         new /= np.linalg.norm(new) * np.sqrt(copies)
         if new.min() < ENTRY_FLOOR:
             raise ValueError(

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 _SPIN_CAPS = {
-    "model": 20,              # energy tables / Boltzmann vectors stay addressable
-    "N x 2^N array": 16,      # flip tables, rates, z columns, Walsh stages, occupation bits
-    "dense matrix": 12,       # 2^N x 2^N matrices: _FlipOperator.dense and eig_sym only
-    "command-line": 10,       # every CLI command but mc
-    "wide state export": 8,   # anneal --dump-states wide: 2^N CSV columns
+    "model": 20,                    # energy tables / Boltzmann vectors stay addressable
+    "N x 2^N array": 16,            # flip tables, rates, z columns, Walsh stages, occupation bits
+    "dense matrix": 12,             # 2^N x 2^N matrices: _FlipOperator.dense and eig_sym only
+    "single-particle block": 2048,  # fermion chains: N-mode grids, (2N)^2 random blocks
 }
 MAX_SPINS = _SPIN_CAPS["model"]
 
@@ -87,11 +86,14 @@ def chain_model(n: int, couplings, name: str | None = None) -> IsingModel:
 
     couplings[j] is the bond between sites (j-1) mod n and j, so a uniform
     ferromagnet is couplings = [J]*n. Requires n >= 3: a periodic chain on
-    fewer sites duplicates bonds.
+    fewer sites duplicates bonds. n is checked against the model cap before
+    `couplings` is read, so a lazy itertools.repeat(J, n) is never expanded
+    for a chain no model can hold.
     """
-    couplings = [float(j) for j in couplings]
     if n < 3:
         raise ValueError(f"periodic chain needs n >= 3, got {n}")
+    _check_spins(n, "model")
+    couplings = [float(j) for j in couplings]
     if len(couplings) != n:
         raise ValueError(f"expected {n} couplings, got {len(couplings)}")
     terms = [(((j - 1) % n, j), -couplings[j]) for j in range(n)]

@@ -320,9 +320,19 @@ class TestReverse:
         assert report["roundtrip_generator_deviation"] <= 1e-10
         assert report["roundtrip_energy_deviation"] <= 1e-10
 
-    def test_transverse_chain_obeys_the_command_line_cap(self, tmp_path, capsys):
-        assert_usage_error(capsys, "reverse", "--tfield", "11", "--out", str(tmp_path),
-                           match="11 spins exceed the command-line cap")
+    def test_transverse_chain_runs_past_ten_spins(self, tmp_path):
+        # the map stops only at the dense cap of 12 spins, where H is written
+        assert run_cli("reverse", "--tfield", "11", "--out", str(tmp_path)) == 0
+        profile = load_report(tmp_path, "reverse.json")["locality_profile"]
+        assert sorted(profile, key=int) == [str(k) for k in range(12)]
+        assert profile["4"] > 1e-6
+
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_transverse_chain_needs_four_sites(self, n, tmp_path, capsys):
+        # the multibody witness reads couplings of order 4 and up, so N < 4 always failed it
+        assert_usage_error(capsys, "reverse", "--tfield", n, "--out", str(tmp_path),
+                           match=f"--tfield needs N >= 4, got {n}")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag", ["--chain", "--model"])
     def test_transverse_chain_excludes_chain_and_model(self, flag, tmp_path, capsys):
@@ -396,18 +406,10 @@ class TestAnneal:
         report = load_report(tmp_path, "anneal.json")
         assert report["consistency_deviation"] <= 1e-6
 
-    def test_wide_state_export(self, tmp_path):
-        run_cli("anneal", "--chain", "4", "--engines", "master",
-                "--schedule", "linear:0,1,1", "--dt", "0.005",
-                "--dump-states", "wide", "--out", str(tmp_path))
-        lines = (tmp_path / "states_master.csv").read_text().splitlines()
-        assert lines[0].split(",")[:2] == ["time", "p0"]
-        assert len(lines[0].split(",")) == 17
-
     def test_long_state_export(self, tmp_path):
         run_cli("anneal", "--chain", "4", "--engines", "master",
                 "--schedule", "linear:0,1,1", "--dt", "0.005", "--samples", "5",
-                "--dump-states", "long", "--out", str(tmp_path))
+                "--dump-states", "--out", str(tmp_path))
         lines = (tmp_path / "states_master.csv").read_text().splitlines()
         assert lines[0] == "time,state_index,probability"
 
@@ -537,10 +539,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("command, config", [
         ("bridge-check", {"chain": 6.5}),
-        ("anneal", {"chain": 4, "dump_states": "tall"}),
         ("bridge-check", {"chain": 4, "dump_hamiltonian": "no"}),
+        ("anneal", {"chain": 4, "dump_states": "long"}),  # a layout, from older reports
         ("reverse", {"tfield": 4, "gamma": math.nan}),
-    ], ids=["float-for-int", "bad-choice", "string-for-switch", "nonfinite-float"])
+    ], ids=["float-for-int", "string-for-switch", "layout-for-switch", "nonfinite-float"])
     def test_config_value_is_checked_like_its_flag(self, command, config, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))
@@ -607,7 +609,7 @@ class TestFlagsPerCommand:
 
     def test_state_dump_needs_the_master_engine(self, tmp_path, capsys):
         assert_usage_error(capsys, "anneal", "--chain", "4", "--engines", "imaginary",
-                           "--dump-states", "long", "--out", str(tmp_path),
+                           "--dump-states", "--out", str(tmp_path),
                            match="--dump-states exports the master engine")
         assert not list(tmp_path.iterdir())
 
@@ -624,7 +626,7 @@ class TestFlagsPerCommand:
         (("reverse", "--chain", "4"), "reverse", MODEL | {"K"}),
         (("reverse", "--tfield", "4"), "reverse", COMMON | {"tfield", "gamma"}),
         (("anneal", "--chain", "4", "--schedule", "linear:0,1,0.1"), "anneal",
-         MODEL | {"schedule", "dt", "samples", "engines"}),
+         MODEL | {"schedule", "dt", "samples", "engines", "dump_states"}),
         (("mc", "--chain", "4", "--sweeps", "3", "--seeds", "2"), "mc",
          MODEL | {"schedule", "seed", "sweeps", "seeds"}),
     ], ids=["bridge-check", "fermion-check", "fermion-check-random", "reverse-chain",

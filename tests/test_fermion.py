@@ -209,11 +209,15 @@ class TestRandomSingleParticle:
         assert np.abs(np.sort(energies) - expected).max() <= 1e-10
 
     def test_spectrum_is_plus_minus_symmetric(self):
+        # any block [[A, B], [-B, -A]] with A symmetric and B antisymmetric pairs each
+        # eigenvector (u, v) at e with (v, u) at -e, so the test checks that shape
         rng = np.random.default_rng(19)
         couplings = rng.choice([-1.0, 1.0], 6) * rng.uniform(0.5, 1.5, 6)
         block, spectrum = fermion.random_single_particle_matrix(couplings, 0.5)
         assert np.array_equal(spectrum, np.sort(np.linalg.eigvalsh(block)))
-        assert np.abs(spectrum + spectrum[::-1]).max() <= 1e-10
+        a, b = block[:6, :6], block[:6, 6:]
+        assert np.array_equal(a, a.T) and np.array_equal(b, -b.T)
+        assert np.array_equal(block[6:, :6], -b) and np.array_equal(block[6:, 6:], -a)
 
     @pytest.mark.parametrize("n", [4, 6, 8, 12])
     def test_block_matrix_equals_the_site_loop(self, n):

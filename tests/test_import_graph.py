@@ -1,8 +1,9 @@
-"""The package's import structure, read from its source with `ast`.
+"""The package's structure, read from its source with `ast`.
 
 Every intra-package import sits at module level, where the import graph
 shows it, and that graph has no cycle: a module that needs another's code
-imports it in one direction only.
+imports it in one direction only. The CLI reads no spin cap: each cap is
+checked by the library code that allocates what it bounds.
 """
 
 import ast
@@ -65,3 +66,21 @@ def test_module_level_import_graph_has_no_cycle():
     graph = {module: _imports(tree)[0] for module, tree in MODULES.items()}
     assert "markov" in graph["spectral"]  # the reader sees module-level imports
     graphlib.TopologicalSorter(graph).prepare()  # raises CycleError naming the cycle
+
+
+def _names(tree) -> set[str]:
+    """Every name, attribute and imported name that a module mentions."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_cli_reads_no_spin_cap():
+    assert "_check_spins" in _names(MODULES["spins"])  # the reader sees the checks
+    assert not {"_check_spins", "_SPIN_CAPS", "MAX_SPINS"} & _names(MODULES["cli"])

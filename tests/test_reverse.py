@@ -93,6 +93,24 @@ class TestQuantumToClassical:
         assert max(result.condition_residuals.values()) <= 1e-9
         assert result.ground_shift < 0  # unshifted chain has negative ground energy
 
+    @pytest.mark.parametrize("gamma", [1e170, 1e200, 1e300])
+    def test_transverse_chain_maps_at_huge_fields(self, gamma):
+        # a solve's entries sit near 1 / shift = 1e12 / max|H|; unscaled, their squares
+        # underflow in the norm once max|H| passes about 1e154
+        result = reverse.quantum_to_classical(quantum.transverse_field_chain(4, gamma))
+        assert max(result.condition_residuals.values()) <= 1e-9
+        assert np.isfinite(result.energy_table).all()
+
+    def test_scaled_solves_change_no_bit(self, monkeypatch):
+        ham = quantum.transverse_field_chain(4, 0.7)
+        scaled = reverse.quantum_to_classical(ham)
+        monkeypatch.setattr(np, "ldexp", lambda x, e: x)  # solve on the unscaled iterates
+        plain = reverse.quantum_to_classical(ham)
+        assert scaled.ground_shift == plain.ground_shift
+        assert np.array_equal(scaled.energy_table, plain.energy_table)
+        assert np.array_equal(scaled.generator.operator.diag, plain.generator.operator.diag)
+        assert np.array_equal(scaled.generator.operator.off, plain.generator.operator.off)
+
     def test_map_caches_no_dense_matrix_on_its_input(self):
         # the map's one dense copy of H is its solver's workspace, freed when it returns
         ham = quantum.transverse_field_chain(6, 0.7)

@@ -54,6 +54,12 @@ class TestChainModel:
         with pytest.raises(ValueError):
             spins.chain_model(4, [1, 1, 1])
 
+    def test_checks_the_model_cap_before_reading_couplings(self):
+        couplings = iter([1.0] * 21)
+        with pytest.raises(ValueError, match="21 spins exceed the model cap"):
+            spins.chain_model(21, couplings)
+        assert len(list(couplings)) == 21
+
 
 class TestEnergy:
     def test_empty_model(self):
@@ -309,8 +315,8 @@ CAPPED = [
     ("N x 2^N array", lambda n: anneal.evolve_master_timedep(
         _chain(n), markov.HEAT_BATH, anneal.LinearBeta(0.0, 1.0, 1.0),
         np.full(1 << n, 1.0 / (1 << n)), 0.01)),
-    ("wide state export",
-     lambda n: cli.export_states("unused.csv", np.zeros(1), np.zeros((1, 1 << n)), "wide", n)),
+    ("single-particle block",
+     lambda n: fermion.random_single_particle_matrix([1.0] * (n + 1), 0.5)),
     # flip-form objects beyond the dense cap exist; only writing them densely fails
     ("dense matrix", lambda n: markov.build_generator(_chain(n), 0.5, markov.HEAT_BATH).matrix),
     ("dense matrix", lambda n: spectral.spectrum_of_generator(
@@ -326,16 +332,35 @@ class TestSpinCaps:
         with pytest.raises(ValueError, match=re.escape(f"exceed the {use} cap n_spins <= {cap}")):
             entry(cap + 1)
 
-    @pytest.mark.parametrize("command, use", [
-        ("bridge-check", "command-line"), ("reverse", "command-line"),
-        ("anneal", "command-line"), ("fermion-check", "command-line"), ("mc", "model"),
-    ])
-    def test_cli_rejects_one_spin_over_its_cap(self, command, use, tmp_path, capsys):
+    # (argv before N, cap that stops it); fermion-check takes even N only, so cap + 2
+    @pytest.mark.parametrize("argv, use", [
+        (["bridge-check", "--chain"], "dense matrix"),
+        (["reverse", "--chain"], "dense matrix"),
+        (["reverse", "--tfield"], "dense matrix"),
+        (["fermion-check", "--chain"], "dense matrix"),
+        (["fermion-check", "--random-couplings", "--chain"], "single-particle block"),
+        (["anneal", "--chain"], "N x 2^N array"),
+        (["mc", "--chain"], "model"),
+    ], ids=["bridge-check", "reverse-chain", "reverse-tfield", "fermion-check",
+            "fermion-check-random", "anneal", "mc"])
+    def test_cli_rejects_one_spin_over_its_cap(self, argv, use, tmp_path, capsys):
         cap = spins._SPIN_CAPS[use]
-        n = cap + 2 if command == "fermion-check" else cap + 1  # fermion-check: even N only
-        assert cli.main([command, "--chain", str(n), "--out", str(tmp_path)]) == 2
+        n = cap + 2 if argv[0] == "fermion-check" else cap + 1
+        out = tmp_path / "out"
+        assert cli.main([*argv, str(n), "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {n} spins exceed the {use} cap n_spins <= {cap}"]
+        assert not list(out.iterdir())
+
+    def test_cli_builds_no_chain_list_before_the_model_cap(self, tmp_path):
+        # [1.0] * N alone holds 16 MB at N = 2,000,000
+        tracemalloc.start()
+        try:
+            code = cli.main(["bridge-check", "--chain", "2000000", "--out", str(tmp_path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 1_000_000
 
     def test_every_cap_is_probed(self):
-        assert {use for use, _ in CAPPED} == set(spins._SPIN_CAPS) - {"command-line"}
+        assert {use for use, _ in CAPPED} == set(spins._SPIN_CAPS)
