@@ -159,7 +159,10 @@ def random_single_particle_matrix(couplings, beta: float):
     and B antisymmetric, periodic indices, and `spectrum` M's eigenvalues
     in ascending order. They come in +-eps pairs, so spectrum[n:] are the
     single-particle energies. For uniform couplings the energies coincide
-    with the dispersion on the periodic momentum grid.
+    with the dispersion on the periodic momentum grid. The rotation
+    [[I, I], [I, -I]] / sqrt(2) takes M to [[0, A - B], [A + B, 0]], with
+    A + B = (A - B)^T, so the eps are the singular values of the n x n
+    matrix A - B, computed without vectors in place of a 2n x 2n eigensolve.
     """
     field, hop, hop2 = _site_dependent_constants(couplings, beta)
     n = field.size
@@ -175,5 +178,5 @@ def random_single_particle_matrix(couplings, beta: float):
     np.add.at(b, (rows, cols), half)
     np.add.at(b, (cols, rows), -half)
 
-    block = np.block([[a, b], [-b, -a]])
-    return block, np.linalg.eigvalsh(block)
+    eps = np.linalg.svd(a - b, compute_uv=False)  # descending
+    return np.block([[a, b], [-b, -a]]), np.concatenate([-eps, eps[::-1]])

@@ -19,7 +19,8 @@ from . import spins
 from .markov import (MarkovGenerator, _FlipOperator, detailed_balance_residual,
                      stationary_distribution)
 from .quantum import QuantumHamiltonian
-from .spectral import _flip_symmetric, _half_block, eig_sym
+from .spectral import (_dense_solve, _flip_symmetric, _half_block, _momentum_solve,
+                       _translation_invariant)
 
 ENTRY_FLOOR = 1e-300
 DEGENERACY_GUARD = 1e-10
@@ -64,8 +65,16 @@ def _ground_state(hamiltonian: QuantumHamiltonian) -> tuple[float, np.ndarray]:
     """(ground energy, entrywise-positive unit ground vector), with guards."""
     h = hamiltonian.operator
     _check_connected(_stoquastic_offdiag(h), h.flips)
-    matrix = h.dense()  # not hamiltonian.matrix, which would stay cached on the caller's H
-    evals = eig_sym(matrix, eigvals_only=True)
+    # The eigenvalues come from the momentum blocks where they apply, solved before the
+    # dense write so that the blocks and the matrix are never held together; else from
+    # that one matrix. It is not hamiltonian.matrix, which would stay cached on the
+    # caller's H.
+    if _translation_invariant(h):
+        evals, _ = _momentum_solve(h, keep_ground_vector=False)
+        matrix = h.dense()
+    else:
+        matrix = h.dense()
+        evals = _dense_solve(matrix, eigvals_only=True)
     gap = evals[1] - evals[0]
     if gap < DEGENERACY_GUARD:
         raise ValueError(
@@ -133,7 +142,9 @@ def quantum_to_classical(hamiltonian: QuantumHamiltonian) -> ReverseMapResult:
     each verified against `CONDITION_TOL` and reported in the result.
     The ground vector comes from shifted inverse iteration, repeated
     until its logarithm stops changing, at most MAX_SOLVES times; on the
-    even half block of H when H commutes with the global spin flip.
+    even half block of H when H commutes with the global spin flip. The
+    shift and the gap guard read the lowest two levels, from the momentum
+    blocks of H when H commutes with the cyclic shift of sites.
     Raises ValueError for input that cannot be mapped (a positive
     off-diagonal, a disconnected graph, a degenerate ground level, a
     ground-vector entry below the floor) and RuntimeError on a numeric

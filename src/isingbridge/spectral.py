@@ -1,4 +1,4 @@
-"""Dense symmetric eigensolves and spectrum reports.
+"""Symmetric eigensolves and spectrum reports.
 
 Every eigenproblem in the package goes through the symmetric path: a
 nonsymmetric generator is first conjugated by exp(beta*H0/2), which is
@@ -7,17 +7,29 @@ symmetric and isospectral (`markov._symmetric_form`), never decomposed directly.
 Each solve computes only what its caller reads. `eig_sym(...,
 eigvals_only=True)`, `spectrum_report(..., keep_ground_vector=False)` and
 `spectrum_of_generator` run LAPACK's values-only driver; only reports that
-carry a ground vector compute eigenvectors. The gap alone, without a dense
+carry a ground vector compute eigenvectors, on the momentum route those of
+the m = 0 block alone. The gap alone, without a dense
 matrix, is `markov.relaxation_time`'s Lanczos solve.
 
-A matrix that commutes with the global spin flip, c -> 2^N - 1 - c, equals
-J A J bit for bit, with J the index reversal. `eig_sym` then solves the two
-half blocks A11 +- A12 J, whose eigenvectors give [u; +-J u] / sqrt(2), at
-about a quarter of the full solve's work (A. Cantoni and P. Butler, Linear
-Algebra Appl. 13, 275 (1976)). The W and H of every model whose terms all
-have even order, the uniform chain among them, and the transverse-field chain
-take that route; any other matrix takes one `np.linalg` call, which stays the
-tests' oracle for both.
+A symmetric operator or matrix takes one of three routes:
+
+- Momentum blocks. An operator of single-spin flips that commutes, to
+  roundoff, with the cyclic shift of sites (`_translation_invariant`) is
+  solved one lattice momentum k = 2 pi m / N at a time, on the orbits of the
+  shift, and writes no 2^N x 2^N matrix (A. W. Sandvik, AIP Conf. Proc. 1297,
+  135 (2010)). The W, symmetric form and H of the uniform chain under every
+  rule and the transverse-field chain take it when `spectrum_of_generator`,
+  `spectrum_of_hamiltonian`, `fermion-check` or the reverse map's
+  eigenvalues solve them (`_solve`).
+- Flip halves. A dense matrix that commutes with the global spin flip,
+  c -> 2^N - 1 - c, equals J A J bit for bit, with J the index reversal.
+  It is solved as the two half blocks A11 +- A12 J, whose eigenvectors give
+  [u; +-J u] / sqrt(2), at about a quarter of the full solve's work
+  (A. Cantoni and P. Butler, Linear Algebra Appl. 13, 275 (1976)). The W and
+  H of every other model whose terms all have even order take it.
+- Any other matrix takes one `np.linalg` call, which stays the tests' oracle
+  for both other routes. `eig_sym` on a caller's matrix never takes the
+  momentum route.
 """
 
 from __future__ import annotations
@@ -31,6 +43,12 @@ from . import markov, spins
 
 if TYPE_CHECKING:  # pragma: no cover
     from .quantum import QuantumHamiltonian
+
+# entrywise |A[Tc, Tc'] - A[c, c']| allowed by `_translation_invariant`, relative to
+# max|A|. Roundoff alone reaches 1.5e-16 on the uniform heat-bath chain, whose
+# outflow sums round differently under the shift, and 7.2e-15 on random invariant
+# multibody models, whose energy sums do; an operator beyond it takes the dense route
+SHIFT_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -73,31 +91,15 @@ def _half_block(matrix: np.ndarray, sign: float) -> np.ndarray:
     return block
 
 
-def eig_sym(matrix: np.ndarray, eigvals_only: bool = False
-            ) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
-    """Eigendecomposition of a dense symmetric matrix.
-
-    Eigenvalues ascend; eigenvectors are the orthonormal columns of the
-    second return value. With eigvals_only, only the eigenvalues are
-    computed (LAPACK's values-only driver, about half the work) and
-    returned. Rejects asymmetric input (beyond 1e-8 relative, by
-    `markov._FlipOperator.asymmetry`), NaN or infinite entries, and
-    dimensions above 2^12 = 4096 (the dense-matrix spin cap).
+def _dense_solve(matrix: np.ndarray, eigvals_only: bool = False
+                 ) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
+    """`eig_sym` of a matrix already checked to be square, symmetric and finite.
 
     A `_flip_symmetric` matrix is solved as its two `_half_block`s, and the
     eigenvalues are merged in ascending order, the vectors [u; +-u[::-1]] /
     sqrt(2) written straight into that order. Any other matrix goes to one
     `np.linalg.eigh` or `eigvalsh` call, which returns what this function does.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    dim = matrix.shape[0]
-    bits = (dim - 1).bit_length()  # ceil(log2(dim)) spins; XOR masks need 2^bits rows
-    spins._check_spins(bits, "dense matrix")
-    padded = np.pad(matrix, (0, (1 << bits) - dim)) if dim & (dim - 1) else matrix
-    if not markov._FlipOperator.from_dense(padded).asymmetry() <= markov.SYMMETRY_TOL:
-        raise ValueError("matrix is not symmetric within 1e-8 relative tolerance")
     if not _flip_symmetric(matrix):
         return np.linalg.eigvalsh(matrix) if eigvals_only else np.linalg.eigh(matrix)
     if eigvals_only:
@@ -108,6 +110,7 @@ def eig_sym(matrix: np.ndarray, eigvals_only: bool = False
     evals = np.concatenate([even_vals, odd_vals])
     order = np.argsort(evals, kind="stable")  # a tie puts the even level first
     place = np.argsort(order)  # the column of each block level in the merged order
+    dim = len(matrix)
     half = dim // 2
     vecs = np.empty((dim, dim))
     for block, cols, sign in ((even, place[:half], 1.0), (odd, place[half:], -1.0)):
@@ -118,8 +121,132 @@ def eig_sym(matrix: np.ndarray, eigvals_only: bool = False
     return evals[order], vecs
 
 
+def eig_sym(matrix: np.ndarray, eigvals_only: bool = False
+            ) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
+    """Eigendecomposition of a dense symmetric matrix.
+
+    Eigenvalues ascend; eigenvectors are the orthonormal columns of the
+    second return value. With eigvals_only, only the eigenvalues are
+    computed (LAPACK's values-only driver, about half the work) and
+    returned. Rejects asymmetric input (max|A - A^T| beyond 1e-8 max|A|),
+    NaN or infinite entries, and dimensions above 2^12 = 4096 (the
+    dense-matrix spin cap). Solves by flip halves or one `np.linalg` call
+    (`_dense_solve`).
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    spins._check_spins((len(matrix) - 1).bit_length(), "dense matrix")  # ceil(log2(dim))
+    scale = np.abs(matrix).max(initial=0.0)
+    if not (np.isfinite(scale)  # NaN and inf fail here, before A - A^T
+            and np.abs(matrix - matrix.T).max(initial=0.0) <= markov.SYMMETRY_TOL * scale):
+        raise ValueError("matrix is not symmetric within 1e-8 relative tolerance")
+    return _dense_solve(matrix, eigvals_only)
+
+
+def _rotated(states: np.ndarray, shifts, n: int) -> np.ndarray:
+    """T^shifts c for each configuration c of `states`: c rotated left by `shifts`
+    bits within n bits, which carries site j to j + shifts mod n."""
+    return ((states << shifts) | (states >> ((n - shifts) % n))) & ((1 << n) - 1)
+
+
+def _translation_invariant(operator: markov._FlipOperator) -> bool:
+    """Whether an operator of the N single-spin flips commutes with the cyclic shift T.
+
+    T = `_rotated` by one bit, so the test is diag[Tc] = diag[c] and
+    off[(j + 1) mod N, Tc] = off[j, c], entrywise within SHIFT_TOL * max|A|.
+    """
+    n = operator.diag.size.bit_length() - 1
+    if operator.flips.shape[0] != n or not np.array_equal(operator.flips[:, 0],
+                                                          1 << np.arange(n)):
+        return False
+    shifted = _rotated(np.arange(operator.diag.size), 1, n)
+    tol = SHIFT_TOL * operator.max_abs()
+    return bool(np.abs(operator.diag[shifted] - operator.diag).max() <= tol
+                and np.abs(np.roll(operator.off[:, shifted], -1, axis=0)
+                           - operator.off).max() <= tol)
+
+
+def _momentum_solve(operator: markov._FlipOperator, keep_ground_vector: bool
+                    ) -> tuple[np.ndarray, np.ndarray | None]:
+    """(ascending eigenvalues, ground vector or None) of a `_translation_invariant`
+    symmetric operator, one momentum block at a time.
+
+    With R_a the period of the orbit of a representative a (its smallest
+    member) under T, the block at k = 2 pi m / N holds the orbits with
+    m R_a = 0 mod N. Its entry in row b, column a sums A[c, a] e^{-ik l(c)}
+    sqrt(R_a / R_b) over the flips c = a ^ (1 << j) whose orbit is b's, with
+    T^l(c) c = b, and diag[a] on the diagonal. The blocks at k and -k are
+    complex conjugates with one spectrum, so only m = 0..N//2 are solved, the
+    levels of 0 < m < N/2 counted twice. Only the real m = 0 block is solved
+    with vectors; its lowest u gives the ground vector v[T^r a] = u_a /
+    sqrt(R_a). The ground vector is None when another block holds a lower
+    level, as it cannot for a connected stoquastic operator, or when
+    keep_ground_vector is false. Raises ValueError above the dense-matrix spin
+    cap, which the blocks alone would not need, as the dense route does.
+    """
+    n = operator.diag.size.bit_length() - 1
+    spins._check_spins(n, "dense matrix")
+    states = np.arange(operator.diag.size)
+    orbits = _rotated(states, np.arange(n)[:, None], n)  # orbits[r, c] = T^r c
+    rep = orbits.min(axis=0)
+    period = n // (orbits == states).sum(axis=0)
+    reps = np.flatnonzero(rep == states)
+    # entry (j, i): from representative a = reps[i] to c = a ^ (1 << j), in orbit target
+    flipped = operator.flips[:, reps]
+    target = rep[flipped]
+    lag = orbits.argmin(axis=0)[flipped]  # T^lag c = target
+    weight = (operator.off[np.arange(n)[:, None], flipped]  # A[c, a]
+              * np.sqrt(period[reps] / period[target]))
+    levels, ground = [], None
+    for m in range(n // 2 + 1):
+        basis = reps[m * period[reps] % n == 0]
+        index = np.full(states.size, -1)
+        index[basis] = np.arange(basis.size)
+        rows, cols = index[target], np.broadcast_to(index[reps], target.shape)
+        kept = (rows >= 0) & (cols >= 0)
+        real = 2 * m % n == 0  # k = 0 or pi: the phases are +-1
+        if real:
+            phase = 1.0 - 2.0 * (2 * m * lag[kept] // n % 2)
+        else:
+            phase = np.exp(-2j * np.pi * (m * lag[kept] % n) / n)
+        block = np.zeros((basis.size, basis.size), dtype=float if real else complex)
+        np.add.at(block, (rows[kept], cols[kept]), weight[kept] * phase)
+        block[np.diag_indices(basis.size)] += operator.diag[basis]
+        if m == 0 and keep_ground_vector:
+            values, vectors = np.linalg.eigh(block)
+            ground = vectors[index[rep], 0] / np.sqrt(period)
+        else:
+            values = np.linalg.eigvalsh(block)
+        levels.extend([values] * (1 if real else 2))
+    if min(values[0] for values in levels) < levels[0][0]:  # a lower level at m != 0
+        ground = None
+    return np.sort(np.concatenate(levels)), ground
+
+
+def _solve(operator: markov._FlipOperator, keep_ground_vector: bool
+           ) -> tuple[np.ndarray, np.ndarray | None]:
+    """(ascending eigenvalues, unit ground vector or None) of a symmetric operator.
+
+    The operator must already be checked to be symmetric and finite, as a
+    `QuantumHamiltonian`'s operator and a `markov._symmetric_form` are. A
+    `_translation_invariant` operator takes `_momentum_solve`. Any other, and
+    an invariant one whose lowest level lies outside m = 0 when the ground
+    vector is kept, is written densely once and solved by `_dense_solve`.
+    Raises ValueError above the dense-matrix spin cap on both routes.
+    """
+    if _translation_invariant(operator):
+        evals, ground = _momentum_solve(operator, keep_ground_vector)
+        if ground is not None or not keep_ground_vector:
+            return evals, ground
+    if not keep_ground_vector:
+        return _dense_solve(operator.dense(), eigvals_only=True), None
+    evals, vecs = _dense_solve(operator.dense())
+    return evals, vecs[:, 0].copy()
+
+
 def spectrum_report(matrix: np.ndarray, keep_ground_vector: bool = True) -> SpectrumReport:
-    """Eigenvalues, gap and ground vector of a symmetric matrix.
+    """Eigenvalues, gap and ground vector of a symmetric matrix, by `eig_sym`.
 
     Without keep_ground_vector no eigenvector is computed and the report's
     ground_vector is None.
@@ -143,14 +270,17 @@ def spectrum_of_generator(generator: markov.MarkovGenerator) -> SpectrumReport:
     `spectrum_of_hamiltonian(quantum.classical_to_quantum(generator))`.
     Raises ValueError when W is out of detailed balance beyond 1e-8 relative.
     """
-    evals = eig_sym(markov._symmetric_form(generator, markov.SYMMETRY_TOL).dense(), eigvals_only=True)
+    evals, _ = _solve(markov._symmetric_form(generator, markov.SYMMETRY_TOL),
+                      keep_ground_vector=False)
     return SpectrumReport(eigenvalues=evals, gap=float(evals[-1] - evals[-2]),
                           matrix_dim=evals.size)
 
 
 def spectrum_of_hamiltonian(hamiltonian: QuantumHamiltonian) -> SpectrumReport:
-    """Spectrum and ground vector of a dense Hamiltonian matrix."""
-    return spectrum_report(hamiltonian.matrix)
+    """Spectrum, gap and ground vector of a Hamiltonian, solved on its operator."""
+    evals, ground = _solve(hamiltonian.operator, keep_ground_vector=True)
+    return SpectrumReport(eigenvalues=evals, gap=float(evals[1] - evals[0]),
+                          matrix_dim=evals.size, ground_vector=ground)
 
 
 @dataclass(frozen=True)

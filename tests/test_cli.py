@@ -108,15 +108,15 @@ class TestBridgeCheck:
     @pytest.mark.parametrize("field, check", [("ground_vector", "ground-state-boltzmann"),
                                               ("eigenvalues", "spectrum-shared")])
     def test_perturbed_eigh_output_fails_its_check(self, field, check, tmp_path, monkeypatch):
-        original = spectral.spectrum_report
+        original = spectral.spectrum_of_hamiltonian
 
-        def perturbed(matrix, keep_ground_vector=True):
-            report = original(matrix, keep_ground_vector)
+        def perturbed(hamiltonian):
+            report = original(hamiltonian)
             values = getattr(report, field).copy()
             values[0] += 1e-6
             return dataclasses.replace(report, **{field: values})
 
-        monkeypatch.setattr(spectral, "spectrum_report", perturbed)
+        monkeypatch.setattr(spectral, "spectrum_of_hamiltonian", perturbed)
         code = run_cli("bridge-check", "--chain", "6", "--K", "0.5", "--out", str(tmp_path))
         report = load_report(tmp_path, "bridge_check.json")
         failed = [name for name, ok in report["checks"].items() if not ok]
@@ -368,24 +368,71 @@ class TestReverse:
 
 
 class TestDenseWrites:
-    """A command writes a dense matrix only as eigensolver or LU input, or to dump it."""
+    """A command writes a dense matrix only as eigensolver or LU input, or to dump it.
+    The chains' operators commute with the cyclic shift, so their spectra come from
+    momentum blocks; only the reverse map's inverse iteration reads a dense H."""
 
-    @pytest.mark.parametrize("argv, expected", [
-        (("bridge-check", "--chain", "6"), 2),
-        (("bridge-check", "--chain", "6", "--dump-hamiltonian"), 3),
-        (("reverse", "--chain", "6"), 1),
-        (("reverse", "--tfield", "6"), 1),
-        (("fermion-check", "--chain", "6"), 1),
-        (("anneal", "--chain", "6", "--schedule", "linear:0,1,0.1", "--dt", "0.002"), 0),
-        (("mc", "--chain", "6", "--sweeps", "10", "--seeds", "2"), 0),
-    ])
-    def test_dense_writes_per_command(self, argv, expected, tmp_path, monkeypatch):
+    @staticmethod
+    def count_dense_writes(argv, tmp_path, monkeypatch):
         calls = []
         original = markov._FlipOperator.dense
         monkeypatch.setattr(markov._FlipOperator, "dense",
                             lambda self: calls.append(1) or original(self))
         assert run_cli(*argv, "--out", str(tmp_path)) == 0
-        assert len(calls) == expected
+        return len(calls)
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("bridge-check", "--chain", "6"), 0),
+        (("bridge-check", "--chain", "6", "--dump-hamiltonian"), 1),
+        (("reverse", "--chain", "6"), 1),
+        (("reverse", "--tfield", "6"), 1),
+        (("fermion-check", "--chain", "6"), 0),
+        (("anneal", "--chain", "6", "--schedule", "linear:0,1,0.1", "--dt", "0.002"), 0),
+        (("mc", "--chain", "6", "--sweeps", "10", "--seeds", "2"), 0),
+    ])
+    def test_dense_writes_per_command(self, argv, expected, tmp_path, monkeypatch):
+        assert self.count_dense_writes(argv, tmp_path, monkeypatch) == expected
+
+    @pytest.mark.parametrize("command, expected", [("bridge-check", 2), ("reverse", 1)])
+    def test_model_without_shift_symmetry(self, command, expected, tmp_path, monkeypatch):
+        # a field on one site: W and H are each written once, and the reverse map
+        # solves and inverts the one H it writes
+        path = tmp_path / "model.json"
+        terms = [((j, (j + 1) % 6), -1.0) for j in range(6)] + [((0,), 0.3)]
+        spins.save_model(spins.IsingModel(6, terms), path)
+        argv = (command, "--model", str(path))
+        assert self.count_dense_writes(argv, tmp_path, monkeypatch) == expected
+
+
+def _row_by_row_csv(header, rows):
+    """The CSV text of the row-by-row writer that the one-pass write_csv replaced."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvWriters:
+    def test_cells_match_the_row_by_row_writer(self, tmp_path):
+        rows = [(0, -0.0, "even"), (1, 5e-324, "odd"), (2, 1e308, "0 1"),
+                (-3, -1e308, ""), (4, 7, 0.1), (2**70, 1.5e-300, -2.0)]
+        cli.write_csv(str(tmp_path / "cells.csv"), ["i", "x", "label"], iter(rows))
+        expected = _row_by_row_csv(["i", "x", "label"], rows).encode()
+        assert (tmp_path / "cells.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("row", [(1,), (1, 2.0, "x", 3)])
+    def test_row_of_another_length_raises(self, row, tmp_path):
+        with pytest.raises(TypeError):
+            cli.write_csv(str(tmp_path / "cells.csv"), ["i", "x", "label"], [row])
+        assert not (tmp_path / "cells.csv").exists()
+
+    def test_spectrum_matches_the_row_by_row_writer(self, tmp_path):
+        eigenvalues = np.sort(np.random.default_rng(3).normal(size=1024) * 1e3)
+        eigenvalues[:3] = [-1e308, -0.0, 5e-324]
+        cli.write_spectrum(str(tmp_path), "spectrum", eigenvalues, 0.25, {"n_spins": 10})
+        expected = _row_by_row_csv(["index", "eigenvalue"],
+                                   ((i, float(v)) for i, v in enumerate(eigenvalues)))
+        assert (tmp_path / "spectrum.csv").read_bytes() == expected.encode()
 
 
 class TestAnneal:

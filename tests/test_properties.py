@@ -15,7 +15,9 @@ the Walsh expansion against the table it came from. The reverse map
 takes the generator of a random dyadic model back from its H. Models whose
 terms all have even order commute with the global spin flip: they pass
 `bridge-check`, the split solve gives W the unsplit spectrum, and the
-reverse map round-trips through the even half block.
+reverse map round-trips through the even half block. Models whose terms come
+with all their translates commute with the cyclic shift, and their spectra
+from momentum blocks match the dense ones.
 """
 
 import json
@@ -27,7 +29,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from isingbridge import anneal, cli, markov, quantum, reverse, spectral, spins
 import oracles
-from test_spectral import SPLIT_TOL, _same_bits
+from test_spectral import SPLIT_TOL, _same_bits, assert_blocks_match_dense
 from test_spins import random_model
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
@@ -314,6 +316,35 @@ def test_reverse_map_round_trips_on_the_even_block(model, rule, beta):
     assert spectral._flip_symmetric(quantum.classical_to_quantum(
         markov.build_generator(model, beta, rule)).matrix)
     _assert_round_trip(model, rule, beta)
+
+
+@st.composite
+def translation_invariant_models(draw):
+    """Models that commute with the cyclic shift of sites: 3 <= N <= 8, up to 4
+    random terms, each with all its translates and one coefficient per orbit."""
+    n = draw(st.integers(3, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        sites = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+        orbit = {tuple(sorted(((sites + shift) % n).tolist())) for shift in range(n)}
+        if not orbit & terms.keys():
+            terms.update(dict.fromkeys(orbit, float(rng.uniform(-2.0, 2.0))))
+    return spins.IsingModel(n, list(terms.items()))
+
+
+@PROPERTY_SETTINGS
+@given(translation_invariant_models(), rules, betas)
+def test_translation_invariant_models_take_the_momentum_blocks(model, rule, beta):
+    """W's symmetric form and the direct H pass the shift test despite the roundoff
+    of their energy sums, and their blocks match the dense spectrum; H's ground
+    vector comes from the m = 0 block."""
+    generator = markov.build_generator(model, beta, rule)
+    assert_blocks_match_dense(markov._symmetric_form(generator, markov.SYMMETRY_TOL),
+                              keep_ground_vector=False)
+    hamiltonian = quantum.assemble_direct(model, beta, rule)
+    ground, _, _ = assert_blocks_match_dense(hamiltonian.operator, keep_ground_vector=True)
+    assert ground is not None
 
 
 @st.composite

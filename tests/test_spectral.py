@@ -48,8 +48,7 @@ class TestEigSym:
     @pytest.mark.parametrize("solve", SOLVES)
     @pytest.mark.parametrize("dim", [3, 5])
     def test_any_square_size(self, solve, dim):
-        """The symmetry check pads to a power of two for its XOR masks; the solve
-        sees the matrix as given."""
+        """A matrix of any size, not only 2^N, is checked and solved as given."""
         m = np.random.default_rng(dim).normal(size=(dim, dim))
         m = m + m.T
         result = solve(m)
@@ -58,7 +57,7 @@ class TestEigSym:
         assert np.abs(evals - np.linalg.eigvalsh(m)).max() <= 1e-13 * np.abs(m).max()
 
     @pytest.mark.parametrize("solve", SOLVES)
-    @pytest.mark.parametrize("value", [0.5, math.nan])
+    @pytest.mark.parametrize("value", [0.5, math.nan, math.inf])  # inf: max|A - A^T| = max|A|
     def test_rejects_asymmetric_or_nonfinite_three_by_three(self, solve, value):
         m = np.array([[0.0, 1.0, 0.0], [1.0, 2.0, -1.0], [0.0, -1.0, 0.0]])
         m[2, 1] = value
@@ -190,6 +189,122 @@ class TestFlipSplit:
         with pytest.raises(ValueError, match="not symmetric"):
             solve(matrix)
         assert solves == []
+
+
+# bounds about 10x above the worst measured over the inputs below and the property
+# test of translation-invariant models, relative to the spectral norm: eigenvalues
+# 1.6e-14 (7.4e-15 on the chains), ground-vector residuals 9.5e-16; and
+# |v^2 - P0| * gap / max|H| reached 3.1e-16, as on the dense route
+BLOCK_TOL = 1e-13
+BLOCK_RESIDUAL_TOL = 1e-14
+BLOCK_BOLTZMANN_TOL = 3e-15
+
+
+def _random_invariant_operator(n, rng):
+    """A symmetric single-flip operator with one Gaussian diagonal entry per orbit of
+    the cyclic shift and one off-diagonal entry per orbit of flip pairs: invariant
+    bit for bit, of either sign, so its ground level may lie at any momentum."""
+    states = np.arange(1 << n)
+    shifts = np.arange(n)[:, None, None]
+    flips = markov._flip_table(n)
+    ends, other_ends = (spectral._rotated(c, shifts, n) for c in (states[None, :], flips))
+    pair = (np.minimum(ends, other_ends) * states.size + np.maximum(ends, other_ends)).min(axis=0)
+    _, pair_orbit = np.unique(pair, return_inverse=True)
+    _, state_orbit = np.unique(ends[:, 0].min(axis=0), return_inverse=True)
+    return markov._FlipOperator(rng.normal(size=state_orbit.max() + 1)[state_orbit],
+                                rng.normal(size=pair_orbit.max() + 1)[pair_orbit], flips)
+
+
+def assert_blocks_match_dense(operator, keep_ground_vector):
+    """`spectral._solve` takes the momentum route, and its spectrum and ground
+    vector (when kept and given) match `np.linalg` on the dense matrix.
+    Returns the ground vector, the dense matrix and its eigenvalues."""
+    assert spectral._translation_invariant(operator)
+    matrix = operator.dense()
+    expected = np.linalg.eigvalsh(matrix)
+    norm = np.abs(expected).max()
+    values, ground = spectral._solve(operator, keep_ground_vector)
+    assert np.abs(values - expected).max() <= BLOCK_TOL * norm
+    if ground is not None:
+        assert abs(np.linalg.norm(ground) - 1.0) <= BLOCK_RESIDUAL_TOL
+        assert (np.abs(matrix @ ground - values[0] * ground).max()
+                <= BLOCK_RESIDUAL_TOL * norm)
+    return ground, matrix, expected
+
+
+class TestMomentumBlocks:
+    """An operator that commutes with the cyclic shift is solved one momentum block
+    at a time; `np.linalg` on its dense matrix is the oracle."""
+
+    @pytest.mark.parametrize("n", range(3, 11))  # odd N have no k = pi block
+    @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.name)
+    def test_chain(self, n, beta, rule):
+        model = spins.chain_model(n, [1.0] * n)
+        generator = markov.build_generator(model, beta, rule)
+        assert_blocks_match_dense(markov._symmetric_form(generator, markov.SYMMETRY_TOL),
+                                  keep_ground_vector=False)
+        h = quantum.assemble_direct(model, beta, rule).operator
+        ground, _, expected = assert_blocks_match_dense(h, keep_ground_vector=True)
+        assert ground is not None  # a connected stoquastic H has its ground level at m = 0
+        gap = expected[1] - expected[0]
+        if gap > 1e-6:  # where v^2 is not too ill-conditioned to compare
+            deviation = np.abs(ground ** 2 - spins.boltzmann(model, beta)).max()
+            assert deviation * gap <= BLOCK_BOLTZMANN_TOL * h.max_abs()
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_transverse_field_chain(self, n, gamma):
+        ground, _, _ = assert_blocks_match_dense(
+            quantum.transverse_field_chain(n, gamma).operator, keep_ground_vector=True)
+        assert ground is not None
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_random_invariant_operators(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            assert_blocks_match_dense(_random_invariant_operator(n, rng), True)
+
+    def test_ground_level_outside_m0_takes_the_dense_vectors(self):
+        # the seed draws an operator whose ground level lies in a block with m != 0
+        operator = _random_invariant_operator(4, np.random.default_rng(5))
+        assert spectral._momentum_solve(operator, keep_ground_vector=True)[1] is None
+        ground, matrix, _ = assert_blocks_match_dense(operator, keep_ground_vector=True)
+        assert _same_bits(ground, spectral._dense_solve(matrix)[1][:, 0])
+
+    @pytest.mark.parametrize("keep_ground_vector", [False, True])
+    def test_one_changed_coupling_takes_the_dense_route(self, keep_ground_vector,
+                                                        monkeypatch):
+        def no_blocks(*args):
+            raise AssertionError("momentum blocks for an operator that is not invariant")
+        monkeypatch.setattr(spectral, "_momentum_solve", no_blocks)
+        model = spins.chain_model(6, [1.0] * 5 + [1.0 + 1e-6])
+        h = quantum.assemble_direct(model, 0.5, markov.HEAT_BATH).operator
+        assert not spectral._translation_invariant(h)
+        values, ground = spectral._solve(h, keep_ground_vector)
+        expected = spectral._dense_solve(h.dense(), eigvals_only=not keep_ground_vector)
+        if keep_ground_vector:
+            assert _same_bits(values, expected[0]) and _same_bits(ground, expected[1][:, 0])
+        else:
+            assert _same_bits(values, expected) and ground is None
+
+    def test_operator_with_other_masks_takes_the_dense_route(self):
+        # a nearest-neighbour pair flip commutes with the shift but is no single flip
+        matrix = quantum.transverse_field_chain(4, 0.5).matrix.copy()
+        states = np.arange(16)
+        matrix[states, states ^ 3] = matrix[states ^ 3, states] = -0.25
+        operator = markov._FlipOperator.from_dense(matrix)
+        assert not spectral._translation_invariant(operator)
+        values, _ = spectral._solve(operator, keep_ground_vector=False)
+        assert _same_bits(values, spectral._dense_solve(matrix, eigvals_only=True))
+
+    def test_raw_matrix_never_takes_the_blocks(self, monkeypatch):
+        def no_blocks(*args):
+            raise AssertionError("momentum blocks for a caller's matrix")
+        monkeypatch.setattr(spectral, "_momentum_solve", no_blocks)
+        matrix = _chain_hamiltonian(6, 0.5, markov.HEAT_BATH)
+        assert _same_bits(spectral.eig_sym(matrix, eigvals_only=True),
+                          spectral._dense_solve(matrix, eigvals_only=True))
 
 
 class TestGeneratorSpectrum:
@@ -328,10 +443,12 @@ class TestSolveCounts:
 
     def test_bridge_check_solves_vectors_once(self, solves, tmp_path):
         # the mapped H's vectors feed the ground-state residual; the generator
-        # spectrum is read as values only. The chain commutes with the spin flip,
-        # so each matrix is solved as its two 32-row half blocks.
+        # spectrum is read as values only. The chain commutes with the cyclic shift,
+        # so each operator is solved as its momentum blocks m = 0..3 of 14, 9, 11 and
+        # 10 orbits; vectors only for H's m = 0 block, which holds its ground level.
         assert cli.main(["bridge-check", "--chain", "6", "--out", str(tmp_path)]) == 0
-        assert sorted(solves) == [("values", 32)] * 2 + [("vectors", 32)] * 2
+        assert sorted(solves) == sorted([("values", dim) for dim in (14, 9, 11, 10, 9, 11, 10)]
+                                        + [("vectors", 14)])
 
     def test_field_model_solves_whole_matrices(self, solves, tmp_path):
         # one field term breaks the flip symmetry: one solve per matrix, as np.linalg
@@ -343,7 +460,7 @@ class TestSolveCounts:
 
     def test_uniform_fermion_check_solves_no_vectors(self, solves, tmp_path):
         assert cli.main(["fermion-check", "--chain", "6", "--out", str(tmp_path)]) == 0
-        assert solves and all(call == ("values", 32) for call in solves)
+        assert sorted(solves) == [("values", dim) for dim in (9, 10, 11, 14)]
 
     def test_relaxation_time_solves_no_dense_matrix(self, solves):
         gen = markov.build_generator(spins.chain_model(8, [1.0] * 8), 0.5, markov.HEAT_BATH)
