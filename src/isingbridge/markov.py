@@ -148,6 +148,11 @@ class _FlipOperator:
         flips = states[None, :] ^ (np.flatnonzero(used[1:]) + 1)[:, None]  # 0: the diagonal
         return cls(matrix.diagonal().copy(), matrix[states, flips], flips)
 
+    def __len__(self) -> int:  # rows of A, as len() of its matrix; stages are not items
+        return self.diag.shape[-1]
+
+    __iter__ = None
+
     def __getitem__(self, stage: int) -> _FlipOperator:
         if self.diag.ndim == 1:
             return self

@@ -19,8 +19,7 @@ from . import spins
 from .markov import (MarkovGenerator, _FlipOperator, detailed_balance_residual,
                      stationary_distribution)
 from .quantum import QuantumHamiltonian
-from .spectral import (_dense_solve, _flip_symmetric, _half_block, _momentum_solve,
-                       _translation_invariant)
+from .spectral import eig_sym
 
 ENTRY_FLOOR = 1e-300
 DEGENERACY_GUARD = 1e-10
@@ -61,20 +60,35 @@ def _check_connected(links: np.ndarray, flips: np.ndarray) -> None:
             "positive and the classical dynamics would be reducible")
 
 
+def _flip_symmetric(matrix: np.ndarray) -> bool:
+    """Whether a square matrix of even size >= 4 equals J matrix J bit for bit, with J
+    the index reversal, which on 2^N configurations is the global spin flip
+    c -> 2^N - 1 - c. A bitwise test, not a tolerance, so that the even half block
+    is an exact similarity of the matrix on the flip-even vectors."""
+    dim = len(matrix)
+    return dim >= 4 and dim % 2 == 0 and np.array_equal(matrix, matrix[::-1, ::-1])
+
+
+def _even_half_block(matrix: np.ndarray) -> np.ndarray:
+    """A11 + A12 J of a flip-symmetric matrix, a new array of half its size. A vector u
+    of it gives the flip-even vector [u; J u] / sqrt(2) of the matrix at the same
+    eigenvalue. A12 J is A12 with its columns reversed, read row by row; its
+    transposed twin (J A21)^T takes about 7 times as long."""
+    half = len(matrix) // 2
+    block = matrix[:half, half:][:, ::-1].copy()
+    block += matrix[:half, :half]
+    return block
+
+
 def _ground_state(hamiltonian: QuantumHamiltonian) -> tuple[float, np.ndarray]:
     """(ground energy, entrywise-positive unit ground vector), with guards."""
     h = hamiltonian.operator
     _check_connected(_stoquastic_offdiag(h), h.flips)
-    # The eigenvalues come from the momentum blocks where they apply, solved before the
-    # dense write so that the blocks and the matrix are never held together; else from
-    # that one matrix. It is not hamiltonian.matrix, which would stay cached on the
-    # caller's H.
-    if _translation_invariant(h):
-        evals, _ = _momentum_solve(h, keep_ground_vector=False)
-        matrix = h.dense()
-    else:
-        matrix = h.dense()
-        evals = _dense_solve(matrix, eigvals_only=True)
+    # The eigenvalues come from the momentum blocks where H commutes with the cyclic shift,
+    # solved before the dense write so that the two are never held together. The matrix
+    # is not hamiltonian.matrix, which would stay cached on the caller's H.
+    evals = eig_sym(h, eigvals_only=True)
+    matrix = h.dense()
     gap = evals[1] - evals[0]
     if gap < DEGENERACY_GUARD:
         raise ValueError(
@@ -97,7 +111,7 @@ def _ground_state(hamiltonian: QuantumHamiltonian) -> tuple[float, np.ndarray]:
     # Each copy of u is normalised as half of the unit vector.
     copies = 2 if _flip_symmetric(matrix) else 1
     if copies == 2:
-        matrix = _half_block(matrix, 1.0)
+        matrix = _even_half_block(matrix)
     matrix[np.diag_indices_from(matrix)] -= evals[0] - offset  # H - sigma I, in place
     vec = np.full(len(matrix), (copies * len(matrix)) ** -0.5)
     for _ in range(MAX_SOLVES):

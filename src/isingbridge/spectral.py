@@ -4,32 +4,28 @@ Every eigenproblem in the package goes through the symmetric path: a
 nonsymmetric generator is first conjugated by exp(beta*H0/2), which is
 symmetric and isospectral (`markov._symmetric_form`), never decomposed directly.
 
-Each solve computes only what its caller reads. `eig_sym(...,
+`eig_sym` takes a dense matrix or an operator (`markov._FlipOperator`), and
+each solve computes only what its caller reads. `eig_sym(...,
 eigvals_only=True)`, `spectrum_report(..., keep_ground_vector=False)` and
 `spectrum_of_generator` run LAPACK's values-only driver; only reports that
 carry a ground vector compute eigenvectors, on the momentum route those of
-the m = 0 block alone. The gap alone, without a dense
-matrix, is `markov.relaxation_time`'s Lanczos solve.
+the m = 0 block alone. The gap alone, without a dense matrix, is
+`markov.relaxation_time`'s Lanczos solve.
 
-A symmetric operator or matrix takes one of three routes:
+A symmetric operator or matrix takes one of two routes:
 
 - Momentum blocks. An operator of single-spin flips that commutes, to
   roundoff, with the cyclic shift of sites (`_translation_invariant`) is
   solved one lattice momentum k = 2 pi m / N at a time, on the orbits of the
   shift, and writes no 2^N x 2^N matrix (A. W. Sandvik, AIP Conf. Proc. 1297,
   135 (2010)). The W, symmetric form and H of the uniform chain under every
-  rule and the transverse-field chain take it when `spectrum_of_generator`,
-  `spectrum_of_hamiltonian`, `fermion-check` or the reverse map's
-  eigenvalues solve them (`_solve`).
-- Flip halves. A dense matrix that commutes with the global spin flip,
-  c -> 2^N - 1 - c, equals J A J bit for bit, with J the index reversal.
-  It is solved as the two half blocks A11 +- A12 J, whose eigenvectors give
-  [u; +-J u] / sqrt(2), at about a quarter of the full solve's work
-  (A. Cantoni and P. Butler, Linear Algebra Appl. 13, 275 (1976)). The W and
-  H of every other model whose terms all have even order take it.
-- Any other matrix takes one `np.linalg` call, which stays the tests' oracle
-  for both other routes. `eig_sym` on a caller's matrix never takes the
-  momentum route.
+  rule, the transverse-field chain and models whose terms come with all
+  their translates take it in `spectrum_of_generator`,
+  `spectrum_of_hamiltonian`, `fermion-check` and the reverse map's
+  eigenvalues.
+- Dense. Every other operator is written densely once, and it and every
+  matrix a caller passes take one `np.linalg.eigh` or `eigvalsh` call,
+  which stays the tests' oracle for the blocks.
 """
 
 from __future__ import annotations
@@ -44,10 +40,14 @@ from . import markov, spins
 if TYPE_CHECKING:  # pragma: no cover
     from .quantum import QuantumHamiltonian
 
-# entrywise |A[Tc, Tc'] - A[c, c']| allowed by `_translation_invariant`, relative to
-# max|A|. Roundoff alone reaches 1.5e-16 on the uniform heat-bath chain, whose
-# outflow sums round differently under the shift, and 7.2e-15 on random invariant
-# multibody models, whose energy sums do; an operator beyond it takes the dense route
+# (N + 1) max|A - A'| allowed by `_translation_invariant`, relative to max|A|, where A'
+# is the invariant operator the momentum blocks solve. Each row and column of A - A'
+# holds at most N + 1 entries, so ||A - A'||_2 is at most SHIFT_TOL max|A| and the
+# block eigenvalues lie that close to A's: a tenth of the reverse map's shift below
+# E0 (`reverse.INVERSE_SHIFT`). Roundoff alone reaches (N + 1) max|A - A'| = 4.2e-15
+# max|A| on the uniform chains up to N = 12, whose outflow sums round differently
+# under the shift, and 2.6e-14 on random invariant multibody models up to N = 10,
+# whose energy sums do; an operator beyond it takes the dense route
 SHIFT_TOL = 1e-13
 
 
@@ -66,73 +66,28 @@ class SpectrumReport:
             self.ground_vector.setflags(write=False)
 
 
-def _flip_symmetric(matrix: np.ndarray) -> bool:
-    """Whether a square matrix of even size >= 4 equals J matrix J bit for bit.
-
-    J reverses the index, so on 2^N configurations it is the global spin flip
-    c -> 2^N - 1 - c. A bitwise test, not a tolerance: the half blocks of
-    `_half_block` are then an exact orthogonal similarity of the matrix.
-    """
-    dim = len(matrix)
-    return dim >= 4 and dim % 2 == 0 and np.array_equal(matrix, matrix[::-1, ::-1])
-
-
-def _half_block(matrix: np.ndarray, sign: float) -> np.ndarray:
-    """The even (sign +1) or odd (sign -1) half block A11 + sign A12 J of a
-    flip-symmetric matrix, a new array of half its size.
-
-    A vector u of the block gives the vector [u; sign J u] / sqrt(2) of the
-    matrix at the same eigenvalue. A12 J is A12 with its columns reversed, read
-    row by row; its transposed twin (J A21)^T takes about 7 times as long.
-    """
-    half = len(matrix) // 2
-    block = matrix[:half, half:][:, ::-1] * sign
-    block += matrix[:half, :half]
-    return block
-
-
-def _dense_solve(matrix: np.ndarray, eigvals_only: bool = False
-                 ) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
-    """`eig_sym` of a matrix already checked to be square, symmetric and finite.
-
-    A `_flip_symmetric` matrix is solved as its two `_half_block`s, and the
-    eigenvalues are merged in ascending order, the vectors [u; +-u[::-1]] /
-    sqrt(2) written straight into that order. Any other matrix goes to one
-    `np.linalg.eigh` or `eigvalsh` call, which returns what this function does.
-    """
-    if not _flip_symmetric(matrix):
-        return np.linalg.eigvalsh(matrix) if eigvals_only else np.linalg.eigh(matrix)
-    if eigvals_only:
-        return np.sort(np.concatenate([np.linalg.eigvalsh(_half_block(matrix, sign))
-                                       for sign in (1.0, -1.0)]))
-    (even_vals, even), (odd_vals, odd) = (np.linalg.eigh(_half_block(matrix, sign))
-                                          for sign in (1.0, -1.0))
-    evals = np.concatenate([even_vals, odd_vals])
-    order = np.argsort(evals, kind="stable")  # a tie puts the even level first
-    place = np.argsort(order)  # the column of each block level in the merged order
-    dim = len(matrix)
-    half = dim // 2
-    vecs = np.empty((dim, dim))
-    for block, cols, sign in ((even, place[:half], 1.0), (odd, place[half:], -1.0)):
-        block /= np.sqrt(2.0)
-        vecs[:half, cols] = block
-        block *= sign
-        vecs[half:, cols] = block[::-1]
-    return evals[order], vecs
-
-
-def eig_sym(matrix: np.ndarray, eigvals_only: bool = False
+def eig_sym(matrix: np.ndarray | markov._FlipOperator, eigvals_only: bool = False
             ) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
-    """Eigendecomposition of a dense symmetric matrix.
+    """Eigendecomposition of a symmetric matrix or operator.
 
-    Eigenvalues ascend; eigenvectors are the orthonormal columns of the
-    second return value. With eigvals_only, only the eigenvalues are
-    computed (LAPACK's values-only driver, about half the work) and
-    returned. Rejects asymmetric input (max|A - A^T| beyond 1e-8 max|A|),
-    NaN or infinite entries, and dimensions above 2^12 = 4096 (the
-    dense-matrix spin cap). Solves by flip halves or one `np.linalg` call
-    (`_dense_solve`).
+    Eigenvalues ascend. With eigvals_only, only the eigenvalues are computed
+    (LAPACK's values-only driver, about half the work) and returned. Else
+    the second return value holds orthonormal eigenvectors as columns: all
+    of them for a dense matrix, and for a `markov._FlipOperator` only the
+    lowest level's, a (2^N, 1) array, which is all the package reads and
+    all the momentum blocks compute. A matrix of any square size takes one
+    `np.linalg` call. An operator takes the momentum blocks when it commutes
+    with the cyclic shift of sites, and is else written densely once for
+    that call (`_solve`).
+    Rejects asymmetric input (max|A - A^T| beyond 1e-8 max|A|), NaN or
+    infinite entries, and more than 2^12 = 4096 rows (the dense-matrix spin
+    cap, which the momentum blocks keep).
     """
+    if isinstance(matrix, markov._FlipOperator):
+        if not matrix.asymmetry() <= markov.SYMMETRY_TOL:  # NaN for a non-finite entry
+            raise ValueError("operator is not symmetric within 1e-8 relative tolerance")
+        evals, ground = _solve(matrix, keep_ground_vector=not eigvals_only)
+        return evals if eigvals_only else (evals, ground[:, None])
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
@@ -141,7 +96,7 @@ def eig_sym(matrix: np.ndarray, eigvals_only: bool = False
     if not (np.isfinite(scale)  # NaN and inf fail here, before A - A^T
             and np.abs(matrix - matrix.T).max(initial=0.0) <= markov.SYMMETRY_TOL * scale):
         raise ValueError("matrix is not symmetric within 1e-8 relative tolerance")
-    return _dense_solve(matrix, eigvals_only)
+    return np.linalg.eigvalsh(matrix) if eigvals_only else np.linalg.eigh(matrix)
 
 
 def _rotated(states: np.ndarray, shifts, n: int) -> np.ndarray:
@@ -150,21 +105,32 @@ def _rotated(states: np.ndarray, shifts, n: int) -> np.ndarray:
     return ((states << shifts) | (states >> ((n - shifts) % n))) & ((1 << n) - 1)
 
 
-def _translation_invariant(operator: markov._FlipOperator) -> bool:
-    """Whether an operator of the N single-spin flips commutes with the cyclic shift T.
+def _shift_orbits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rep, lag, period) of every configuration c of n sites under the cyclic shift T:
+    the smallest member of its orbit, the l with T^l c = rep, and the orbit's size."""
+    states = np.arange(1 << n)
+    orbits = _rotated(states, np.arange(n)[:, None], n)  # orbits[r, c] = T^r c
+    return orbits.min(axis=0), orbits.argmin(axis=0), n // (orbits == states).sum(axis=0)
 
-    T = `_rotated` by one bit, so the test is diag[Tc] = diag[c] and
-    off[(j + 1) mod N, Tc] = off[j, c], entrywise within SHIFT_TOL * max|A|.
+
+def _translation_invariant(operator: markov._FlipOperator) -> bool:
+    """Whether an operator of the N single-spin flips commutes with the cyclic shift T,
+    within `SHIFT_TOL`.
+
+    The momentum blocks read each entry from the orbit representative: with
+    T^l c = rep(c), which carries site j to j + l, diag[c] from diag[rep(c)]
+    and off[j, c] from off[(j + l) mod N, rep(c)]. The test is that (N + 1)
+    times the largest difference is at most SHIFT_TOL * max|A|.
     """
     n = operator.diag.size.bit_length() - 1
     if operator.flips.shape[0] != n or not np.array_equal(operator.flips[:, 0],
                                                           1 << np.arange(n)):
         return False
-    shifted = _rotated(np.arange(operator.diag.size), 1, n)
-    tol = SHIFT_TOL * operator.max_abs()
-    return bool(np.abs(operator.diag[shifted] - operator.diag).max() <= tol
-                and np.abs(np.roll(operator.off[:, shifted], -1, axis=0)
-                           - operator.off).max() <= tol)
+    rep, lag, _ = _shift_orbits(n)
+    carried = operator.off[(np.arange(n)[:, None] + lag) % n, rep]
+    deviation = max(np.abs(operator.diag[rep] - operator.diag).max(),
+                    np.abs(carried - operator.off).max())
+    return bool((n + 1) * deviation <= SHIFT_TOL * operator.max_abs())
 
 
 def _momentum_solve(operator: markov._FlipOperator, keep_ground_vector: bool
@@ -188,14 +154,12 @@ def _momentum_solve(operator: markov._FlipOperator, keep_ground_vector: bool
     n = operator.diag.size.bit_length() - 1
     spins._check_spins(n, "dense matrix")
     states = np.arange(operator.diag.size)
-    orbits = _rotated(states, np.arange(n)[:, None], n)  # orbits[r, c] = T^r c
-    rep = orbits.min(axis=0)
-    period = n // (orbits == states).sum(axis=0)
+    rep, lag, period = _shift_orbits(n)
     reps = np.flatnonzero(rep == states)
     # entry (j, i): from representative a = reps[i] to c = a ^ (1 << j), in orbit target
     flipped = operator.flips[:, reps]
     target = rep[flipped]
-    lag = orbits.argmin(axis=0)[flipped]  # T^lag c = target
+    lag = lag[flipped]  # T^lag c = target
     weight = (operator.off[np.arange(n)[:, None], flipped]  # A[c, a]
               * np.sqrt(period[reps] / period[target]))
     levels, ground = [], None
@@ -226,27 +190,28 @@ def _momentum_solve(operator: markov._FlipOperator, keep_ground_vector: bool
 
 def _solve(operator: markov._FlipOperator, keep_ground_vector: bool
            ) -> tuple[np.ndarray, np.ndarray | None]:
-    """(ascending eigenvalues, unit ground vector or None) of a symmetric operator.
+    """(ascending eigenvalues, unit ground vector or None) of an operator that
+    `eig_sym` has checked to be symmetric and finite.
 
-    The operator must already be checked to be symmetric and finite, as a
-    `QuantumHamiltonian`'s operator and a `markov._symmetric_form` are. A
-    `_translation_invariant` operator takes `_momentum_solve`. Any other, and
+    A `_translation_invariant` operator takes `_momentum_solve`. Any other, and
     an invariant one whose lowest level lies outside m = 0 when the ground
-    vector is kept, is written densely once and solved by `_dense_solve`.
-    Raises ValueError above the dense-matrix spin cap on both routes.
+    vector is kept, is written densely once and solved by one `np.linalg`
+    call. Raises ValueError above the dense-matrix spin cap on both routes.
     """
     if _translation_invariant(operator):
         evals, ground = _momentum_solve(operator, keep_ground_vector)
         if ground is not None or not keep_ground_vector:
             return evals, ground
     if not keep_ground_vector:
-        return _dense_solve(operator.dense(), eigvals_only=True), None
-    evals, vecs = _dense_solve(operator.dense())
+        return np.linalg.eigvalsh(operator.dense()), None
+    evals, vecs = np.linalg.eigh(operator.dense())
     return evals, vecs[:, 0].copy()
 
 
-def spectrum_report(matrix: np.ndarray, keep_ground_vector: bool = True) -> SpectrumReport:
-    """Eigenvalues, gap and ground vector of a symmetric matrix, by `eig_sym`.
+def spectrum_report(matrix: np.ndarray | markov._FlipOperator,
+                    keep_ground_vector: bool = True) -> SpectrumReport:
+    """Eigenvalues, gap and ground vector of a symmetric matrix or operator, by
+    `eig_sym`.
 
     Without keep_ground_vector no eigenvector is computed and the report's
     ground_vector is None.
@@ -270,17 +235,14 @@ def spectrum_of_generator(generator: markov.MarkovGenerator) -> SpectrumReport:
     `spectrum_of_hamiltonian(quantum.classical_to_quantum(generator))`.
     Raises ValueError when W is out of detailed balance beyond 1e-8 relative.
     """
-    evals, _ = _solve(markov._symmetric_form(generator, markov.SYMMETRY_TOL),
-                      keep_ground_vector=False)
+    evals = eig_sym(markov._symmetric_form(generator, markov.SYMMETRY_TOL), eigvals_only=True)
     return SpectrumReport(eigenvalues=evals, gap=float(evals[-1] - evals[-2]),
                           matrix_dim=evals.size)
 
 
 def spectrum_of_hamiltonian(hamiltonian: QuantumHamiltonian) -> SpectrumReport:
     """Spectrum, gap and ground vector of a Hamiltonian, solved on its operator."""
-    evals, ground = _solve(hamiltonian.operator, keep_ground_vector=True)
-    return SpectrumReport(eigenvalues=evals, gap=float(evals[1] - evals[0]),
-                          matrix_dim=evals.size, ground_vector=ground)
+    return spectrum_report(hamiltonian.operator)
 
 
 @dataclass(frozen=True)

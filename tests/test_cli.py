@@ -108,15 +108,15 @@ class TestBridgeCheck:
     @pytest.mark.parametrize("field, check", [("ground_vector", "ground-state-boltzmann"),
                                               ("eigenvalues", "spectrum-shared")])
     def test_perturbed_eigh_output_fails_its_check(self, field, check, tmp_path, monkeypatch):
-        original = spectral.spectrum_of_hamiltonian
+        original = spectral.spectrum_report
 
-        def perturbed(hamiltonian):
-            report = original(hamiltonian)
+        def perturbed(matrix, keep_ground_vector=True):
+            report = original(matrix, keep_ground_vector)
             values = getattr(report, field).copy()
             values[0] += 1e-6
             return dataclasses.replace(report, **{field: values})
 
-        monkeypatch.setattr(spectral, "spectrum_of_hamiltonian", perturbed)
+        monkeypatch.setattr(spectral, "spectrum_report", perturbed)
         code = run_cli("bridge-check", "--chain", "6", "--K", "0.5", "--out", str(tmp_path))
         report = load_report(tmp_path, "bridge_check.json")
         failed = [name for name, ok in report["checks"].items() if not ok]
@@ -393,10 +393,11 @@ class TestDenseWrites:
     def test_dense_writes_per_command(self, argv, expected, tmp_path, monkeypatch):
         assert self.count_dense_writes(argv, tmp_path, monkeypatch) == expected
 
-    @pytest.mark.parametrize("command, expected", [("bridge-check", 2), ("reverse", 1)])
+    @pytest.mark.parametrize("command, expected", [("bridge-check", 2), ("reverse", 2)])
     def test_model_without_shift_symmetry(self, command, expected, tmp_path, monkeypatch):
-        # a field on one site: W and H are each written once, and the reverse map
-        # solves and inverts the one H it writes
+        # a field on one site: W and H are each written once for their eigensolves, and
+        # the reverse map writes H once more, after its eigenvalues, for its inverse
+        # iteration
         path = tmp_path / "model.json"
         terms = [((j, (j + 1) % 6), -1.0) for j in range(6)] + [((0,), 0.3)]
         spins.save_model(spins.IsingModel(6, terms), path)

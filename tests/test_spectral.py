@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from isingbridge import cli, markov, quantum, spectral, spins
+from isingbridge import cli, markov, quantum, reverse, spectral, spins
 from test_markov import perturbed_rate
 from test_spins import random_model
 
@@ -76,119 +76,63 @@ class TestEigSym:
             solve(np.zeros((3, 4)))
 
 
+class TestEigSymOnOperators:
+    """An operator is checked for symmetry, then solved on the momentum blocks or on its
+    dense matrix; its vectors are the lowest level's alone."""
+
+    def test_invariant_operator_matches_its_dense_matrix(self):
+        h = quantum.assemble_direct(spins.chain_model(6, [1.0] * 6), 0.5,
+                                    markov.HEAT_BATH).operator
+        values, vectors = spectral.eig_sym(h)
+        assert len(h) == 64 and vectors.shape == (64, 1)
+        expected = np.linalg.eigvalsh(h.dense())
+        norm = np.abs(expected).max()
+        for solved in (values, spectral.eig_sym(h, eigvals_only=True)):
+            assert np.abs(solved - expected).max() <= 1e-13 * norm
+        assert np.abs(h(vectors[:, 0]) - values[0] * vectors[:, 0]).max() <= 1e-14 * norm
+
+    def test_other_operator_gets_the_dense_solve(self):
+        model = spins.IsingModel(6, [((0, 1), 1.0), ((2, 3), -0.5), ((4,), 0.3)])
+        h = quantum.assemble_direct(model, 0.7, markov.HEAT_BATH).operator
+        values, vectors = spectral.eig_sym(h)
+        ref_values, ref_vectors = np.linalg.eigh(h.dense())
+        assert _same_bits(values, ref_values) and _same_bits(vectors, ref_vectors[:, :1])
+        assert _same_bits(spectral.eig_sym(h, eigvals_only=True),
+                          np.linalg.eigvalsh(h.dense()))
+
+    @pytest.mark.parametrize("solve", SOLVES)
+    @pytest.mark.parametrize("value", [None, math.nan, math.inf])
+    def test_rejects_asymmetric_or_nonfinite_operator(self, solve, value, solves):
+        # W itself is not symmetric at beta > 0; a NaN or infinite entry fails too
+        model = spins.chain_model(4, [1.0] * 4)
+        op = markov.build_generator(model, 0.7, markov.HEAT_BATH).operator
+        if value is not None:
+            op = quantum.assemble_direct(model, 0.7, markov.HEAT_BATH).operator
+            op = markov._FlipOperator(op.diag.copy(), op.off, op.flips)
+            op.diag[3] = value
+        with pytest.raises(ValueError,
+                           match="^operator is not symmetric within 1e-8 relative tolerance$"):
+            solve(op)
+        assert solves == []
+
+    @pytest.mark.parametrize("solve", SOLVES)
+    def test_rejects_oversized_operator(self, solve):
+        n = 13  # invariant, so the momentum route, which keeps the dense cap
+        op = markov._FlipOperator(np.zeros(1 << n), np.zeros((n, 1 << n)),
+                                  markov._flip_table(n))
+        with pytest.raises(ValueError, match="cap"):
+            solve(op)
+
+
 RULES = [markov.HEAT_BATH, markov.METROPOLIS, markov.UniformRate(0.1)]
-# bounds set from the worst case measured over the inputs below, about 10x above it:
-# eigenvalues 5.7e-15, residuals 1.0e-15 and orthonormality 5.7e-15, each relative
-# to the spectral norm, and projector distances 1.1e-14 norm / separation
-SPLIT_TOL = 5e-14
-SPLIT_PROJECTOR_TOL = 1e-13
 
 
 def _chain_hamiltonian(n, beta, rule):
     return quantum.assemble_direct(spins.chain_model(n, [1.0] * n), beta, rule).matrix.copy()
 
 
-def _chain_symmetric_form(n, beta, rule):
-    generator = markov.build_generator(spins.chain_model(n, [1.0] * n), beta, rule)
-    return markov._symmetric_form(generator, markov.SYMMETRY_TOL).dense()
-
-
-def _clusters(evals, tol=1e-8):
-    """(start, stop) of each run of levels with neighbours closer than tol."""
-    start = 0
-    while start < evals.size:
-        stop = start + 1
-        while stop < evals.size and evals[stop] - evals[stop - 1] < tol:
-            stop += 1
-        yield start, stop
-        start = stop
-
-
 def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-class TestFlipSplit:
-    """A flip-symmetric matrix is solved as two half blocks; one `np.linalg` call on
-    the same matrix is the oracle, and every other matrix gets exactly that call."""
-
-    def assert_matches_unsplit(self, matrix):
-        assert spectral._flip_symmetric(matrix)
-        ref_values, ref_vectors = np.linalg.eigh(matrix)
-        norm = np.abs(ref_values).max()
-        values, vectors = spectral.eig_sym(matrix)
-        assert np.abs(values - ref_values).max() <= SPLIT_TOL * norm
-        assert np.abs(spectral.eig_sym(matrix, eigvals_only=True)
-                      - ref_values).max() <= SPLIT_TOL * norm
-        assert np.abs(matrix @ vectors - vectors * values).max() <= SPLIT_TOL * norm
-        assert np.abs(vectors.T @ vectors - np.eye(len(matrix))).max() <= SPLIT_TOL
-        # the spectral projectors P, Q of each cluster closer than 1e-8, as
-        # ||P - Q||_F^2 = 2 ||vectors_cluster^T ref_vectors_rest||_F^2, which has no
-        # cancellation; Davis-Kahan bounds it by roundoff * norm / separation
-        overlap = vectors.T @ ref_vectors
-        for start, stop in _clusters(ref_values):
-            rest = np.delete(overlap[start:stop], np.s_[start:stop], axis=1)
-            distance = np.sqrt(2.0 * (rest ** 2).sum())
-            separation = min(ref_values[start] - ref_values[start - 1] if start else np.inf,
-                             ref_values[stop] - ref_values[stop - 1]
-                             if stop < ref_values.size else np.inf)
-            assert distance * separation <= SPLIT_PROJECTOR_TOL * norm
-
-    @pytest.mark.parametrize("n", [4, 6, 8, 10])
-    @pytest.mark.parametrize("beta", [0.0, 0.5, 2.0, 5.0])
-    @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.name)
-    def test_chain_hamiltonian(self, n, beta, rule):
-        self.assert_matches_unsplit(_chain_hamiltonian(n, beta, rule))
-
-    @pytest.mark.parametrize("n", [4, 6, 8])
-    @pytest.mark.parametrize("beta", [0.0, 0.5, 2.0, 5.0])
-    @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.name)
-    def test_generator_symmetric_form(self, n, beta, rule):
-        self.assert_matches_unsplit(_chain_symmetric_form(n, beta, rule))
-
-    @pytest.mark.parametrize("n", [4, 6, 8, 10])
-    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
-    def test_transverse_field_chain(self, n, gamma):
-        self.assert_matches_unsplit(quantum.transverse_field_chain(n, gamma).matrix)
-
-    def assert_unsplit_bitwise(self, matrix):
-        assert not spectral._flip_symmetric(matrix)
-        values, vectors = spectral.eig_sym(matrix)
-        ref_values, ref_vectors = np.linalg.eigh(matrix)
-        assert _same_bits(values, ref_values) and _same_bits(vectors, ref_vectors)
-        assert _same_bits(spectral.eig_sym(matrix, eigvals_only=True),
-                          np.linalg.eigvalsh(matrix))
-
-    def test_field_model_is_not_split(self):
-        model = spins.IsingModel(6, [((0, 1), 1.0), ((2, 3), -0.5), ((4,), 0.3)])
-        self.assert_unsplit_bitwise(quantum.assemble_direct(model, 0.7, markov.HEAT_BATH).matrix)
-
-    def test_odd_size_is_not_split(self):
-        matrix = np.random.default_rng(5).normal(size=(5, 5))
-        matrix = matrix + matrix.T
-        matrix = matrix + matrix[::-1, ::-1]  # flip-symmetric, but odd
-        assert np.array_equal(matrix, matrix[::-1, ::-1])
-        self.assert_unsplit_bitwise(matrix)
-
-    def test_flip_symmetric_to_one_ulp_is_not_split(self):
-        matrix = _chain_hamiltonian(6, 0.5, markov.HEAT_BATH)
-        matrix[0, 1] = matrix[1, 0] = np.nextafter(matrix[1, 0], 0.0)
-        assert np.abs(matrix - matrix[::-1, ::-1]).max() <= 1e-16
-        self.assert_unsplit_bitwise(matrix)
-
-    @pytest.mark.parametrize("solve", SOLVES)
-    def test_asymmetric_flip_symmetric_input_raises_before_any_solve(self, solve, solves,
-                                                                     monkeypatch):
-        def no_split(*args):
-            raise AssertionError("split before the symmetry check")
-        monkeypatch.setattr(spectral, "_half_block", no_split)
-        matrix = _chain_hamiltonian(4, 0.5, markov.HEAT_BATH)
-        matrix[0, 1] += 0.5
-        matrix[-1, -2] += 0.5  # the flip image, so only the symmetry is broken
-        assert spectral._flip_symmetric(matrix)
-        with pytest.raises(ValueError, match="not symmetric"):
-            solve(matrix)
-        assert solves == []
 
 
 # bounds about 10x above the worst measured over the inputs below and the property
@@ -270,7 +214,7 @@ class TestMomentumBlocks:
         operator = _random_invariant_operator(4, np.random.default_rng(5))
         assert spectral._momentum_solve(operator, keep_ground_vector=True)[1] is None
         ground, matrix, _ = assert_blocks_match_dense(operator, keep_ground_vector=True)
-        assert _same_bits(ground, spectral._dense_solve(matrix)[1][:, 0])
+        assert _same_bits(ground, np.linalg.eigh(matrix)[1][:, 0])
 
     @pytest.mark.parametrize("keep_ground_vector", [False, True])
     def test_one_changed_coupling_takes_the_dense_route(self, keep_ground_vector,
@@ -282,7 +226,8 @@ class TestMomentumBlocks:
         h = quantum.assemble_direct(model, 0.5, markov.HEAT_BATH).operator
         assert not spectral._translation_invariant(h)
         values, ground = spectral._solve(h, keep_ground_vector)
-        expected = spectral._dense_solve(h.dense(), eigvals_only=not keep_ground_vector)
+        matrix = h.dense()
+        expected = np.linalg.eigh(matrix) if keep_ground_vector else np.linalg.eigvalsh(matrix)
         if keep_ground_vector:
             assert _same_bits(values, expected[0]) and _same_bits(ground, expected[1][:, 0])
         else:
@@ -296,15 +241,47 @@ class TestMomentumBlocks:
         operator = markov._FlipOperator.from_dense(matrix)
         assert not spectral._translation_invariant(operator)
         values, _ = spectral._solve(operator, keep_ground_vector=False)
-        assert _same_bits(values, spectral._dense_solve(matrix, eigvals_only=True))
+        assert _same_bits(values, np.linalg.eigvalsh(matrix))
 
     def test_raw_matrix_never_takes_the_blocks(self, monkeypatch):
+        """A caller's matrix takes one np.linalg call, also when it is a chain's and
+        commutes with both the cyclic shift and the global spin flip."""
         def no_blocks(*args):
             raise AssertionError("momentum blocks for a caller's matrix")
         monkeypatch.setattr(spectral, "_momentum_solve", no_blocks)
         matrix = _chain_hamiltonian(6, 0.5, markov.HEAT_BATH)
+        values, vectors = spectral.eig_sym(matrix)
+        ref_values, ref_vectors = np.linalg.eigh(matrix)
+        assert _same_bits(values, ref_values) and _same_bits(vectors, ref_vectors)
         assert _same_bits(spectral.eig_sym(matrix, eigvals_only=True),
-                          spectral._dense_solve(matrix, eigvals_only=True))
+                          np.linalg.eigvalsh(matrix))
+
+    def test_shift_tolerance_is_a_tenth_of_the_reverse_shift(self):
+        # the block eigenvalues lie within SHIFT_TOL max|A| of the operator's, so the
+        # reverse map's shift below E0 keeps H - sigma I an M-matrix on either route
+        assert spectral.SHIFT_TOL <= reverse.INVERSE_SHIFT / 10
+
+    @pytest.mark.parametrize("factor, invariant", [(0.9, True), (1.1, False)])
+    def test_operator_at_the_shift_tolerance(self, factor, invariant):
+        """Every configuration but the orbit representatives lowered by delta, with
+        (N + 1) delta just inside or just beyond SHIFT_TOL max|A|: the blocks read only
+        the representatives, so they solve the operator before the change. Either
+        route's eigenvalues lie within SHIFT_TOL max|A| of the dense oracle's, and
+        the reverse map's inverse iteration converges."""
+        n = 8
+        h = quantum.assemble_direct(spins.chain_model(n, [1.0] * n), 0.5,
+                                    markov.HEAT_BATH).operator
+        rep, _, _ = spectral._shift_orbits(n)
+        delta = factor * spectral.SHIFT_TOL * h.max_abs() / (n + 1)
+        perturbed = markov._FlipOperator(h.diag - delta * (rep != np.arange(1 << n)),
+                                         h.off, h.flips)
+        assert spectral._translation_invariant(perturbed) is invariant
+        expected = np.linalg.eigvalsh(perturbed.dense())
+        values = spectral.eig_sym(perturbed, eigvals_only=True)
+        assert np.abs(values - expected).max() <= spectral.SHIFT_TOL * perturbed.max_abs()
+        result = reverse.quantum_to_classical(quantum.QuantumHamiltonian(
+            operator=perturbed, provenance=quantum.PROVENANCE_USER))
+        assert max(result.condition_residuals.values()) <= reverse.CONDITION_TOL
 
 
 class TestGeneratorSpectrum:
