@@ -29,7 +29,7 @@ from .spectral import (SpectrumReport, compare_spectra, eig_sym,
                        spectrum_report)
 from .fermion import (FermionChainParams, dispersion, finite_gap,
                       ground_energy_offset, many_body_spectrum, momentum_grid,
-                      random_single_particle_matrix)
+                      random_single_particle_spectrum)
 from .reverse import (CouplingExpansion, ReverseMapResult, extract_couplings,
                       quantum_to_classical)
 from .anneal import (AnnealTrajectory, ExponentialBeta, GemanGeman, LinearBeta,

@@ -227,7 +227,7 @@ def cmd_fermion_check(args) -> int:
         fermion._check_chain(n, args.K)  # before the draw; the couplings are +-1
         rng = np.random.default_rng(args.seed)
         couplings = rng.choice([-1.0, 1.0], size=n)
-        _, spectrum = fermion.random_single_particle_matrix(couplings, args.K)
+        spectrum = fermion.random_single_particle_spectrum(couplings, args.K)
         energies = spectrum[n:]  # ascending, so the top half is the +eps branch
         # sigma_j -> +-sigma_j gauges +-1 couplings on the even ring to the uniform
         # chain, periodic ("odd" grid) if their product is +1, antiperiodic if -1

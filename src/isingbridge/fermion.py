@@ -6,7 +6,7 @@ dispersion: states with an even number of fermions draw momenta from the
 antiperiodic grid pi*(2k+1)/N, odd states from the periodic grid 2*pi*k/N,
 and each excitation costs 2*eps_p. For bond-dependent couplings the
 quadratic form is no longer diagonal in momentum and the single-particle
-energies come from a small block matrix instead. The chain's one argument
+energies are the singular values of a small matrix. The chain's one argument
 check and its quadratic-form constants live here; `quantum` assembles the
 closed-form heat-bath Hamiltonians from the same constants.
 """
@@ -25,7 +25,7 @@ def _check_chain(n: int, beta: float, max_abs_coupling: float | None = 1.0) -> N
     """Reject odd n, n < 4 or n over its cap, a bad beta, and beta*max|J| > 350.
 
     cosh(2*350) ~ 5e303. The chain entry points call this before they build
-    an n-mode grid or a (2n)^2 block. Pass max_abs_coupling=None where no
+    an n-mode grid or an n x n form. Pass max_abs_coupling=None where no
     cosh is taken (the Metropolis chain).
     """
     if n < 4 or n % 2:
@@ -152,18 +152,9 @@ def _site_dependent_constants(couplings, beta: float):
     return field, hop, hop2
 
 
-def random_single_particle_matrix(couplings, beta: float):
-    """Quadratic-form block matrix and its spectrum for a random chain.
-
-    Returns (M, spectrum) where M = [[A, B], [-B, -A]] with A symmetric
-    and B antisymmetric, periodic indices, and `spectrum` M's eigenvalues
-    in ascending order. They come in +-eps pairs, so spectrum[n:] are the
-    single-particle energies. For uniform couplings the energies coincide
-    with the dispersion on the periodic momentum grid. The rotation
-    [[I, I], [I, -I]] / sqrt(2) takes M to [[0, A - B], [A + B, 0]], with
-    A + B = (A - B)^T, so the eps are the singular values of the n x n
-    matrix A - B, computed without vectors in place of a 2n x 2n eigensolve.
-    """
+def _quadratic_form(couplings, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) of a random chain's quadratic form, A symmetric and B antisymmetric
+    n x n, periodic indices. Its block matrix is M = [[A, B], [-B, -A]]."""
     field, hop, hop2 = _site_dependent_constants(couplings, beta)
     n = field.size
     site = np.arange(n)
@@ -177,6 +168,16 @@ def random_single_particle_matrix(couplings, beta: float):
     np.add.at(a, (cols, rows), half)
     np.add.at(b, (rows, cols), half)
     np.add.at(b, (cols, rows), -half)
+    return a, b
 
+
+def random_single_particle_spectrum(couplings, beta: float) -> np.ndarray:
+    """Eigenvalues of a random chain's block matrix M (`_quadratic_form`), ascending,
+    in +-eps pairs: spectrum[n:] are the single-particle energies, for uniform
+    couplings the dispersion on the periodic momentum grid. The rotation [[I, I],
+    [I, -I]] / sqrt(2) takes M to [[0, A - B], [A + B, 0]], with A + B = (A - B)^T,
+    so the eps are the singular values of A - B, computed without vectors and
+    without writing M."""
+    a, b = _quadratic_form(couplings, beta)
     eps = np.linalg.svd(a - b, compute_uv=False)  # descending
-    return np.block([[a, b], [-b, -a]]), np.concatenate([-eps, eps[::-1]])
+    return np.concatenate([-eps, eps[::-1]])

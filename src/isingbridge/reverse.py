@@ -19,7 +19,7 @@ from . import spins
 from .markov import (MarkovGenerator, _FlipOperator, detailed_balance_residual,
                      stationary_distribution)
 from .quantum import QuantumHamiltonian
-from .spectral import eig_sym
+from .spectral import _sector, eig_sym
 
 ENTRY_FLOOR = 1e-300
 DEGENERACY_GUARD = 1e-10
@@ -60,44 +60,21 @@ def _check_connected(links: np.ndarray, flips: np.ndarray) -> None:
             "positive and the classical dynamics would be reducible")
 
 
-def _flip_symmetric(matrix: np.ndarray) -> bool:
-    """Whether a square matrix of even size >= 4 equals J matrix J bit for bit, with J
-    the index reversal, which on 2^N configurations is the global spin flip
-    c -> 2^N - 1 - c. A bitwise test, not a tolerance, so that the even half block
-    is an exact similarity of the matrix on the flip-even vectors."""
-    dim = len(matrix)
-    return dim >= 4 and dim % 2 == 0 and np.array_equal(matrix, matrix[::-1, ::-1])
-
-
-def _even_half_block(matrix: np.ndarray) -> np.ndarray:
-    """A11 + A12 J of a flip-symmetric matrix, a new array of half its size. A vector u
-    of it gives the flip-even vector [u; J u] / sqrt(2) of the matrix at the same
-    eigenvalue. A12 J is A12 with its columns reversed, read row by row; its
-    transposed twin (J A21)^T takes about 7 times as long."""
-    half = len(matrix) // 2
-    block = matrix[:half, half:][:, ::-1].copy()
-    block += matrix[:half, :half]
-    return block
-
-
 def _ground_state(hamiltonian: QuantumHamiltonian) -> tuple[float, np.ndarray]:
-    """(ground energy, entrywise-positive unit ground vector), with guards."""
+    """(ground energy, entrywise-positive unit ground vector), with guards. The gap
+    guard reads all of H; the sector block's gap, which sets convergence, is no smaller."""
     h = hamiltonian.operator
     _check_connected(_stoquastic_offdiag(h), h.flips)
-    # The eigenvalues come from the momentum blocks where H commutes with the cyclic shift,
-    # solved before the dense write so that the two are never held together. The matrix
-    # is not hamiltonian.matrix, which would stay cached on the caller's H.
     evals = eig_sym(h, eigvals_only=True)
-    matrix = h.dense()
     gap = evals[1] - evals[0]
     if gap < DEGENERACY_GUARD:
         raise ValueError(
             f"ground state is degenerate (gap {gap:.3g}); "
             "the elementwise logarithm is not well defined")
-    # Shifted inverse iteration: for sigma < E0, H - sigma I is a nonsingular
-    # M-matrix, so its solve gives even the tiny entries full relative accuracy,
-    # where eigh gives them only absolute accuracy. Each solve leaves the weight
-    # ratio r of the first excited level, so a log change d between iterates
+    # Shifted inverse iteration on the sector block B: for sigma < E0, B - sigma I is
+    # a nonsingular M-matrix, so its solve gives even the tiny entries full relative
+    # accuracy, where eigh gives them only absolute accuracy. Each solve leaves the
+    # weight ratio r of the first excited level, so a log change d between iterates
     # leaves about d r / (1 - r) to go. Once d is down at the solves' roundoff
     # floor, more solves only add noise, which accumulates when r is near 1.
     offset = INVERSE_SHIFT * max(1.0, h.max_abs())
@@ -106,26 +83,23 @@ def _ground_state(hamiltonian: QuantumHamiltonian) -> tuple[float, np.ndarray]:
     # once max|H| > 1e154; an input scaled exactly by offset's power of two keeps them
     # near |vec|, and the normalised iterate loses no bit.
     scale = np.frexp(offset)[1]
-    # The Perron vector of a flip-symmetric H is flip-even, [u; u[::-1]], so u solves
-    # the even half block, still a Z-matrix whose shift below E0 leaves an M-matrix.
-    # Each copy of u is normalised as half of the unit vector.
-    copies = 2 if _flip_symmetric(matrix) else 1
-    if copies == 2:
-        matrix = _even_half_block(matrix)
-    matrix[np.diag_indices_from(matrix)] -= evals[0] - offset  # H - sigma I, in place
-    vec = np.full(len(matrix), (copies * len(matrix)) ** -0.5)
+    # B's vector u has the norm of H's vector v = u[orbit] / sqrt(R) and its log changes
+    block, orbit = _sector(h)
+    block[np.diag_indices_from(block)] -= evals[0] - offset  # B - sigma I, in place
+    root = np.sqrt(np.bincount(orbit))  # sqrt(R_a)
+    vec = root / np.sqrt(orbit.size)  # the uniform unit vector
     for _ in range(MAX_SOLVES):
-        new = np.linalg.solve(matrix, np.ldexp(vec, scale))
-        new /= np.linalg.norm(new) * np.sqrt(copies)
-        if new.min() < ENTRY_FLOOR:
+        new = np.linalg.solve(block, np.ldexp(vec, scale))
+        new /= np.linalg.norm(new)
+        low = (new / root).min()
+        if low < ENTRY_FLOOR:
             raise ValueError(
-                f"ground-vector entry {new.min():.3g} is below the {ENTRY_FLOOR} floor; "
+                f"ground-vector entry {low:.3g} is below the {ENTRY_FLOOR} floor; "
                 "its logarithm would be numerically meaningless")
         change = np.abs(np.log(new / vec)).max()
         vec = new
         if change * r <= LOG_ACCURACY * (1.0 - r) or change <= STALL_CHANGE:
-            if copies == 2:
-                vec = np.concatenate([vec, vec[::-1]])
+            vec = (vec / root)[orbit]
             # the Rayleigh quotient, not evals[0], zeroes (H - E0) v to roundoff; the two
             # differ by up to 4e-14 relative, which the stationarity of W would inherit
             return float(vec @ h(vec)), vec
@@ -155,10 +129,10 @@ def quantum_to_classical(hamiltonian: QuantumHamiltonian) -> ReverseMapResult:
     sums, stationarity of exp(-H0), detailed balance at beta = 1) are
     each verified against `CONDITION_TOL` and reported in the result.
     The ground vector comes from shifted inverse iteration, repeated
-    until its logarithm stops changing, at most MAX_SOLVES times; on the
-    even half block of H when H commutes with the global spin flip. The
-    shift and the gap guard read the lowest two levels, from the momentum
-    blocks of H when H commutes with the cyclic shift of sites.
+    until its logarithm stops changing, at most MAX_SOLVES times, on the
+    block of H's fully symmetric sector (`spectral._sector`). The shift and
+    the gap guard read the lowest two levels of all of H (`eig_sym`), and
+    the gap in the sector, which sets convergence, is no smaller.
     Raises ValueError for input that cannot be mapped (a positive
     off-diagonal, a disconnected graph, a degenerate ground level, a
     ground-vector entry below the floor) and RuntimeError on a numeric

@@ -18,14 +18,16 @@ A symmetric operator or matrix takes one of two routes:
   roundoff, with the cyclic shift of sites (`_translation_invariant`) is
   solved one lattice momentum k = 2 pi m / N at a time, on the orbits of the
   shift, and writes no 2^N x 2^N matrix (A. W. Sandvik, AIP Conf. Proc. 1297,
-  135 (2010)). The W, symmetric form and H of the uniform chain under every
+  135 (2010)): the W, symmetric form and H of the uniform chain under every
   rule, the transverse-field chain and models whose terms come with all
-  their translates take it in `spectrum_of_generator`,
-  `spectrum_of_hamiltonian`, `fermion-check` and the reverse map's
-  eigenvalues.
+  their translates.
 - Dense. Every other operator is written densely once, and it and every
   matrix a caller passes take one `np.linalg.eigh` or `eigvalsh` call,
   which stays the tests' oracle for the blocks.
+
+The reverse map's Perron vector comes from `_sector`, the block on the orbits of
+the shift and the global spin flip where the operator has them; its gap guard
+(`reverse.DEGENERACY_GUARD`) reads all of H, and the sector's gap is no smaller.
 """
 
 from __future__ import annotations
@@ -105,12 +107,17 @@ def _rotated(states: np.ndarray, shifts, n: int) -> np.ndarray:
     return ((states << shifts) | (states >> ((n - shifts) % n))) & ((1 << n) - 1)
 
 
-def _shift_orbits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rep, lag, period) of every configuration c of n sites under the cyclic shift T:
-    the smallest member of its orbit, the l with T^l c = rep, and the orbit's size."""
+def _shift_orbits(n: int, shift: bool = True, flip: bool = False
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rep, lag, size) of each configuration c of n sites under the cyclic shift T
+    where shift and the spin flip c -> c ^ (2^n - 1) where flip: the smallest member
+    of its orbit, the l with T^l c = rep (under T alone), and the orbit's size."""
     states = np.arange(1 << n)
-    orbits = _rotated(states, np.arange(n)[:, None], n)  # orbits[r, c] = T^r c
-    return orbits.min(axis=0), orbits.argmin(axis=0), n // (orbits == states).sum(axis=0)
+    images = _rotated(states, np.arange(n if shift else 1)[:, None], n)  # [r, c]: T^r c
+    if flip:
+        images = np.concatenate([images, images ^ states[-1]])
+    return (images.min(axis=0), images.argmin(axis=0),
+            len(images) // (images == states).sum(axis=0))
 
 
 def _translation_invariant(operator: markov._FlipOperator) -> bool:
@@ -133,59 +140,77 @@ def _translation_invariant(operator: markov._FlipOperator) -> bool:
     return bool((n + 1) * deviation <= SHIFT_TOL * operator.max_abs())
 
 
+def _block(operator: markov._FlipOperator, rep: np.ndarray, size: np.ndarray,
+           basis: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B, orbit): an operator's block on the orbits whose representatives basis
+    lists, ascending, and each configuration's row of B, -1 off basis. With rep and
+    size from `_shift_orbits`, B[b, a] = diag[a] [a = b] + sum_{y in orbit b} A[y, a]
+    sqrt(R_a / R_b) phase[y]. Raises ValueError above the dense-matrix spin cap."""
+    spins._check_spins(rep.size.bit_length() - 1, "dense matrix")
+    index = np.full(rep.size, -1)
+    index[basis] = np.arange(basis.size)
+    flipped = operator.flips[:, basis]  # at (j, i): y = a ^ mask_j for a = basis[i]
+    rows = index[rep[flipped]]
+    values = (np.take_along_axis(operator.off, flipped, axis=1)  # A[y, a]
+              * np.sqrt(size[basis] / size[flipped]) * phase[flipped])
+    kept = rows >= 0
+    cols = np.broadcast_to(np.arange(basis.size), rows.shape)
+    block = np.zeros((basis.size, basis.size), dtype=values.dtype)
+    np.add.at(block, (rows[kept], cols[kept]), values[kept])
+    block[np.diag_indices(basis.size)] += operator.diag[basis]
+    return block, index[rep]
+
+
 def _momentum_solve(operator: markov._FlipOperator, keep_ground_vector: bool
                     ) -> tuple[np.ndarray, np.ndarray | None]:
     """(ascending eigenvalues, ground vector or None) of a `_translation_invariant`
     symmetric operator, one momentum block at a time.
 
-    With R_a the period of the orbit of a representative a (its smallest
-    member) under T, the block at k = 2 pi m / N holds the orbits with
-    m R_a = 0 mod N. Its entry in row b, column a sums A[c, a] e^{-ik l(c)}
-    sqrt(R_a / R_b) over the flips c = a ^ (1 << j) whose orbit is b's, with
-    T^l(c) c = b, and diag[a] on the diagonal. The blocks at k and -k are
-    complex conjugates with one spectrum, so only m = 0..N//2 are solved, the
-    levels of 0 < m < N/2 counted twice. Only the real m = 0 block is solved
-    with vectors; its lowest u gives the ground vector v[T^r a] = u_a /
-    sqrt(R_a). The ground vector is None when another block holds a lower
-    level, as it cannot for a connected stoquastic operator, or when
-    keep_ground_vector is false. Raises ValueError above the dense-matrix spin
-    cap, which the blocks alone would not need, as the dense route does.
+    The block at k = 2 pi m / N is `_block` on the orbits of T with m R_a = 0
+    mod N and phase[c] = e^{-ik l(c)}, where T^l(c) c is c's representative. The
+    blocks at k and -k are complex conjugates with one spectrum, so only
+    m = 0..N//2 are solved, the levels of 0 < m < N/2 counted twice. Only the
+    real m = 0 block is solved with vectors; its lowest u gives the ground vector
+    v[T^r a] = u_a / sqrt(R_a). The ground vector is None when another block
+    holds a lower level, as it cannot for a connected stoquastic operator, or
+    when keep_ground_vector is false. Raises ValueError above the dense-matrix
+    spin cap, which the blocks alone would not need, as the dense route does.
     """
     n = operator.diag.size.bit_length() - 1
-    spins._check_spins(n, "dense matrix")
-    states = np.arange(operator.diag.size)
     rep, lag, period = _shift_orbits(n)
-    reps = np.flatnonzero(rep == states)
-    # entry (j, i): from representative a = reps[i] to c = a ^ (1 << j), in orbit target
-    flipped = operator.flips[:, reps]
-    target = rep[flipped]
-    lag = lag[flipped]  # T^lag c = target
-    weight = (operator.off[np.arange(n)[:, None], flipped]  # A[c, a]
-              * np.sqrt(period[reps] / period[target]))
+    reps = np.flatnonzero(rep == np.arange(rep.size))
     levels, ground = [], None
     for m in range(n // 2 + 1):
-        basis = reps[m * period[reps] % n == 0]
-        index = np.full(states.size, -1)
-        index[basis] = np.arange(basis.size)
-        rows, cols = index[target], np.broadcast_to(index[reps], target.shape)
-        kept = (rows >= 0) & (cols >= 0)
         real = 2 * m % n == 0  # k = 0 or pi: the phases are +-1
         if real:
-            phase = 1.0 - 2.0 * (2 * m * lag[kept] // n % 2)
+            phase = 1.0 - 2.0 * (2 * m * lag // n % 2)
         else:
-            phase = np.exp(-2j * np.pi * (m * lag[kept] % n) / n)
-        block = np.zeros((basis.size, basis.size), dtype=float if real else complex)
-        np.add.at(block, (rows[kept], cols[kept]), weight[kept] * phase)
-        block[np.diag_indices(basis.size)] += operator.diag[basis]
+            phase = np.exp(-2j * np.pi * (m * lag % n) / n)
+        block, orbit = _block(operator, rep, period, reps[m * period[reps] % n == 0], phase)
         if m == 0 and keep_ground_vector:
             values, vectors = np.linalg.eigh(block)
-            ground = vectors[index[rep], 0] / np.sqrt(period)
+            ground = vectors[orbit, 0] / np.sqrt(period)
         else:
             values = np.linalg.eigvalsh(block)
         levels.extend([values] * (1 if real else 2))
     if min(values[0] for values in levels) < levels[0][0]:  # a lower level at m != 0
         ground = None
     return np.sort(np.concatenate(levels)), ground
+
+
+def _sector(operator: markov._FlipOperator) -> tuple[np.ndarray, np.ndarray]:
+    """(B, orbit): `_block` of a symmetric operator on all the orbits of the group of
+    its symmetries, the cyclic shift T where `_translation_invariant` holds and the
+    spin flip F where it commutes with F bit for bit; with neither, B is A. A vector
+    u of B gives A the vector v[g a] = u_a / sqrt(R_a), so B holds the Perron vector
+    of a connected stoquastic A, which each symmetry leaves invariant. Raises
+    ValueError above the dense-matrix spin cap."""
+    n = operator.diag.size.bit_length() - 1
+    flip = (np.array_equal(operator.diag, operator.diag[::-1])  # [c ^ (2^N - 1)]
+            and np.array_equal(operator.off, operator.off[:, ::-1]))
+    rep, _, size = _shift_orbits(n, _translation_invariant(operator), flip)
+    return _block(operator, rep, size, np.flatnonzero(rep == np.arange(rep.size)),
+                  np.ones(rep.size))
 
 
 def _solve(operator: markov._FlipOperator, keep_ground_vector: bool

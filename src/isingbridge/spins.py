@@ -22,8 +22,8 @@ _SPIN_CAPS = {
     "model": 20,                    # energy tables / Boltzmann vectors stay addressable
     "N x 2^N array": 16,            # flip tables, rates, z columns, Walsh stages, occupation bits
     "dense matrix": 12,             # 2^N x 2^N matrices (_FlipOperator.dense, eig_sym), and
-                                    # spectral._momentum_solve, which writes none
-    "single-particle block": 2048,  # fermion chains: N-mode grids, (2N)^2 random blocks
+                                    # spectral._block's symmetry blocks, which are smaller
+    "single-particle block": 2048,  # fermion chains: N-mode grids, N x N random forms
 }
 MAX_SPINS = _SPIN_CAPS["model"]
 

@@ -38,6 +38,12 @@ def loop_block_matrix(couplings, beta):
     return np.block([[a, b], [-b, -a]])
 
 
+def block_matrix(couplings, beta):
+    """[[A, B], [-B, -A]] of `fermion._quadratic_form`, which the package never writes."""
+    a, b = fermion._quadratic_form(couplings, beta)
+    return np.block([[a, b], [-b, -a]])
+
+
 class TestDerivedConstants:
     @pytest.mark.parametrize("k", [0.0, 0.25, 0.5, 1.0, 2.0, 5.0])
     def test_field_plus_hop2_is_half(self, k):
@@ -62,8 +68,8 @@ class TestDerivedConstants:
 # (n, beta) on uniform couplings J = 1; the Metropolis chain takes no cosh.
 CHAIN_ENTRY_POINTS = {
     "FermionChainParams": fermion.FermionChainParams,
-    "random_single_particle_matrix":
-        lambda n, b: fermion.random_single_particle_matrix([1.0] * n, b),
+    "random_single_particle_spectrum":
+        lambda n, b: fermion.random_single_particle_spectrum([1.0] * n, b),
     "chain_heatbath_hamiltonian": quantum.chain_heatbath_hamiltonian,
     "chain_random_heatbath_hamiltonian":
         lambda n, b: quantum.chain_random_heatbath_hamiltonian([1.0] * n, b),
@@ -192,7 +198,7 @@ class TestFiniteGap:
 
 class TestRandomSingleParticle:
     def test_uniform_couplings_reproduce_dispersion(self):
-        _, spectrum = fermion.random_single_particle_matrix([1.0] * 8, 0.6)
+        spectrum = fermion.random_single_particle_spectrum([1.0] * 8, 0.6)
         energies = spectrum[8:]
         grid = fermion.momentum_grid(8, "odd")
         expected = np.sort(np.asarray(fermion.dispersion(0.6, grid)))
@@ -202,7 +208,7 @@ class TestRandomSingleParticle:
     def test_strong_uniform_couplings_reproduce_dispersion(self, k):
         # D_j = c_j^2 c_{j+1}^2 - s_j^2 s_{j+1}^2 cancels to roundoff here
         # unless it is evaluated as c_j^2 + s_{j+1}^2
-        _, spectrum = fermion.random_single_particle_matrix([1.0] * 8, k)
+        spectrum = fermion.random_single_particle_spectrum([1.0] * 8, k)
         energies = spectrum[8:]
         grid = fermion.momentum_grid(8, "odd")
         expected = np.sort(np.asarray(fermion.dispersion(k, grid)))
@@ -213,7 +219,8 @@ class TestRandomSingleParticle:
         # eigenvector (u, v) at e with (v, u) at -e, so the test checks that shape
         rng = np.random.default_rng(19)
         couplings = rng.choice([-1.0, 1.0], 6) * rng.uniform(0.5, 1.5, 6)
-        block, spectrum = fermion.random_single_particle_matrix(couplings, 0.5)
+        block = block_matrix(couplings, 0.5)
+        spectrum = fermion.random_single_particle_spectrum(couplings, 0.5)
         # the spectrum is +-(singular values of A - B); over 2000 seeds of this draw it
         # stays within 4.6e-15 max|M| of the eigensolve of the whole block
         assert np.all(np.diff(spectrum) >= 0.0)
@@ -229,11 +236,11 @@ class TestRandomSingleParticle:
         rng = np.random.default_rng(n)
         for _ in range(20):
             couplings, beta = rng.normal(size=n), rng.uniform(0.0, 2.0)
-            block, _ = fermion.random_single_particle_matrix(couplings, beta)
+            block = block_matrix(couplings, beta)
             assert np.array_equal(block, loop_block_matrix(couplings, beta))
 
     def test_block_matrix_is_symmetric(self):
-        block, _ = fermion.random_single_particle_matrix([1.0, -1.0, 1.0, -1.0], 0.4)
+        block = block_matrix([1.0, -1.0, 1.0, -1.0], 0.4)
         assert np.abs(block - block.T).max() == 0.0
 
     def test_odd_parity_sector_built_from_single_excitations(self):
@@ -245,7 +252,7 @@ class TestRandomSingleParticle:
         even_evals, odd_evals = parity_sector_spectra(ham.matrix, 6)
         assert abs(even_evals[0]) <= 1e-9  # ground state sits in the even sector
 
-        _, spectrum = fermion.random_single_particle_matrix(couplings, 0.5)
+        spectrum = fermion.random_single_particle_spectrum(couplings, 0.5)
         eps = spectrum[6:]
         masks = np.arange(1 << 6)
         bits = (masks[:, None] >> np.arange(6)) & 1
@@ -255,8 +262,8 @@ class TestRandomSingleParticle:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            fermion.random_single_particle_matrix([1.0] * 5, 0.5)
+            fermion.random_single_particle_spectrum([1.0] * 5, 0.5)
         with pytest.raises(ValueError):
-            fermion.random_single_particle_matrix([1.0] * 4, -0.5)
+            fermion.random_single_particle_spectrum([1.0] * 4, -0.5)
         with pytest.raises(ValueError):
-            fermion.random_single_particle_matrix([400.0] * 4, 1.0)
+            fermion.random_single_particle_spectrum([400.0] * 4, 1.0)

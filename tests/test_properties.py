@@ -14,9 +14,11 @@ random-coupling heat-bath chain is checked against the direct route, and
 the Walsh expansion against the table it came from. The reverse map
 takes the generator of a random dyadic model back from its H. Models whose
 terms all have even order commute with the global spin flip: they pass
-`bridge-check`, and the reverse map round-trips through the even half
-block. Models whose terms come with all their translates commute with the
-cyclic shift, and their spectra from momentum blocks match the dense ones.
+`bridge-check`, and the reverse map round-trips through a symmetric sector
+of at most half the configurations. Models whose terms come with all their translates commute with the
+cyclic shift, and their spectra from momentum blocks match the dense ones;
+with an odd-order term the reverse map on the shift's orbits matches it on
+the whole H.
 """
 
 import json
@@ -28,6 +30,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from isingbridge import anneal, cli, markov, quantum, reverse, spectral, spins
 import oracles
+from test_reverse import deviation, mapped
 from test_spectral import _same_bits, assert_blocks_match_dense
 from test_spins import random_model
 
@@ -300,9 +303,9 @@ def test_flip_symmetric_models_pass_bridge_check(model, rule, beta):
 @given(even_order_models(), st.sampled_from([markov.HEAT_BATH, markov.METROPOLIS,
                                              markov.UniformRate(0.1), markov.UniformRate(0.5)]),
        st.floats(0.0, 2.0))
-def test_reverse_map_round_trips_on_the_even_block(model, rule, beta):
-    assert reverse._flip_symmetric(quantum.classical_to_quantum(
-        markov.build_generator(model, beta, rule)).matrix)
+def test_reverse_map_round_trips_on_a_half_size_sector(model, rule, beta):
+    hamiltonian = quantum.classical_to_quantum(markov.build_generator(model, beta, rule))
+    assert len(spectral._sector(hamiltonian.operator)[0]) <= 2 ** (model.n_spins - 1)
     _assert_round_trip(model, rule, beta)
 
 
@@ -333,6 +336,31 @@ def test_translation_invariant_models_take_the_momentum_blocks(model, rule, beta
     hamiltonian = quantum.assemble_direct(model, beta, rule)
     ground, _, _ = assert_blocks_match_dense(hamiltonian.operator, keep_ground_vector=True)
     assert ground is not None
+
+
+# energy table and Walsh coefficients of the shift's sector against the whole H, times
+# gap / max(1, max|H|): worst 2.0e-15 over 1000 draws of the property below
+SHIFT_SECTOR_TOL = 2e-14
+
+
+@PROPERTY_SETTINGS
+@given(translation_invariant_models(), rules, st.floats(0.1, 3.0))
+def test_reverse_map_on_the_shift_sector_matches_the_whole_matrix(model, rule, beta):
+    """With an odd-order term and beta > 0, H commutes with the cyclic shift but not
+    with the spin flip, so the reverse map iterates on the shift's orbits. The whole
+    H, the sector of the trivial group, is the oracle. Its LU leaves log v errors of
+    order eps max|H| / gap, and below a gap of about 1e-9 max|H| it stops converging,
+    so the draws keep gaps above 1e-6 max|H| and the deviation is compared at the
+    scale max|H| / gap."""
+    assume(any(len(sites) % 2 for sites, _ in model.terms))
+    hamiltonian = quantum.classical_to_quantum(markov.build_generator(model, beta, rule))
+    levels = np.linalg.eigvalsh(hamiltonian.matrix)
+    gap, scale = levels[1] - levels[0], max(1.0, hamiltonian.operator.max_abs())
+    assume(gap >= 1e-6 * scale and reverse.INVERSE_SHIFT * scale <= gap / 100)
+    rep = spectral._shift_orbits(model.n_spins)[0]
+    assert len(spectral._sector(hamiltonian.operator)[0]) == np.unique(rep).size
+    assert deviation(mapped(hamiltonian), mapped(hamiltonian, shift=False)) * gap <= (
+        SHIFT_SECTOR_TOL * scale)
 
 
 @st.composite

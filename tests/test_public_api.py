@@ -17,7 +17,7 @@ PUBLIC_NAMES = [
     "finite_gap", "frozen_schedule", "frustrated_instance", "ground_energy_offset",
     "ground_states", "load_model", "many_body_spectrum", "master_imaginary_deviation",
     "master_imaginary_state_difference", "mc_simulated_annealing", "momentum_grid",
-    "parse_rule", "quantum_to_classical", "random_single_particle_matrix", "relaxation_time",
+    "parse_rule", "quantum_to_classical", "random_single_particle_spectrum", "relaxation_time",
     "save_model", "single_spin_model", "spectrum_of_generator", "spectrum_of_hamiltonian",
     "spectrum_report", "total_variation", "transverse_field_chain",
 ]

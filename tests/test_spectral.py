@@ -405,9 +405,10 @@ class TestEigenvectorCorrespondence:
 
 @pytest.fixture
 def solves(monkeypatch):
-    """(kind, dim) of every np.linalg.eigh ("vectors") and eigvalsh ("values") call."""
+    """(kind, dim) of every np.linalg.eigh ("vectors"), eigvalsh ("values") and solve
+    ("lu") call."""
     calls = []
-    for name, kind in (("eigh", "vectors"), ("eigvalsh", "values")):
+    for name, kind in (("eigh", "vectors"), ("eigvalsh", "values"), ("solve", "lu")):
         def counting(a, *args, _original=getattr(np.linalg, name), _kind=kind, **kwargs):
             calls.append((_kind, len(a)))
             return _original(a, *args, **kwargs)
@@ -439,7 +440,28 @@ class TestSolveCounts:
         assert cli.main(["fermion-check", "--chain", "6", "--out", str(tmp_path)]) == 0
         assert sorted(solves) == [("values", dim) for dim in (9, 10, 11, 14)]
 
+    @pytest.mark.parametrize("argv", [("--chain", "6"), ("--tfield", "6")])
+    def test_reverse_lu_runs_on_the_shift_and_flip_sector(self, argv, solves, tmp_path):
+        # the 64 configurations fall into 8 orbits of the cyclic shift and the spin flip
+        assert cli.main(["reverse", *argv, "--out", str(tmp_path)]) == 0
+        lu = [dim for kind, dim in solves if kind == "lu"]
+        assert lu and set(lu) == {8}
+
+    @pytest.mark.parametrize("terms, rows", [
+        # even-order terms off the ring: the spin flip alone, orbits of two
+        ([((0, 1), 1.0), ((2, 3), -0.5), ((1, 4), 0.75), ((0, 2, 3, 5), 0.5)], 32),
+        # a field on one site of the ring: no symmetry, the block is all of H
+        ([((j, (j + 1) % 6), -1.0) for j in range(6)] + [((0,), 0.3)], 64),
+    ], ids=["flip", "none"])
+    def test_reverse_lu_runs_on_the_model_sector(self, terms, rows, solves, tmp_path):
+        path = tmp_path / "model.json"
+        spins.save_model(spins.IsingModel(6, terms), path)
+        assert cli.main(["reverse", "--model", str(path), "--out", str(tmp_path)]) == 0
+        lu = [dim for kind, dim in solves if kind == "lu"]
+        assert lu and set(lu) == {rows}
+
     def test_relaxation_time_solves_no_dense_matrix(self, solves):
         gen = markov.build_generator(spins.chain_model(8, [1.0] * 8), 0.5, markov.HEAT_BATH)
         markov.relaxation_time(gen)
-        assert solves and all(kind == "values" and dim < 256 for kind, dim in solves)
+        # the Lanczos solve's tridiagonal eigenvalues and inverse-iteration LUs
+        assert solves and all(kind != "vectors" and dim < 256 for kind, dim in solves)

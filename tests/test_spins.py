@@ -316,7 +316,7 @@ CAPPED = [
         _chain(n), markov.HEAT_BATH, anneal.LinearBeta(0.0, 1.0, 1.0),
         np.full(1 << n, 1.0 / (1 << n)), 0.01)),
     ("single-particle block",
-     lambda n: fermion.random_single_particle_matrix([1.0] * (n + 1), 0.5)),
+     lambda n: fermion.random_single_particle_spectrum([1.0] * (n + 1), 0.5)),
     # flip-form objects beyond the dense cap exist; only writing them densely fails
     ("dense matrix", lambda n: markov.build_generator(_chain(n), 0.5, markov.HEAT_BATH).matrix),
     ("dense matrix", lambda n: spectral.spectrum_of_generator(
