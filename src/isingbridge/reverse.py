@@ -19,10 +19,10 @@ from . import spins
 from .markov import (MarkovGenerator, _FlipOperator, detailed_balance_residual,
                      stationary_distribution)
 from .quantum import QuantumHamiltonian
-from .spectral import _sector, eig_sym
+from .spectral import _sector
 
 ENTRY_FLOOR = 1e-300
-DEGENERACY_GUARD = 1e-10
+DEGENERACY_GUARD = 1e-10  # least gap E1 - E0 inside H's fully symmetric sector
 OFFDIAG_SIGN_TOL = 1e-12
 CONDITION_TOL = 1e-9
 INVERSE_SHIFT = 1e-12  # sigma = E0 - 1e-12 max(1, max|H|); at 1e-16 LU can meet an exact 0 pivot
@@ -61,12 +61,15 @@ def _check_connected(links: np.ndarray, flips: np.ndarray) -> None:
 
 
 def _ground_state(hamiltonian: QuantumHamiltonian) -> tuple[float, np.ndarray]:
-    """(ground energy, entrywise-positive unit ground vector), with guards. The gap
-    guard reads all of H; the sector block's gap, which sets convergence, is no smaller."""
+    """(ground energy, entrywise-positive unit ground vector), with guards. E0, the
+    gap and the vector all come from the block of H's fully symmetric sector, which
+    holds the Perron vector; a one-row block has no second level, and its vector is
+    exact."""
     h = hamiltonian.operator
     _check_connected(_stoquastic_offdiag(h), h.flips)
-    evals = eig_sym(h, eigvals_only=True)
-    gap = evals[1] - evals[0]
+    block, orbit = _sector(h)
+    evals = np.linalg.eigvalsh(block)
+    gap = evals[1] - evals[0] if evals.size > 1 else np.inf
     if gap < DEGENERACY_GUARD:
         raise ValueError(
             f"ground state is degenerate (gap {gap:.3g}); "
@@ -84,7 +87,6 @@ def _ground_state(hamiltonian: QuantumHamiltonian) -> tuple[float, np.ndarray]:
     # near |vec|, and the normalised iterate loses no bit.
     scale = np.frexp(offset)[1]
     # B's vector u has the norm of H's vector v = u[orbit] / sqrt(R) and its log changes
-    block, orbit = _sector(h)
     block[np.diag_indices_from(block)] -= evals[0] - offset  # B - sigma I, in place
     root = np.sqrt(np.bincount(orbit))  # sqrt(R_a)
     vec = root / np.sqrt(orbit.size)  # the uniform unit vector
@@ -131,8 +133,8 @@ def quantum_to_classical(hamiltonian: QuantumHamiltonian) -> ReverseMapResult:
     The ground vector comes from shifted inverse iteration, repeated
     until its logarithm stops changing, at most MAX_SOLVES times, on the
     block of H's fully symmetric sector (`spectral._sector`). The shift and
-    the gap guard read the lowest two levels of all of H (`eig_sym`), and
-    the gap in the sector, which sets convergence, is no smaller.
+    the gap guard read the lowest two levels of that block: the gap inside
+    the sector sets convergence, and a level outside it never enters.
     Raises ValueError for input that cannot be mapped (a positive
     off-diagonal, a disconnected graph, a degenerate ground level, a
     ground-vector entry below the floor) and RuntimeError on a numeric

@@ -25,9 +25,9 @@ A symmetric operator or matrix takes one of two routes:
   matrix a caller passes take one `np.linalg.eigh` or `eigvalsh` call,
   which stays the tests' oracle for the blocks.
 
-The reverse map's Perron vector comes from `_sector`, the block on the orbits of
-the shift and the global spin flip where the operator has them; its gap guard
-(`reverse.DEGENERACY_GUARD`) reads all of H, and the sector's gap is no smaller.
+The reverse map reads its ground energy, gap guard (`reverse.DEGENERACY_GUARD`) and
+Perron vector from one block, `_sector`: the block on the orbits of the shift and the
+global spin flip where the operator has them.
 """
 
 from __future__ import annotations

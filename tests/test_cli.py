@@ -259,24 +259,26 @@ class TestReverse:
         assert lines[0].startswith("numeric failure: recovered matrix fails the")
 
     @pytest.mark.parametrize("argv", [
-        # the gap 1 - tanh 10 = 4.1e-9 lies within 500 times the 8e-12 shift:
-        # two solves leave excited weight, a third removes it
+        # the gap of all of H, 1 - tanh 10 = 4.1e-9, is the splitting from the flip-odd
+        # level; the sector's is 0.15, and the log changes 25, 12, 2.4e-7 end in 3 solves
         ("--chain", "8", "--K", "5"),
         # the log change between iterates is 25, then 22: it shrinks slowly at first
         ("--chain", "10", "--K", "5"),
-        # the shift 7.9e-8 exceeds the gap 4.9e-9 (r = 0.94): the tail rule would need a
-        # change below 6e-15, but the iterates stall at 1e-13 to 9e-12, at the floor
+        # the shift 7.9e-8 exceeds the splitting 4.9e-9 of all of H, but not the sector
+        # gap 0.24 (r = 3.3e-7)
         ("--chain", "8", "--K", "5", "--rule", "uniform:0.1"),
-        # as above at 10 spins (r = 0.955); the stall reaches 2e-11, and iterating on
-        # lets the roundoff wander up to the roundtrip gate within 16 solves
+        # as above at 10 spins (r = 7.2e-7): the changes 25, 22, 5.2e-3, 7.1e-14
         ("--chain", "10", "--K", "5", "--rule", "uniform:0.1"),
+        # the splitting of all of H, 2.5e-14, is under the degeneracy guard, but the
+        # guard reads the sector gap 0.27
+        ("--chain", "6", "--K", "8"),
     ])
     def test_strong_coupling_ground_vector_converges(self, argv, tmp_path):
         assert run_cli("reverse", *argv, "--out", str(tmp_path)) == 0
 
-    def test_transverse_chain_stops_when_iterates_stall(self, tmp_path, monkeypatch):
-        # r = 4.8e-6: the second change, 5.9e-8, leaves a tail of 2.8e-13 and the
-        # third stops it; the changes stall near 1.9e-11
+    def test_transverse_chain_stops_on_the_tail_rule(self, tmp_path, monkeypatch):
+        # r = 3.5e-12 from the sector gap 2.9: the second change, 5.9e-8, leaves a tail
+        # of 2e-19 and stops it
         solves = []
         original = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or original(a, b))
@@ -393,11 +395,11 @@ class TestDenseWrites:
     def test_dense_writes_per_command(self, argv, expected, tmp_path, monkeypatch):
         assert self.count_dense_writes(argv, tmp_path, monkeypatch) == expected
 
-    @pytest.mark.parametrize("command, expected", [("bridge-check", 2), ("reverse", 1)])
+    @pytest.mark.parametrize("command, expected", [("bridge-check", 2), ("reverse", 0)])
     def test_model_without_shift_symmetry(self, command, expected, tmp_path, monkeypatch):
         # a field on one site: W and H are each written once for their eigensolves; the
-        # reverse map's inverse iteration assembles its block, here all of H, without
-        # dense()
+        # reverse map reads its levels and vector from its block, here all of H,
+        # assembled without dense()
         path = tmp_path / "model.json"
         terms = [((j, (j + 1) % 6), -1.0) for j in range(6)] + [((0,), 0.3)]
         spins.save_model(spins.IsingModel(6, terms), path)

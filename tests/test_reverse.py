@@ -46,11 +46,45 @@ class TestPerronGroundState:
         with pytest.raises(ValueError, match="disconnected"):
             reverse.quantum_to_classical(ham)
 
-    def test_rejects_near_degenerate_ground(self):
-        # at K = 8 the chain gap is 1 - tanh(16) ~ 2e-14, under the guard
-        ham = quantum.chain_heatbath_hamiltonian(4, 8.0)
+    def test_rejects_near_degenerate_sector(self):
+        # a field breaks the spin flip, so the sector of the shift alone keeps both
+        # ordered states: at K = 8 its gap is 2.6e-14, under the guard
+        chain = spins.chain_model(4, [1.0] * 4)
+        model = spins.IsingModel(4, list(chain.terms) + [((j,), -0.01) for j in range(4)])
+        ham = quantum.classical_to_quantum(
+            markov.build_generator(model, 8.0, markov.HEAT_BATH))
         with pytest.raises(ValueError, match="degenerate"):
             reverse.quantum_to_classical(ham)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    @pytest.mark.parametrize("rule", [markov.HEAT_BATH, markov.METROPOLIS],
+                             ids=lambda rule: rule.name)
+    def test_maps_across_the_tunnelling_splitting(self, n, rule):
+        """At K = 8 the gap of all of H, 1 - tanh 16 = 2.5e-14 under heat bath, lies
+        between the ground level and its flip-odd partner, which the sector leaves
+        out; the gap inside the sector is 0.1 to 0.6. W comes back within 3.6e-15 and
+        the energy table within 2.9e-14 (N = 10)."""
+        gen = markov.build_generator(spins.chain_model(n, [1.0] * n), 8.0, rule)
+        result = reverse.quantum_to_classical(quantum.classical_to_quantum(gen))
+        assert (result.generator.operator - gen.operator).max_abs() <= 4e-14
+        shift = result.energy_table - 8.0 * gen.energies
+        assert np.abs(shift - shift.mean()).max() <= 3e-13
+
+    def test_one_symmetric_sector_and_no_other_solve(self, monkeypatch):
+        """Each map makes one symmetry reduction: one shift test, which reads the
+        orbits of the shift, the orbits of the sector's group and one block, whose
+        levels feed the shift and the guard; no `eig_sym` solve."""
+        calls = []
+        for module, name in [(spectral, "eig_sym"), (spectral, "_translation_invariant"),
+                             (spectral, "_shift_orbits"), (spectral, "_block"),
+                             (reverse, "_sector")]:
+            def counting(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        reverse.quantum_to_classical(quantum.transverse_field_chain(8, 0.5))
+        assert sorted(calls) == ["_block", "_sector", "_shift_orbits", "_shift_orbits",
+                                 "_translation_invariant"]
 
 
 class TestQuantumToClassical:
@@ -84,8 +118,11 @@ class TestQuantumToClassical:
                                                r"shift 1.42e-05\)"):
             reverse.quantum_to_classical(ham)
 
-    def test_transverse_chain_satisfies_all_conditions(self):
-        ham = quantum.transverse_field_chain(4, 0.7)
+    # at Gamma = 0.05 and N = 12 the splitting from the flip-odd level, 2.8e-14, is under
+    # the degeneracy guard, and the gap inside the sector is 3.8
+    @pytest.mark.parametrize("n, gamma", [(4, 0.7), (12, 0.05)])
+    def test_transverse_chain_satisfies_all_conditions(self, n, gamma):
+        ham = quantum.transverse_field_chain(n, gamma)
         result = reverse.quantum_to_classical(ham)
         assert set(result.condition_residuals) == {
             "offdiagonal-sign", "probability-conservation",
@@ -133,14 +170,12 @@ class TestQuantumToClassical:
 
 
 def mapped(hamiltonian, shift=True, flip=True):
-    """(energy table, Walsh coefficients) of the reverse map, whose inverse iteration
-    runs on the sector of the symmetries of H that shift (the cyclic shift of sites)
-    and flip (the global spin flip) keep. The levels are those of all of H on every
-    route, so that only the block differs."""
-    levels = spectral.eig_sym(hamiltonian.operator, eigvals_only=True)
+    """(energy table, Walsh coefficients) of the reverse map on the sector of the
+    symmetries of H that shift (the cyclic shift of sites) and flip (the global spin
+    flip) keep. Each route reads E0 from its own block, so the shift sigma moves only
+    by roundoff, and the fixed point of inverse iteration does not depend on sigma."""
     orbits = spectral._shift_orbits
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(reverse, "eig_sym", lambda h, eigvals_only: levels)
         if not shift:
             patch.setattr(spectral, "_translation_invariant", lambda operator: False)
         if not flip:
