@@ -5,7 +5,8 @@ Modules:
   markov      rate rules, flip-form generators, detailed balance, master
               equation, a Lanczos gap solver
   quantum     classical-to-quantum mapping and explicit chain Hamiltonians
-  spectral    dense symmetric eigensolves, spectrum reports
+  spectral    symmetric eigensolves on an operator's symmetry blocks,
+              spectrum reports
   fermion     exact free-fermion solution of the heat-bath chain
   reverse     quantum-to-classical mapping and multibody coupling expansion
   anneal      schedules and time-dependent master/Schrodinger engines

@@ -102,12 +102,10 @@ def many_body_spectrum(params: FermionChainParams) -> np.ndarray:
     subset is the zero-energy ground state.
     """
     n = params.n
-    spins._check_spins(n, "N x 2^N array")
+    bits = spins._bits(n).T  # [subset, mode]
     eps_even = np.asarray(dispersion(params.k, momentum_grid(n, "even")))
     eps_odd = np.asarray(dispersion(params.k, momentum_grid(n, "odd")))
 
-    masks = np.arange(1 << n)
-    bits = (masks[:, None] >> np.arange(n)) & 1
     parity = bits.sum(axis=1) & 1
     energies = np.where(parity == 0, bits @ (2.0 * eps_even), bits @ (2.0 * eps_odd))
     return np.sort(energies)

@@ -77,9 +77,7 @@ def assemble_direct(model: IsingModel, beta: float, rule: RateRule) -> QuantumHa
 
 def _z_columns(n: int) -> np.ndarray:
     """(N, 2^N) array of sigma_j^z eigenvalues for every basis index."""
-    spins._check_spins(n, "N x 2^N array")
-    idx = np.arange(1 << n)
-    return 1 - 2 * ((idx[None, :] >> np.arange(n)[:, None]) & 1)
+    return 1 - 2 * spins._bits(n)
 
 
 def _bonds(z: np.ndarray) -> np.ndarray:

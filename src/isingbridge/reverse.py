@@ -19,7 +19,7 @@ from . import spins
 from .markov import (MarkovGenerator, _FlipOperator, detailed_balance_residual,
                      stationary_distribution)
 from .quantum import QuantumHamiltonian
-from .spectral import _sector
+from .spectral import _symmetry_blocks
 
 ENTRY_FLOOR = 1e-300
 DEGENERACY_GUARD = 1e-10  # least gap E1 - E0 inside H's fully symmetric sector
@@ -67,7 +67,7 @@ def _ground_state(hamiltonian: QuantumHamiltonian) -> tuple[float, np.ndarray]:
     exact."""
     h = hamiltonian.operator
     _check_connected(_stoquastic_offdiag(h), h.flips)
-    block, orbit = _sector(h)
+    block, orbit, _ = next(_symmetry_blocks(h))  # the trivial character's
     evals = np.linalg.eigvalsh(block)
     gap = evals[1] - evals[0] if evals.size > 1 else np.inf
     if gap < DEGENERACY_GUARD:
@@ -132,9 +132,10 @@ def quantum_to_classical(hamiltonian: QuantumHamiltonian) -> ReverseMapResult:
     each verified against `CONDITION_TOL` and reported in the result.
     The ground vector comes from shifted inverse iteration, repeated
     until its logarithm stops changing, at most MAX_SOLVES times, on the
-    block of H's fully symmetric sector (`spectral._sector`). The shift and
-    the gap guard read the lowest two levels of that block: the gap inside
-    the sector sets convergence, and a level outside it never enters.
+    block of H's fully symmetric sector, the first of
+    `spectral._symmetry_blocks`. The shift and the gap guard read the lowest
+    two levels of that block: the gap inside the sector sets convergence,
+    and a level outside it never enters.
     Raises ValueError for input that cannot be mapped (a positive
     off-diagonal, a disconnected graph, a degenerate ground level, a
     ground-vector entry below the floor) and RuntimeError on a numeric
@@ -205,7 +206,7 @@ class CouplingExpansion:
 
     def locality_profile(self) -> dict[int, float]:
         """Max |coefficient| at each interaction order 0..N."""
-        orders = _popcount(np.arange(self.coefficients.size))
+        orders = spins._bits(self.n_spins).sum(axis=0)
         return {k: float(np.abs(self.coefficients[orders == k]).max())
                 for k in range(self.n_spins + 1)}
 
@@ -218,15 +219,6 @@ class CouplingExpansion:
         for mask in range(self.coefficients.size):
             sites = tuple(i for i in range(self.n_spins) if (mask >> i) & 1)
             yield len(sites), sites, float(self.coefficients[mask])
-
-
-def _popcount(values: np.ndarray) -> np.ndarray:
-    counts = np.zeros_like(values)
-    v = values.copy()
-    while v.any():
-        counts += v & 1
-        v >>= 1
-    return counts
 
 
 def _walsh(table: np.ndarray) -> np.ndarray:

@@ -8,30 +8,29 @@ symmetric and isospectral (`markov._symmetric_form`), never decomposed directly.
 each solve computes only what its caller reads. `eig_sym(...,
 eigvals_only=True)`, `spectrum_report(..., keep_ground_vector=False)` and
 `spectrum_of_generator` run LAPACK's values-only driver; only reports that
-carry a ground vector compute eigenvectors, on the momentum route those of
-the m = 0 block alone. The gap alone, without a dense matrix, is
-`markov.relaxation_time`'s Lanczos solve.
+carry a ground vector compute eigenvectors, those of one block alone. The gap
+alone, without a dense matrix, is `markov.relaxation_time`'s Lanczos solve.
 
-A symmetric operator or matrix takes one of two routes:
+A matrix a caller passes takes one `np.linalg.eigh` or `eigvalsh` call, which
+stays the tests' oracle. An operator takes one route, its symmetry blocks
+(`_symmetry_blocks`; A. W. Sandvik, AIP Conf. Proc. 1297, 135 (2010)). Its
+group G is found once (`_group`): the cyclic shift of sites T where the
+operator commutes with it to roundoff (`_translation_invariant`), the global
+spin flip F where it commutes with F bit for bit. Each character of G, a
+lattice momentum k = 2 pi m / N and a flip parity, has one block on the orbits
+of G, and the trivial character's block comes first. An operator with no
+symmetry has a trivial G, and its one block is its matrix. The W, symmetric
+form and H of the uniform chain under every rule and the transverse-field
+chain have both symmetries; models whose terms come with all their translates
+have T, and models of even-order terms F.
 
-- Momentum blocks. An operator of single-spin flips that commutes, to
-  roundoff, with the cyclic shift of sites (`_translation_invariant`) is
-  solved one lattice momentum k = 2 pi m / N at a time, on the orbits of the
-  shift, and writes no 2^N x 2^N matrix (A. W. Sandvik, AIP Conf. Proc. 1297,
-  135 (2010)): the W, symmetric form and H of the uniform chain under every
-  rule, the transverse-field chain and models whose terms come with all
-  their translates.
-- Dense. Every other operator is written densely once, and it and every
-  matrix a caller passes take one `np.linalg.eigh` or `eigvalsh` call,
-  which stays the tests' oracle for the blocks.
-
-The reverse map reads its ground energy, gap guard (`reverse.DEGENERACY_GUARD`) and
-Perron vector from one block, `_sector`: the block on the orbits of the shift and the
-global spin flip where the operator has them.
+The reverse map reads its ground energy, gap guard (`reverse.DEGENERACY_GUARD`)
+and Perron vector from the trivial character's block, the first one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -43,13 +42,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from .quantum import QuantumHamiltonian
 
 # (N + 1) max|A - A'| allowed by `_translation_invariant`, relative to max|A|, where A'
-# is the invariant operator the momentum blocks solve. Each row and column of A - A'
+# is the invariant operator the shift's blocks solve. Each row and column of A - A'
 # holds at most N + 1 entries, so ||A - A'||_2 is at most SHIFT_TOL max|A| and the
 # block eigenvalues lie that close to A's: a tenth of the reverse map's shift below
 # E0 (`reverse.INVERSE_SHIFT`). Roundoff alone reaches (N + 1) max|A - A'| = 4.2e-15
 # max|A| on the uniform chains up to N = 12, whose outflow sums round differently
 # under the shift, and 2.6e-14 on random invariant multibody models up to N = 10,
-# whose energy sums do; an operator beyond it takes the dense route
+# whose energy sums do; G leaves out the shift of an operator beyond it
 SHIFT_TOL = 1e-13
 
 
@@ -77,13 +76,12 @@ def eig_sym(matrix: np.ndarray | markov._FlipOperator, eigvals_only: bool = Fals
     the second return value holds orthonormal eigenvectors as columns: all
     of them for a dense matrix, and for a `markov._FlipOperator` only the
     lowest level's, a (2^N, 1) array, which is all the package reads and
-    all the momentum blocks compute. A matrix of any square size takes one
-    `np.linalg` call. An operator takes the momentum blocks when it commutes
-    with the cyclic shift of sites, and is else written densely once for
-    that call (`_solve`).
+    all the symmetry blocks compute. A matrix of any square size takes one
+    `np.linalg` call. An operator is solved on the blocks of its symmetry
+    group (`_solve`).
     Rejects asymmetric input (max|A - A^T| beyond 1e-8 max|A|), NaN or
     infinite entries, and more than 2^12 = 4096 rows (the dense-matrix spin
-    cap, which the momentum blocks keep).
+    cap, which the symmetry blocks keep).
     """
     if isinstance(matrix, markov._FlipOperator):
         if not matrix.asymmetry() <= markov.SYMMETRY_TOL:  # NaN for a non-finite entry
@@ -107,46 +105,49 @@ def _rotated(states: np.ndarray, shifts, n: int) -> np.ndarray:
     return ((states << shifts) | (states >> ((n - shifts) % n))) & ((1 << n) - 1)
 
 
-def _shift_orbits(n: int, shift: bool = True, flip: bool = False
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rep, lag, size) of each configuration c of n sites under the cyclic shift T
-    where shift and the spin flip c -> c ^ (2^n - 1) where flip: the smallest member
-    of its orbit, the l with T^l c = rep (under T alone), and the orbit's size."""
-    states = np.arange(1 << n)
-    images = _rotated(states, np.arange(n if shift else 1)[:, None], n)  # [r, c]: T^r c
-    if flip:
-        images = np.concatenate([images, images ^ states[-1]])
-    return (images.min(axis=0), images.argmin(axis=0),
-            len(images) // (images == states).sum(axis=0))
-
-
-def _translation_invariant(operator: markov._FlipOperator) -> bool:
+def _translation_invariant(operator: markov._FlipOperator, shifted: np.ndarray) -> bool:
     """Whether an operator of the N single-spin flips commutes with the cyclic shift T,
-    within `SHIFT_TOL`.
+    within `SHIFT_TOL`, given shifted[l, c] = T^l c for l < N.
 
-    The momentum blocks read each entry from the orbit representative: with
-    T^l c = rep(c), which carries site j to j + l, diag[c] from diag[rep(c)]
-    and off[j, c] from off[(j + l) mod N, rep(c)]. The test is that (N + 1)
-    times the largest difference is at most SHIFT_TOL * max|A|.
+    The blocks read each entry from the orbit representative: with T^l c = rep(c),
+    which carries site j to j + l, diag[c] from diag[rep(c)] and off[j, c] from
+    off[(j + l) mod N, rep(c)]. The test is that (N + 1) times the largest
+    difference is at most SHIFT_TOL * max|A|.
     """
-    n = operator.diag.size.bit_length() - 1
+    n = len(shifted)
     if operator.flips.shape[0] != n or not np.array_equal(operator.flips[:, 0],
                                                           1 << np.arange(n)):
         return False
-    rep, lag, _ = _shift_orbits(n)
+    rep, lag = shifted.min(axis=0), shifted.argmin(axis=0)
     carried = operator.off[(np.arange(n)[:, None] + lag) % n, rep]
     deviation = max(np.abs(operator.diag[rep] - operator.diag).max(),
                     np.abs(carried - operator.off).max())
     return bool((n + 1) * deviation <= SHIFT_TOL * operator.max_abs())
 
 
+def _group(operator: markov._FlipOperator) -> tuple[np.ndarray, int]:
+    """(images, order) of the group G of an operator's symmetries. G is generated by
+    the cyclic shift T where `_translation_invariant` holds (order N, else order 1)
+    and by the spin flip F: c -> c ^ (2^N - 1) where the operator commutes with F bit
+    for bit. images[g, c] = g c for the element g = T^l F^f at index l + order f."""
+    n = operator.diag.size.bit_length() - 1
+    states = np.arange(1 << n)
+    images = _rotated(states, np.arange(n)[:, None], n)  # [l, c]: T^l c
+    if not _translation_invariant(operator, images):
+        images = images[:1]
+    order = len(images)
+    if (np.array_equal(operator.diag, operator.diag[::-1])  # [c ^ (2^N - 1)]
+            and np.array_equal(operator.off, operator.off[:, ::-1])):
+        images = np.concatenate([images, images ^ states[-1]])
+    return images, order
+
+
 def _block(operator: markov._FlipOperator, rep: np.ndarray, size: np.ndarray,
            basis: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(B, orbit): an operator's block on the orbits whose representatives basis
     lists, ascending, and each configuration's row of B, -1 off basis. With rep and
-    size from `_shift_orbits`, B[b, a] = diag[a] [a = b] + sum_{y in orbit b} A[y, a]
-    sqrt(R_a / R_b) phase[y]. Raises ValueError above the dense-matrix spin cap."""
-    spins._check_spins(rep.size.bit_length() - 1, "dense matrix")
+    size each configuration's orbit representative and orbit size R, B[b, a] =
+    diag[a] [a = b] + sum_{y in orbit b} A[y, a] sqrt(R_a / R_b) phase[y]."""
     index = np.full(rep.size, -1)
     index[basis] = np.arange(basis.size)
     flipped = operator.flips[:, basis]  # at (j, i): y = a ^ mask_j for a = basis[i]
@@ -161,76 +162,71 @@ def _block(operator: markov._FlipOperator, rep: np.ndarray, size: np.ndarray,
     return block, index[rep]
 
 
-def _momentum_solve(operator: markov._FlipOperator, keep_ground_vector: bool
-                    ) -> tuple[np.ndarray, np.ndarray | None]:
-    """(ascending eigenvalues, ground vector or None) of a `_translation_invariant`
-    symmetric operator, one momentum block at a time.
+def _symmetry_blocks(operator: markov._FlipOperator
+                     ) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """(B, orbit, copies) for each character chi of the group G of an operator's
+    symmetries (`_group`) whose block is not empty: `_block` on the orbit
+    representatives whose stabiliser chi is trivial on, with phase[c] = chi(g) for
+    the g that carries c to its representative, and the number of characters whose
+    blocks share B's spectrum.
 
-    The block at k = 2 pi m / N is `_block` on the orbits of T with m R_a = 0
-    mod N and phase[c] = e^{-ik l(c)}, where T^l(c) c is c's representative. The
-    blocks at k and -k are complex conjugates with one spectrum, so only
-    m = 0..N//2 are solved, the levels of 0 < m < N/2 counted twice. Only the
-    real m = 0 block is solved with vectors; its lowest u gives the ground vector
-    v[T^r a] = u_a / sqrt(R_a). The ground vector is None when another block
-    holds a lower level, as it cannot for a connected stoquastic operator, or
-    when keep_ground_vector is false. Raises ValueError above the dense-matrix
-    spin cap, which the blocks alone would not need, as the dense route does.
+    chi = (m, s) takes T^l F^f to e^{-2 pi i m l / order} s^f. The blocks of m and
+    order - m are complex conjugates, so only m = 0..order//2 are built, those with
+    0 < m < order / 2 counted twice. The trivial character comes first: its block
+    holds the Perron vector of a connected stoquastic operator, and a vector u of it
+    gives the operator's v[g a] = u_a / sqrt(R_a). With no symmetry the one block is
+    the operator's matrix. Raises ValueError above the dense-matrix spin cap.
     """
     n = operator.diag.size.bit_length() - 1
-    rep, lag, period = _shift_orbits(n)
-    reps = np.flatnonzero(rep == np.arange(rep.size))
-    levels, ground = [], None
-    for m in range(n // 2 + 1):
-        real = 2 * m % n == 0  # k = 0 or pi: the phases are +-1
-        if real:
-            phase = 1.0 - 2.0 * (2 * m * lag // n % 2)
-        else:
-            phase = np.exp(-2j * np.pi * (m * lag % n) / n)
-        block, orbit = _block(operator, rep, period, reps[m * period[reps] % n == 0], phase)
-        if m == 0 and keep_ground_vector:
-            values, vectors = np.linalg.eigh(block)
-            ground = vectors[orbit, 0] / np.sqrt(period)
-        else:
-            values = np.linalg.eigvalsh(block)
-        levels.extend([values] * (1 if real else 2))
-    if min(values[0] for values in levels) < levels[0][0]:  # a lower level at m != 0
-        ground = None
-    return np.sort(np.concatenate(levels)), ground
-
-
-def _sector(operator: markov._FlipOperator) -> tuple[np.ndarray, np.ndarray]:
-    """(B, orbit): `_block` of a symmetric operator on all the orbits of the group of
-    its symmetries, the cyclic shift T where `_translation_invariant` holds and the
-    spin flip F where it commutes with F bit for bit; with neither, B is A. A vector
-    u of B gives A the vector v[g a] = u_a / sqrt(R_a), so B holds the Perron vector
-    of a connected stoquastic A, which each symmetry leaves invariant. Raises
-    ValueError above the dense-matrix spin cap."""
-    n = operator.diag.size.bit_length() - 1
-    flip = (np.array_equal(operator.diag, operator.diag[::-1])  # [c ^ (2^N - 1)]
-            and np.array_equal(operator.off, operator.off[:, ::-1]))
-    rep, _, size = _shift_orbits(n, _translation_invariant(operator), flip)
-    return _block(operator, rep, size, np.flatnonzero(rep == np.arange(rep.size)),
-                  np.ones(rep.size))
+    spins._check_spins(n, "dense matrix")
+    images, order = _group(operator)
+    states = np.arange(1 << n)
+    rep, element = images.min(axis=0), images.argmin(axis=0)
+    size = len(images) // (images == states).sum(axis=0)
+    reps = np.flatnonzero(rep == states)
+    stabilises = images[:, reps] == reps  # [g, i]: g fixes reps[i]
+    flip, shift = np.divmod(np.arange(len(images)), order)  # g = T^shift F^flip
+    for m in range(order // 2 + 1):
+        real = 2 * m % order == 0  # the phases are +-1
+        for s in range(len(images) // order):  # s^f = (-1)^(s f)
+            # chi(g) = e^{-i pi theta[g] / order}; a representative enters the block
+            # where chi is 1 on its whole stabiliser
+            theta = (2 * m * shift + order * s * flip) % (2 * order)
+            basis = reps[~(stabilises & (theta != 0)[:, None]).any(axis=0)]
+            if basis.size:
+                angle = np.pi * theta[element] / order
+                phase = np.cos(angle) if real else np.exp(-1j * angle)
+                block, orbit = _block(operator, rep, size, basis, phase)
+                yield block, orbit, 1 if real else 2
 
 
 def _solve(operator: markov._FlipOperator, keep_ground_vector: bool
            ) -> tuple[np.ndarray, np.ndarray | None]:
     """(ascending eigenvalues, unit ground vector or None) of an operator that
-    `eig_sym` has checked to be symmetric and finite.
+    `eig_sym` has checked to be symmetric and finite, from its symmetry blocks.
 
-    A `_translation_invariant` operator takes `_momentum_solve`. Any other, and
-    an invariant one whose lowest level lies outside m = 0 when the ground
-    vector is kept, is written densely once and solved by one `np.linalg`
-    call. Raises ValueError above the dense-matrix spin cap on both routes.
+    Only the trivial character's block is solved with vectors, and only when the
+    ground vector is kept. When another block holds a level lower by more than the
+    blocks' accuracy, SHIFT_TOL max|A|, as it cannot for a connected stoquastic
+    operator, the operator is written densely once and solved by one
+    `np.linalg.eigh` call. A flip-odd partner that roundoff puts just below the
+    ground level keeps the trivial block's vector, which is the Perron vector where
+    a dense solve would mix the two. Raises ValueError above the dense-matrix spin
+    cap.
     """
-    if _translation_invariant(operator):
-        evals, ground = _momentum_solve(operator, keep_ground_vector)
-        if ground is not None or not keep_ground_vector:
-            return evals, ground
-    if not keep_ground_vector:
-        return np.linalg.eigvalsh(operator.dense()), None
-    evals, vecs = np.linalg.eigh(operator.dense())
-    return evals, vecs[:, 0].copy()
+    levels, ground = [], None
+    for block, orbit, copies in _symmetry_blocks(operator):
+        if keep_ground_vector and not levels:
+            values, vectors = np.linalg.eigh(block)
+            ground = (vectors[:, 0] / np.sqrt(np.bincount(orbit)))[orbit]
+        else:
+            values = np.linalg.eigvalsh(block)
+        levels.extend([values] * copies)
+    lowest = min(values[0] for values in levels)
+    if keep_ground_vector and lowest < levels[0][0] - SHIFT_TOL * operator.max_abs():
+        evals, vecs = np.linalg.eigh(operator.dense())
+        return evals, vecs[:, 0].copy()
+    return np.sort(np.concatenate(levels)), ground
 
 
 def spectrum_report(matrix: np.ndarray | markov._FlipOperator,

@@ -5,8 +5,9 @@ configuration of N spins is an integer index in [0, 2^N). Bit i of the
 index is 0 for sigma_i = +1 and 1 for sigma_i = -1, and flipping spin i
 toggles exactly bit i. All operators elsewhere are held in this basis by
 XOR masks, A[c, c ^ mask] (`markov._FlipOperator`); bits are toggled by
-`markov._flip_table` and montecarlo, read by `quantum._z_columns`, and
-`energy_table` reads bit i as axis N - 1 - i of `table.reshape((2,) * N)`.
+`markov._flip_table` and montecarlo, read for every configuration at once by
+`_bits`, and `energy_table` reads bit i as axis N - 1 - i of
+`table.reshape((2,) * N)`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ _SPIN_CAPS = {
     "model": 20,                    # energy tables / Boltzmann vectors stay addressable
     "N x 2^N array": 16,            # flip tables, rates, z columns, Walsh stages, occupation bits
     "dense matrix": 12,             # 2^N x 2^N matrices (_FlipOperator.dense, eig_sym), and
-                                    # spectral._block's symmetry blocks, which are smaller
+                                    # spectral._symmetry_blocks, which are smaller
     "single-particle block": 2048,  # fermion chains: N-mode grids, N x N random forms
 }
 MAX_SPINS = _SPIN_CAPS["model"]
@@ -32,6 +33,13 @@ def _check_spins(n_spins: int, use: str) -> None:
     """Reject more spins than the `use` entry of `_SPIN_CAPS` allows."""
     if n_spins > _SPIN_CAPS[use]:
         raise ValueError(f"{n_spins} spins exceed the {use} cap n_spins <= {_SPIN_CAPS[use]}")
+
+
+def _bits(n_spins: int) -> np.ndarray:
+    """(N, 2^N) integer table of bit j of every configuration c, at [j, c]: 1 where
+    sigma_j = -1. Raises ValueError above the N x 2^N array spin cap."""
+    _check_spins(n_spins, "N x 2^N array")
+    return (np.arange(1 << n_spins) >> np.arange(n_spins)[:, None]) & 1
 
 
 def _integer(value, name: str) -> int:

@@ -3,7 +3,8 @@
 Every intra-package import sits at module level, where the import graph
 shows it, and that graph has no cycle: a module that needs another's code
 imports it in one direction only. The CLI reads no spin cap: each cap is
-checked by the library code that allocates what it bounds.
+checked by the library code that allocates what it bounds. An operator's
+symmetry group is found in `spectral` alone.
 """
 
 import ast
@@ -84,3 +85,14 @@ def _names(tree) -> set[str]:
 def test_cli_reads_no_spin_cap():
     assert "_check_spins" in _names(MODULES["spins"])  # the reader sees the checks
     assert not {"_check_spins", "_SPIN_CAPS", "MAX_SPINS"} & _names(MODULES["cli"])
+
+
+def test_symmetry_group_is_found_only_in_spectral():
+    """An operator's symmetry group is decided in `spectral` alone: no other module names
+    its shift test, rotation, group or block assembly, and `reverse` reads its sector
+    through the one routine that enumerates the blocks."""
+    internals = {"_translation_invariant", "_rotated", "_group", "_block"}
+    assert internals <= _names(MODULES["spectral"])
+    assert [module for module, tree in MODULES.items()
+            if internals & _names(tree)] == ["spectral"]
+    assert "_symmetry_blocks" in _names(MODULES["reverse"])

@@ -14,11 +14,12 @@ random-coupling heat-bath chain is checked against the direct route, and
 the Walsh expansion against the table it came from. The reverse map
 takes the generator of a random dyadic model back from its H. Models whose
 terms all have even order commute with the global spin flip: they pass
-`bridge-check`, and the reverse map round-trips through a symmetric sector
-of at most half the configurations. Models whose terms come with all their translates commute with the
-cyclic shift, and their spectra from momentum blocks match the dense ones;
-with an odd-order term the reverse map on the shift's orbits matches it on
-the whole H.
+`bridge-check`, their spectra from the flip's blocks match the dense ones,
+and the reverse map round-trips through a symmetric sector of at most half
+the configurations. Models whose terms come with all their translates
+commute with the cyclic shift, and their spectra from momentum blocks match
+the dense ones; with an odd-order term the reverse map on the shift's orbits
+matches it on the whole H.
 """
 
 import json
@@ -300,12 +301,28 @@ def test_flip_symmetric_models_pass_bridge_check(model, rule, beta):
 
 
 @PROPERTY_SETTINGS
+@given(even_order_models(), rules, st.floats(0.0, 2.0))
+def test_flip_symmetric_models_take_the_flip_blocks(model, rule, beta):
+    """W's symmetric form and the direct H commute with the spin flip bit for bit, so
+    their group holds it, with the shift only where the terms happen to be invariant;
+    their blocks match the dense spectrum, and H's ground vector solves its matrix."""
+    generator = markov.build_generator(model, beta, rule)
+    symmetric = markov._symmetric_form(generator, markov.SYMMETRY_TOL)
+    hamiltonian = quantum.assemble_direct(model, beta, rule).operator
+    for operator, keep_ground_vector in ((symmetric, False), (hamiltonian, True)):
+        images, order = spectral._group(operator)
+        assert len(images) == 2 * order
+        assert_blocks_match_dense(operator, keep_ground_vector)
+
+
+@PROPERTY_SETTINGS
 @given(even_order_models(), st.sampled_from([markov.HEAT_BATH, markov.METROPOLIS,
                                              markov.UniformRate(0.1), markov.UniformRate(0.5)]),
        st.floats(0.0, 2.0))
 def test_reverse_map_round_trips_on_a_half_size_sector(model, rule, beta):
     hamiltonian = quantum.classical_to_quantum(markov.build_generator(model, beta, rule))
-    assert len(spectral._sector(hamiltonian.operator)[0]) <= 2 ** (model.n_spins - 1)
+    assert len(next(spectral._symmetry_blocks(hamiltonian.operator))[0]) <= 2 ** (
+        model.n_spins - 1)
     _assert_round_trip(model, rule, beta)
 
 
@@ -357,8 +374,10 @@ def test_reverse_map_on_the_shift_sector_matches_the_whole_matrix(model, rule, b
     levels = np.linalg.eigvalsh(hamiltonian.matrix)
     gap, scale = levels[1] - levels[0], max(1.0, hamiltonian.operator.max_abs())
     assume(gap >= 1e-6 * scale and reverse.INVERSE_SHIFT * scale <= gap / 100)
-    rep = spectral._shift_orbits(model.n_spins)[0]
-    assert len(spectral._sector(hamiltonian.operator)[0]) == np.unique(rep).size
+    images, order = spectral._group(hamiltonian.operator)
+    assert order == len(images) == model.n_spins  # the shift, but not the flip
+    assert len(next(spectral._symmetry_blocks(hamiltonian.operator))[0]) == np.unique(
+        images.min(axis=0)).size
     assert deviation(mapped(hamiltonian), mapped(hamiltonian, shift=False)) * gap <= (
         SHIFT_SECTOR_TOL * scale)
 

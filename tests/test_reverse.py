@@ -70,20 +70,36 @@ class TestPerronGroundState:
         shift = result.energy_table - 8.0 * gen.energies
         assert np.abs(shift - shift.mean()).max() <= 3e-13
 
+    @pytest.mark.parametrize("stall_change, solves", [(reverse.STALL_CHANGE, 11), (0.0, 12)])
+    def test_stops_when_the_log_change_stalls(self, stall_change, solves, monkeypatch):
+        """One spin with gap 1.0e-9 at max|H| = 100: the shift 1e-10 leaves r = 0.09,
+        and the log change falls 11-fold per solve, to 1.8e-12 after 11 solves. That is
+        under STALL_CHANGE but above the tail rule's 1.1e-12, which the 12th solve
+        meets. The map itself then fails stationarity, as the roundoff of H's entries
+        over the gap allows (the known limit), so only the solve count is pinned."""
+        matrix = np.array([[100.0, -5e-10], [-5e-10, 100.0 + 1e-10]])
+        ham = quantum.QuantumHamiltonian.from_matrix(matrix, provenance="user-supplied")
+        lu = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: lu.append(1) or solve(a, b))
+        monkeypatch.setattr(reverse, "STALL_CHANGE", stall_change)
+        reverse._ground_state(ham)
+        assert len(lu) == solves
+
     def test_one_symmetric_sector_and_no_other_solve(self, monkeypatch):
-        """Each map makes one symmetry reduction: one shift test, which reads the
-        orbits of the shift, the orbits of the sector's group and one block, whose
-        levels feed the shift and the guard; no `eig_sym` solve."""
+        """Each map makes one symmetry reduction: one group, found by one shift test,
+        and one block, the trivial character's, whose levels feed the shift and the
+        guard; no `eig_sym` solve."""
         calls = []
         for module, name in [(spectral, "eig_sym"), (spectral, "_translation_invariant"),
-                             (spectral, "_shift_orbits"), (spectral, "_block"),
-                             (reverse, "_sector")]:
+                             (spectral, "_group"), (spectral, "_block"),
+                             (reverse, "_symmetry_blocks")]:
             def counting(*args, _original=getattr(module, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _original(*args, **kwargs)
             monkeypatch.setattr(module, name, counting)
         reverse.quantum_to_classical(quantum.transverse_field_chain(8, 0.5))
-        assert sorted(calls) == ["_block", "_sector", "_shift_orbits", "_shift_orbits",
+        assert sorted(calls) == ["_block", "_group", "_symmetry_blocks",
                                  "_translation_invariant"]
 
 
@@ -174,13 +190,16 @@ def mapped(hamiltonian, shift=True, flip=True):
     symmetries of H that shift (the cyclic shift of sites) and flip (the global spin
     flip) keep. Each route reads E0 from its own block, so the shift sigma moves only
     by roundoff, and the fixed point of inverse iteration does not depend on sigma."""
-    orbits = spectral._shift_orbits
-    with pytest.MonkeyPatch.context() as patch:
+    group = spectral._group
+
+    def subgroup(operator):  # the elements T^l F^f at index l + order f that are kept
+        images, order = group(operator)
         if not shift:
-            patch.setattr(spectral, "_translation_invariant", lambda operator: False)
-        if not flip:
-            patch.setattr(spectral, "_shift_orbits",
-                          lambda n, shift=True, flip=False: orbits(n, shift, False))
+            images, order = images[::order], 1
+        return images if flip else images[:order], order
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_group", subgroup)
         table = reverse.quantum_to_classical(hamiltonian).energy_table
     return table, reverse.extract_couplings(table).coefficients
 
@@ -217,7 +236,8 @@ class TestSymmetricSector:
 
     @pytest.mark.parametrize("n, rows", [(6, 8), (8, 20), (10, 56), (12, 180)])
     def test_sector_size(self, n, rows):
-        block, orbit = spectral._sector(quantum.transverse_field_chain(n, 0.5).operator)
+        block, orbit, _ = next(spectral._symmetry_blocks(
+            quantum.transverse_field_chain(n, 0.5).operator))
         assert block.shape == (rows, rows) and np.bincount(orbit).sum() == 1 << n
 
     def test_the_flip_keeps_the_tunnelling_partner_out(self):

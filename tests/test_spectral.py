@@ -77,8 +77,8 @@ class TestEigSym:
 
 
 class TestEigSymOnOperators:
-    """An operator is checked for symmetry, then solved on the momentum blocks or on its
-    dense matrix; its vectors are the lowest level's alone."""
+    """An operator is checked for symmetry, then solved on the blocks of its symmetry
+    group; its vectors are the lowest level's alone."""
 
     def test_invariant_operator_matches_its_dense_matrix(self):
         h = quantum.assemble_direct(spins.chain_model(6, [1.0] * 6), 0.5,
@@ -117,7 +117,7 @@ class TestEigSymOnOperators:
 
     @pytest.mark.parametrize("solve", SOLVES)
     def test_rejects_oversized_operator(self, solve):
-        n = 13  # invariant, so the momentum route, which keeps the dense cap
+        n = 13  # invariant and flip-symmetric, yet the blocks keep the dense cap
         op = markov._FlipOperator(np.zeros(1 << n), np.zeros((n, 1 << n)),
                                   markov._flip_table(n))
         with pytest.raises(ValueError, match="cap"):
@@ -136,9 +136,10 @@ def _same_bits(a, b):
 
 
 # bounds about 10x above the worst measured over the inputs below and the property
-# test of translation-invariant models, relative to the spectral norm: eigenvalues
-# 1.6e-14 (7.4e-15 on the chains), ground-vector residuals 9.5e-16; and
-# |v^2 - P0| * gap / max|H| reached 3.1e-16, as on the dense route
+# tests of translation-invariant and even-order models, relative to the spectral
+# norm: eigenvalues 8.3e-15 (momentum-only blocks: 1.6e-14), ground-vector residuals
+# 1.4e-15 (9.5e-16); and |v^2 - P0| * gap / max|H| reached 3.1e-16, as on the dense
+# route
 BLOCK_TOL = 1e-13
 BLOCK_RESIDUAL_TOL = 1e-14
 BLOCK_BOLTZMANN_TOL = 3e-15
@@ -159,11 +160,16 @@ def _random_invariant_operator(n, rng):
                                 rng.normal(size=pair_orbit.max() + 1)[pair_orbit], flips)
 
 
+def _shift_invariant(operator):
+    """Whether the operator's symmetry group holds the cyclic shift of its sites."""
+    return spectral._group(operator)[1] > 1
+
+
 def assert_blocks_match_dense(operator, keep_ground_vector):
-    """`spectral._solve` takes the momentum route, and its spectrum and ground
-    vector (when kept and given) match `np.linalg` on the dense matrix.
+    """`spectral._solve` splits the operator by a group of symmetries, and its spectrum
+    and ground vector (when kept and given) match `np.linalg` on the dense matrix.
     Returns the ground vector, the dense matrix and its eigenvalues."""
-    assert spectral._translation_invariant(operator)
+    assert len(spectral._group(operator)[0]) > 1
     matrix = operator.dense()
     expected = np.linalg.eigvalsh(matrix)
     norm = np.abs(expected).max()
@@ -177,8 +183,9 @@ def assert_blocks_match_dense(operator, keep_ground_vector):
 
 
 class TestMomentumBlocks:
-    """An operator that commutes with the cyclic shift is solved one momentum block
-    at a time; `np.linalg` on its dense matrix is the oracle."""
+    """An operator that commutes with the cyclic shift, the spin flip or both is
+    solved one block of its symmetry group at a time, one momentum and flip parity
+    per block; `np.linalg` on its dense matrix is the oracle."""
 
     @pytest.mark.parametrize("n", range(3, 11))  # odd N have no k = pi block
     @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 1.0, 2.0, 5.0])
@@ -186,11 +193,13 @@ class TestMomentumBlocks:
     def test_chain(self, n, beta, rule):
         model = spins.chain_model(n, [1.0] * n)
         generator = markov.build_generator(model, beta, rule)
-        assert_blocks_match_dense(markov._symmetric_form(generator, markov.SYMMETRY_TOL),
-                                  keep_ground_vector=False)
+        symmetric = markov._symmetric_form(generator, markov.SYMMETRY_TOL)
+        assert _shift_invariant(symmetric)
+        assert_blocks_match_dense(symmetric, keep_ground_vector=False)
         h = quantum.assemble_direct(model, beta, rule).operator
         ground, _, expected = assert_blocks_match_dense(h, keep_ground_vector=True)
-        assert ground is not None  # a connected stoquastic H has its ground level at m = 0
+        # a connected stoquastic H has its ground level in the trivial character's block
+        assert ground is not None
         gap = expected[1] - expected[0]
         if gap > 1e-6:  # where v^2 is not too ill-conditioned to compare
             deviation = np.abs(ground ** 2 - spins.boltzmann(model, beta)).max()
@@ -199,56 +208,82 @@ class TestMomentumBlocks:
     @pytest.mark.parametrize("n", range(3, 11))
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     def test_transverse_field_chain(self, n, gamma):
-        ground, _, _ = assert_blocks_match_dense(
-            quantum.transverse_field_chain(n, gamma).operator, keep_ground_vector=True)
+        h = quantum.transverse_field_chain(n, gamma).operator
+        assert _shift_invariant(h)
+        ground, _, _ = assert_blocks_match_dense(h, keep_ground_vector=True)
         assert ground is not None
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_random_invariant_operators(self, n):
         rng = np.random.default_rng(n)
         for _ in range(10):
-            assert_blocks_match_dense(_random_invariant_operator(n, rng), True)
+            operator = _random_invariant_operator(n, rng)
+            assert _shift_invariant(operator)
+            assert_blocks_match_dense(operator, True)
 
     def test_ground_level_outside_m0_takes_the_dense_vectors(self):
         # the seed draws an operator whose ground level lies in a block with m != 0
         operator = _random_invariant_operator(4, np.random.default_rng(5))
-        assert spectral._momentum_solve(operator, keep_ground_vector=True)[1] is None
+        lowest = [np.linalg.eigvalsh(block)[0]
+                  for block, _, _ in spectral._symmetry_blocks(operator)]
+        assert min(lowest) < lowest[0]
         ground, matrix, _ = assert_blocks_match_dense(operator, keep_ground_vector=True)
         assert _same_bits(ground, np.linalg.eigh(matrix)[1][:, 0])
 
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_flip_odd_ground_level_takes_the_dense_vectors(self, n):
+        """-sum z_j z_{j+1} + sum x_j commutes with the shift and the flip, and for odd
+        N its ground level is flip-odd: the product of all z_j carries the ground
+        vector of the chain at -Gamma, which is flip-even, to it and anticommutes
+        with the flip. The trivial block misses it, so the vectors are dense."""
+        operator = quantum.transverse_field_chain(n, -1.0).operator
+        assert _shift_invariant(operator)
+        values, ground = spectral._solve(operator, keep_ground_vector=True)
+        expected, vectors = np.linalg.eigh(operator.dense())
+        assert _same_bits(values, expected) and _same_bits(ground, vectors[:, 0])
+        lowest = [np.linalg.eigvalsh(block)[0]
+                  for block, _, _ in spectral._symmetry_blocks(operator)]
+        assert min(lowest) < lowest[0]
+
+    def test_tunnelling_partner_below_by_roundoff_takes_no_dense_solve(self, monkeypatch):
+        """At Gamma = 0.05 and N = 12 the flip-odd partner lies 2.8e-14 above E0, and
+        the blocks can put it below by roundoff. That is no lower level: the trivial
+        block's vector is kept, the positive Perron vector, where a dense solve takes
+        10 s and mixes the two levels."""
+        def no_dense(self):
+            raise AssertionError("a dense solve for a level lower only by roundoff")
+        monkeypatch.setattr(markov._FlipOperator, "dense", no_dense)
+        h = quantum.transverse_field_chain(12, 0.05).operator
+        values, ground = spectral._solve(h, keep_ground_vector=True)
+        ground *= np.sign(ground.sum())
+        assert ground.min() > 0
+        assert np.abs(h(ground) - values[0] * ground).max() <= BLOCK_RESIDUAL_TOL * h.max_abs()
+
     @pytest.mark.parametrize("keep_ground_vector", [False, True])
-    def test_one_changed_coupling_takes_the_dense_route(self, keep_ground_vector,
-                                                        monkeypatch):
-        def no_blocks(*args):
-            raise AssertionError("momentum blocks for an operator that is not invariant")
-        monkeypatch.setattr(spectral, "_momentum_solve", no_blocks)
+    def test_one_changed_coupling_keeps_only_the_flip(self, keep_ground_vector):
+        # the changed bond breaks the shift, but the chain still commutes with the flip
         model = spins.chain_model(6, [1.0] * 5 + [1.0 + 1e-6])
         h = quantum.assemble_direct(model, 0.5, markov.HEAT_BATH).operator
-        assert not spectral._translation_invariant(h)
-        values, ground = spectral._solve(h, keep_ground_vector)
-        matrix = h.dense()
-        expected = np.linalg.eigh(matrix) if keep_ground_vector else np.linalg.eigvalsh(matrix)
-        if keep_ground_vector:
-            assert _same_bits(values, expected[0]) and _same_bits(ground, expected[1][:, 0])
-        else:
-            assert _same_bits(values, expected) and ground is None
+        assert not _shift_invariant(h)
+        ground, _, _ = assert_blocks_match_dense(h, keep_ground_vector)
+        assert (ground is not None) == keep_ground_vector
 
-    def test_operator_with_other_masks_takes_the_dense_route(self):
+    def test_operator_with_other_masks_keeps_only_the_flip(self):
         # a nearest-neighbour pair flip commutes with the shift but is no single flip
         matrix = quantum.transverse_field_chain(4, 0.5).matrix.copy()
         states = np.arange(16)
         matrix[states, states ^ 3] = matrix[states ^ 3, states] = -0.25
         operator = markov._FlipOperator.from_dense(matrix)
-        assert not spectral._translation_invariant(operator)
-        values, _ = spectral._solve(operator, keep_ground_vector=False)
-        assert _same_bits(values, np.linalg.eigvalsh(matrix))
+        assert not _shift_invariant(operator)
+        ground, _, _ = assert_blocks_match_dense(operator, keep_ground_vector=True)
+        assert ground is not None
 
     def test_raw_matrix_never_takes_the_blocks(self, monkeypatch):
         """A caller's matrix takes one np.linalg call, also when it is a chain's and
         commutes with both the cyclic shift and the global spin flip."""
         def no_blocks(*args):
-            raise AssertionError("momentum blocks for a caller's matrix")
-        monkeypatch.setattr(spectral, "_momentum_solve", no_blocks)
+            raise AssertionError("symmetry blocks for a caller's matrix")
+        monkeypatch.setattr(spectral, "_symmetry_blocks", no_blocks)
         matrix = _chain_hamiltonian(6, 0.5, markov.HEAT_BATH)
         values, vectors = spectral.eig_sym(matrix)
         ref_values, ref_vectors = np.linalg.eigh(matrix)
@@ -271,11 +306,11 @@ class TestMomentumBlocks:
         n = 8
         h = quantum.assemble_direct(spins.chain_model(n, [1.0] * n), 0.5,
                                     markov.HEAT_BATH).operator
-        rep, _, _ = spectral._shift_orbits(n)
+        states = np.arange(1 << n)
+        rep = spectral._rotated(states, np.arange(n)[:, None], n).min(axis=0)
         delta = factor * spectral.SHIFT_TOL * h.max_abs() / (n + 1)
-        perturbed = markov._FlipOperator(h.diag - delta * (rep != np.arange(1 << n)),
-                                         h.off, h.flips)
-        assert spectral._translation_invariant(perturbed) is invariant
+        perturbed = markov._FlipOperator(h.diag - delta * (rep != states), h.off, h.flips)
+        assert _shift_invariant(perturbed) is invariant
         expected = np.linalg.eigvalsh(perturbed.dense())
         values = spectral.eig_sym(perturbed, eigvals_only=True)
         assert np.abs(values - expected).max() <= spectral.SHIFT_TOL * perturbed.max_abs()
@@ -419,17 +454,22 @@ def solves(monkeypatch):
 class TestSolveCounts:
     """Each solve computes only what its caller reads."""
 
+    # the chain commutes with the cyclic shift and the spin flip, so each operator is
+    # solved as its blocks of momentum m = 0..3 and flip parity +-, with 8, 6, 4, 5, 6,
+    # 5, 4 and 6 rows
+    CHAIN_6_BLOCKS = (8, 6, 4, 5, 6, 5, 4, 6)
+
     def test_bridge_check_solves_vectors_once(self, solves, tmp_path):
         # the mapped H's vectors feed the ground-state residual; the generator
-        # spectrum is read as values only. The chain commutes with the cyclic shift,
-        # so each operator is solved as its momentum blocks m = 0..3 of 14, 9, 11 and
-        # 10 orbits; vectors only for H's m = 0 block, which holds its ground level.
+        # spectrum is read as values only. Vectors only for H's block of the trivial
+        # character, m = 0 and flip-even, which holds its ground level.
         assert cli.main(["bridge-check", "--chain", "6", "--out", str(tmp_path)]) == 0
-        assert sorted(solves) == sorted([("values", dim) for dim in (14, 9, 11, 10, 9, 11, 10)]
-                                        + [("vectors", 14)])
+        values = self.CHAIN_6_BLOCKS + self.CHAIN_6_BLOCKS[1:]  # W's blocks, then H's
+        assert sorted(solves) == sorted([("values", dim) for dim in values] + [("vectors", 8)])
 
     def test_field_model_solves_whole_matrices(self, solves, tmp_path):
-        # one field term breaks the flip symmetry: one solve per matrix, as np.linalg
+        # one field term breaks the flip symmetry, and the model has no shift symmetry:
+        # each matrix is its one block, one solve each
         path = tmp_path / "model.json"
         spins.save_model(spins.IsingModel(6, [((0, 1), 1.0), ((2, 3), -0.5), ((4,), 0.3)]),
                          path)
@@ -438,7 +478,7 @@ class TestSolveCounts:
 
     def test_uniform_fermion_check_solves_no_vectors(self, solves, tmp_path):
         assert cli.main(["fermion-check", "--chain", "6", "--out", str(tmp_path)]) == 0
-        assert sorted(solves) == [("values", dim) for dim in (9, 10, 11, 14)]
+        assert sorted(solves) == sorted(("values", dim) for dim in self.CHAIN_6_BLOCKS)
 
     @pytest.mark.parametrize("argv", [("--chain", "6"), ("--tfield", "6")])
     def test_reverse_lu_runs_on_the_shift_and_flip_sector(self, argv, solves, tmp_path):
