@@ -227,8 +227,7 @@ def cmd_fermion_check(args) -> int:
         fermion._check_chain(n, args.K)  # before the draw; the couplings are +-1
         rng = np.random.default_rng(args.seed)
         couplings = rng.choice([-1.0, 1.0], size=n)
-        spectrum = fermion.random_single_particle_spectrum(couplings, args.K)
-        energies = spectrum[n:]  # ascending, so the top half is the +eps branch
+        energies = fermion.random_single_particle_spectrum(couplings, args.K)
         # sigma_j -> +-sigma_j gauges +-1 couplings on the even ring to the uniform
         # chain, periodic ("odd" grid) if their product is +1, antiperiodic if -1
         sector = "odd" if np.prod(couplings) > 0 else "even"
@@ -295,7 +294,8 @@ def cmd_reverse(args) -> int:
         witness = max((v for k, v in profile.items() if k >= 4), default=0.0)
         checks = {
             "multibody-witness": witness > 1e-6,
-            "generator-conditions": max(result.condition_residuals.values()) <= 1e-9,
+            "generator-conditions":
+                max(result.condition_residuals.values()) <= reverse.CONDITION_TOL,
         }
         payload = {"locality_profile": {str(k): v for k, v in profile.items()},
                    "condition_residuals": result.condition_residuals,
@@ -315,7 +315,7 @@ def cmd_reverse(args) -> int:
     checks = {
         "roundtrip-generator": w_dev <= 1e-10 * max(1.0, rate_max),
         "roundtrip-energy-table": h0_dev <= 1e-9,
-        "generator-conditions": max(result.condition_residuals.values()) <= 1e-9,
+        "generator-conditions": max(result.condition_residuals.values()) <= reverse.CONDITION_TOL,
     }
     payload = {"roundtrip_generator_deviation": w_dev,
                "generator_max_rate": rate_max,

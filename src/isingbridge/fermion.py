@@ -170,12 +170,10 @@ def _quadratic_form(couplings, beta: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def random_single_particle_spectrum(couplings, beta: float) -> np.ndarray:
-    """Eigenvalues of a random chain's block matrix M (`_quadratic_form`), ascending,
-    in +-eps pairs: spectrum[n:] are the single-particle energies, for uniform
-    couplings the dispersion on the periodic momentum grid. The rotation [[I, I],
-    [I, -I]] / sqrt(2) takes M to [[0, A - B], [A + B, 0]], with A + B = (A - B)^T,
-    so the eps are the singular values of A - B, computed without vectors and
-    without writing M."""
+    """The n single-particle energies eps of a random chain, ascending: for uniform
+    couplings the dispersion on the periodic momentum grid. Its block matrix M
+    (`_quadratic_form`) has the eigenvalues +-eps. The rotation [[I, I], [I, -I]] /
+    sqrt(2) takes M to [[0, A - B], [A + B, 0]], with A + B = (A - B)^T, so the eps
+    are the singular values of A - B, computed without vectors and without writing M."""
     a, b = _quadratic_form(couplings, beta)
-    eps = np.linalg.svd(a - b, compute_uv=False)  # descending
-    return np.concatenate([-eps, eps[::-1]])
+    return np.linalg.svd(a - b, compute_uv=False)[::-1]  # ascending

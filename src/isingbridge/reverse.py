@@ -67,7 +67,7 @@ def _ground_state(hamiltonian: QuantumHamiltonian) -> tuple[float, np.ndarray]:
     exact."""
     h = hamiltonian.operator
     _check_connected(_stoquastic_offdiag(h), h.flips)
-    block, orbit, _ = next(_symmetry_blocks(h))  # the trivial character's
+    block, orbit, _, _ = next(_symmetry_blocks(h))  # the trivial character's
     evals = np.linalg.eigvalsh(block)
     gap = evals[1] - evals[0] if evals.size > 1 else np.inf
     if gap < DEGENERACY_GUARD:

@@ -12,11 +12,11 @@ carry a ground vector compute eigenvectors, those of one block alone. The gap
 alone, without a dense matrix, is `markov.relaxation_time`'s Lanczos solve.
 
 A matrix a caller passes takes one `np.linalg.eigh` or `eigvalsh` call, which
-stays the tests' oracle. An operator takes one route, its symmetry blocks
-(`_symmetry_blocks`; A. W. Sandvik, AIP Conf. Proc. 1297, 135 (2010)). Its
-group G is found once (`_group`): the cyclic shift of sites T where the
-operator commutes with it to roundoff (`_translation_invariant`), the global
-spin flip F where it commutes with F bit for bit. Each character of G, a
+stays the tests' oracle. An operator is solved on its symmetry blocks alone
+(`_symmetry_blocks`; A. W. Sandvik, AIP Conf. Proc. 1297, 135 (2010)), ground
+vector included. Its group G is found once (`_group`): the cyclic shift of sites
+T where the operator commutes with it to roundoff (`_translation_invariant`), the
+global spin flip F where it commutes with F bit for bit. Each character of G, a
 lattice momentum k = 2 pi m / N and a flip parity, has one block on the orbits
 of G, and the trivial character's block comes first. An operator with no
 symmetry has a trivial G, and its one block is its matrix. The W, symmetric
@@ -142,40 +142,22 @@ def _group(operator: markov._FlipOperator) -> tuple[np.ndarray, int]:
     return images, order
 
 
-def _block(operator: markov._FlipOperator, rep: np.ndarray, size: np.ndarray,
-           basis: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(B, orbit): an operator's block on the orbits whose representatives basis
-    lists, ascending, and each configuration's row of B, -1 off basis. With rep and
-    size each configuration's orbit representative and orbit size R, B[b, a] =
-    diag[a] [a = b] + sum_{y in orbit b} A[y, a] sqrt(R_a / R_b) phase[y]."""
-    index = np.full(rep.size, -1)
-    index[basis] = np.arange(basis.size)
-    flipped = operator.flips[:, basis]  # at (j, i): y = a ^ mask_j for a = basis[i]
-    rows = index[rep[flipped]]
-    values = (np.take_along_axis(operator.off, flipped, axis=1)  # A[y, a]
-              * np.sqrt(size[basis] / size[flipped]) * phase[flipped])
-    kept = rows >= 0
-    cols = np.broadcast_to(np.arange(basis.size), rows.shape)
-    block = np.zeros((basis.size, basis.size), dtype=values.dtype)
-    np.add.at(block, (rows[kept], cols[kept]), values[kept])
-    block[np.diag_indices(basis.size)] += operator.diag[basis]
-    return block, index[rep]
-
-
 def _symmetry_blocks(operator: markov._FlipOperator
-                     ) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-    """(B, orbit, copies) for each character chi of the group G of an operator's
-    symmetries (`_group`) whose block is not empty: `_block` on the orbit
-    representatives whose stabiliser chi is trivial on, with phase[c] = chi(g) for
-    the g that carries c to its representative, and the number of characters whose
-    blocks share B's spectrum.
+                     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """(B, orbit, phase, copies) for each character chi of the group G of an
+    operator's symmetries (`_group`) whose block is not empty. With g_c the element
+    that carries c to its representative and R_c the size of c's orbit, B on the
+    representatives, ascending, whose stabiliser chi is trivial on is B[b, a] =
+    diag[a] [a = b] + sum_{y in orbit b} A[y, a] sqrt(R_a / R_b) chi(g_y). orbit holds
+    each configuration's row of B, -1 off the block, and phase[c] = conj chi(g_c): a
+    vector u of B is the operator's v[c] = u[orbit[c]] phase[c] / sqrt(R_c), 0 off
+    the block. copies counts the characters whose blocks share B's spectrum.
 
     chi = (m, s) takes T^l F^f to e^{-2 pi i m l / order} s^f. The blocks of m and
     order - m are complex conjugates, so only m = 0..order//2 are built, those with
     0 < m < order / 2 counted twice. The trivial character comes first: its block
-    holds the Perron vector of a connected stoquastic operator, and a vector u of it
-    gives the operator's v[g a] = u_a / sqrt(R_a). With no symmetry the one block is
-    the operator's matrix. Raises ValueError above the dense-matrix spin cap.
+    holds the Perron vector of a connected stoquastic operator. With no symmetry the
+    one block is the operator's matrix. Raises ValueError above the dense-matrix cap.
     """
     n = operator.diag.size.bit_length() - 1
     spins._check_spins(n, "dense matrix")
@@ -184,20 +166,32 @@ def _symmetry_blocks(operator: markov._FlipOperator
     rep, element = images.min(axis=0), images.argmin(axis=0)
     size = len(images) // (images == states).sum(axis=0)
     reps = np.flatnonzero(rep == states)
+    position = np.searchsorted(reps, rep)  # of each configuration's representative
     stabilises = images[:, reps] == reps  # [g, i]: g fixes reps[i]
     flip, shift = np.divmod(np.arange(len(images)), order)  # g = T^shift F^flip
+    # for every character, at (j, i) with y = a ^ mask_j, a = reps[i]: A[y, a] sqrt(R_a / R_y)
+    flipped = operator.flips[:, reps]
+    target = position[flipped]
+    scaled = (np.take_along_axis(operator.off, flipped, axis=1)
+              * np.sqrt(size[reps] / size[flipped]))
     for m in range(order // 2 + 1):
         real = 2 * m % order == 0  # the phases are +-1
         for s in range(len(images) // order):  # s^f = (-1)^(s f)
             # chi(g) = e^{-i pi theta[g] / order}; a representative enters the block
             # where chi is 1 on its whole stabiliser
             theta = (2 * m * shift + order * s * flip) % (2 * order)
-            basis = reps[~(stabilises & (theta != 0)[:, None]).any(axis=0)]
-            if basis.size:
+            basis = ~(stabilises & (theta != 0)[:, None]).any(axis=0)
+            dim = basis.sum()
+            if dim:
                 angle = np.pi * theta[element] / order
                 phase = np.cos(angle) if real else np.exp(-1j * angle)
-                block, orbit = _block(operator, rep, size, basis, phase)
-                yield block, orbit, 1 if real else 2
+                row = np.where(basis, np.cumsum(basis) - 1, -1)  # of each representative
+                block = np.zeros((dim + 1, dim), dtype=phase.dtype)  # row -1: off the block
+                np.add.at(block, (row[target[:, basis]], np.arange(dim)),
+                          scaled[:, basis] * phase[flipped[:, basis]])
+                block = block[:dim]
+                block[np.diag_indices(dim)] += operator.diag[reps[basis]]
+                yield block, row[position], phase.conj(), 1 if real else 2
 
 
 def _solve(operator: markov._FlipOperator, keep_ground_vector: bool
@@ -206,27 +200,35 @@ def _solve(operator: markov._FlipOperator, keep_ground_vector: bool
     `eig_sym` has checked to be symmetric and finite, from its symmetry blocks.
 
     Only the trivial character's block is solved with vectors, and only when the
-    ground vector is kept. When another block holds a level lower by more than the
-    blocks' accuracy, SHIFT_TOL max|A|, as it cannot for a connected stoquastic
-    operator, the operator is written densely once and solved by one
-    `np.linalg.eigh` call. A flip-odd partner that roundoff puts just below the
-    ground level keeps the trivial block's vector, which is the Perron vector where
-    a dense solve would mix the two. Raises ValueError above the dense-matrix spin
-    cap.
+    ground vector is kept. Where another block's lowest level lies below it by more
+    than the blocks' accuracy, SHIFT_TOL max|A|, as it cannot for a connected
+    stoquastic operator, the lowest such block is solved again with vectors. A
+    complex block's vector psi gives Re psi, renormalised: the conjugate block holds
+    conj psi, orthogonal to psi, so |Re psi| = 1 / sqrt(2). A flip-odd partner that
+    roundoff puts just below the ground level keeps the trivial block's Perron
+    vector. Raises ValueError above the dense-matrix spin cap.
     """
-    levels, ground = [], None
-    for block, orbit, copies in _symmetry_blocks(operator):
+    levels, ground, lower = [], None, None
+    for block, orbit, phase, copies in _symmetry_blocks(operator):
         if keep_ground_vector and not levels:
             values, vectors = np.linalg.eigh(block)
-            ground = (vectors[:, 0] / np.sqrt(np.bincount(orbit)))[orbit]
+            ground = vectors[:, 0], orbit, phase
+            floor = values[0] - SHIFT_TOL * operator.max_abs()
         else:
             values = np.linalg.eigvalsh(block)
+            if keep_ground_vector and values[0] < floor:
+                floor, lower = values[0], (block, orbit, phase)
         levels.extend([values] * copies)
-    lowest = min(values[0] for values in levels)
-    if keep_ground_vector and lowest < levels[0][0] - SHIFT_TOL * operator.max_abs():
-        evals, vecs = np.linalg.eigh(operator.dense())
-        return evals, vecs[:, 0].copy()
-    return np.sort(np.concatenate(levels)), ground
+    evals = np.sort(np.concatenate(levels))
+    if ground is None:
+        return evals, None
+    vector, orbit, phase = ground if lower is None else (
+        np.linalg.eigh(lower[0])[1][:, 0], *lower[1:])
+    kept = orbit >= 0  # -1 reads the appended 0
+    vector = np.append(vector / np.sqrt(np.bincount(orbit[kept])), 0.0)[orbit] * phase
+    if np.iscomplexobj(vector):
+        vector = vector.real / np.linalg.norm(vector.real)
+    return evals, vector
 
 
 def spectrum_report(matrix: np.ndarray | markov._FlipOperator,

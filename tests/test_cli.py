@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from isingbridge import cli, fermion, markov, reverse, spectral, spins
+from isingbridge import cli, fermion, markov, quantum, reverse, spectral, spins
 from test_reverse import unconverged_model
 
 
@@ -370,10 +370,9 @@ class TestReverse:
 
 
 class TestDenseWrites:
-    """A command writes a dense matrix only to dump it, or for the one eigensolve whose
-    ground level lies outside the trivial character's block. Every spectrum comes from
-    the blocks of the operator's symmetry group, and the reverse map's LU runs on the
-    first of them."""
+    """A command writes a dense matrix only to dump it. Every spectrum and ground
+    vector comes from the blocks of the operator's symmetry group, and the reverse
+    map's LU runs on the first of them."""
 
     @staticmethod
     def count_dense_writes(argv, tmp_path, monkeypatch):
@@ -405,6 +404,16 @@ class TestDenseWrites:
         spins.save_model(spins.IsingModel(6, terms), path)
         argv = (command, "--model", str(path))
         assert self.count_dense_writes(argv, tmp_path, monkeypatch) == expected
+
+    def test_ground_level_outside_the_trivial_block(self, monkeypatch):
+        # the flip-odd ground level of -sum z_j z_{j+1} + sum x_j at N = 5 and its
+        # vector come from the flip-odd block
+        calls = []
+        original = markov._FlipOperator.dense
+        monkeypatch.setattr(markov._FlipOperator, "dense",
+                            lambda self: calls.append(1) or original(self))
+        report = spectral.spectrum_of_hamiltonian(quantum.transverse_field_chain(5, -1.0))
+        assert report.ground_vector is not None and len(calls) == 0
 
 
 def _row_by_row_csv(header, rows):

@@ -198,8 +198,7 @@ class TestFiniteGap:
 
 class TestRandomSingleParticle:
     def test_uniform_couplings_reproduce_dispersion(self):
-        spectrum = fermion.random_single_particle_spectrum([1.0] * 8, 0.6)
-        energies = spectrum[8:]
+        energies = fermion.random_single_particle_spectrum([1.0] * 8, 0.6)
         grid = fermion.momentum_grid(8, "odd")
         expected = np.sort(np.asarray(fermion.dispersion(0.6, grid)))
         assert np.abs(np.sort(energies) - expected).max() <= 1e-10
@@ -208,8 +207,7 @@ class TestRandomSingleParticle:
     def test_strong_uniform_couplings_reproduce_dispersion(self, k):
         # D_j = c_j^2 c_{j+1}^2 - s_j^2 s_{j+1}^2 cancels to roundoff here
         # unless it is evaluated as c_j^2 + s_{j+1}^2
-        spectrum = fermion.random_single_particle_spectrum([1.0] * 8, k)
-        energies = spectrum[8:]
+        energies = fermion.random_single_particle_spectrum([1.0] * 8, k)
         grid = fermion.momentum_grid(8, "odd")
         expected = np.sort(np.asarray(fermion.dispersion(k, grid)))
         assert np.abs(np.sort(energies) - expected).max() <= 1e-10
@@ -220,11 +218,13 @@ class TestRandomSingleParticle:
         rng = np.random.default_rng(19)
         couplings = rng.choice([-1.0, 1.0], 6) * rng.uniform(0.5, 1.5, 6)
         block = block_matrix(couplings, 0.5)
-        spectrum = fermion.random_single_particle_spectrum(couplings, 0.5)
-        # the spectrum is +-(singular values of A - B); over 2000 seeds of this draw it
-        # stays within 4.6e-15 max|M| of the eigensolve of the whole block
-        assert np.all(np.diff(spectrum) >= 0.0)
-        assert np.abs(spectrum - np.linalg.eigvalsh(block)).max() <= 5e-14 * np.abs(block).max()
+        eps = fermion.random_single_particle_spectrum(couplings, 0.5)
+        # eps are the singular values of A - B; over 2000 seeds of this draw +-eps stay
+        # within 4.6e-15 max|M| of the eigensolve of the whole block
+        values, scale = np.linalg.eigvalsh(block), np.abs(block).max()
+        assert np.all(np.diff(eps) >= 0.0)
+        assert np.abs(eps - values[6:]).max() <= 5e-14 * scale
+        assert np.abs(values[:6] + values[6:][::-1]).max() <= 5e-14 * scale
         a, b = block[:6, :6], block[:6, 6:]
         assert np.array_equal(a, a.T) and np.array_equal(b, -b.T)
         assert np.array_equal(block[6:, :6], -b) and np.array_equal(block[6:, 6:], -a)
@@ -252,8 +252,7 @@ class TestRandomSingleParticle:
         even_evals, odd_evals = parity_sector_spectra(ham.matrix, 6)
         assert abs(even_evals[0]) <= 1e-9  # ground state sits in the even sector
 
-        spectrum = fermion.random_single_particle_spectrum(couplings, 0.5)
-        eps = spectrum[6:]
+        eps = fermion.random_single_particle_spectrum(couplings, 0.5)
         masks = np.arange(1 << 6)
         bits = (masks[:, None] >> np.arange(6)) & 1
         odd = (bits.sum(axis=1) & 1) == 1

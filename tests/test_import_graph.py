@@ -4,7 +4,8 @@ Every intra-package import sits at module level, where the import graph
 shows it, and that graph has no cycle: a module that needs another's code
 imports it in one direction only. The CLI reads no spin cap: each cap is
 checked by the library code that allocates what it bounds. An operator's
-symmetry group is found in `spectral` alone.
+symmetry group is found in `spectral` alone, and `spectral` writes no dense
+matrix: the dense form is the tests' oracle.
 """
 
 import ast
@@ -89,10 +90,17 @@ def test_cli_reads_no_spin_cap():
 
 def test_symmetry_group_is_found_only_in_spectral():
     """An operator's symmetry group is decided in `spectral` alone: no other module names
-    its shift test, rotation, group or block assembly, and `reverse` reads its sector
-    through the one routine that enumerates the blocks."""
-    internals = {"_translation_invariant", "_rotated", "_group", "_block"}
+    its shift test, rotation or group, and `reverse` reads its sector through the one
+    routine that enumerates the blocks."""
+    internals = {"_translation_invariant", "_rotated", "_group"}
     assert internals <= _names(MODULES["spectral"])
     assert [module for module, tree in MODULES.items()
             if internals & _names(tree)] == ["spectral"]
     assert "_symmetry_blocks" in _names(MODULES["reverse"])
+
+
+def test_spectral_reaches_no_dense_matrix():
+    """Every operator eigensolve, ground vector included, reads only the operator's
+    symmetry blocks: `spectral` reads no `.dense` attribute."""
+    assert "dense" in _names(MODULES["markov"])  # the reader sees `.matrix`'s call
+    assert "dense" not in _names(MODULES["spectral"])

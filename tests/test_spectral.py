@@ -221,29 +221,48 @@ class TestMomentumBlocks:
             assert _shift_invariant(operator)
             assert_blocks_match_dense(operator, True)
 
-    def test_ground_level_outside_m0_takes_the_dense_vectors(self):
-        # the seed draws an operator whose ground level lies in a block with m != 0
-        operator = _random_invariant_operator(4, np.random.default_rng(5))
-        lowest = [np.linalg.eigvalsh(block)[0]
-                  for block, _, _ in spectral._symmetry_blocks(operator)]
-        assert min(lowest) < lowest[0]
-        ground, matrix, _ = assert_blocks_match_dense(operator, keep_ground_vector=True)
-        assert _same_bits(ground, np.linalg.eigh(matrix)[1][:, 0])
+    @staticmethod
+    def assert_lowest_block_vector(operator, monkeypatch):
+        """The operator's ground level lies below its trivial block's lowest by more
+        than SHIFT_TOL max|A|, and `_solve` reads it from its own block with no dense
+        write: eigenvalues within BLOCK_TOL of the dense oracle's, and a real unit
+        ground vector whose residual is within BLOCK_RESIDUAL_TOL max|A|. Returns the
+        lowest block."""
+        blocks = [block for block, *_ in spectral._symmetry_blocks(operator)]
+        lowest = [np.linalg.eigvalsh(block)[0] for block in blocks]
+        assert min(lowest) < lowest[0] - spectral.SHIFT_TOL * operator.max_abs()
+        matrix = operator.dense()
+        expected = np.linalg.eigvalsh(matrix)
+
+        def no_dense(self):
+            raise AssertionError("a dense write in an operator solve")
+        monkeypatch.setattr(markov._FlipOperator, "dense", no_dense)
+        values, ground = spectral._solve(operator, keep_ground_vector=True)
+        assert np.abs(values - expected).max() <= BLOCK_TOL * np.abs(expected).max()
+        assert ground.dtype == float and ground.shape == (len(operator),)
+        assert abs(np.linalg.norm(ground) - 1.0) <= BLOCK_RESIDUAL_TOL
+        assert (np.abs(matrix @ ground - values[0] * ground).max()
+                <= BLOCK_RESIDUAL_TOL * operator.max_abs())
+        return blocks[int(np.argmin(lowest))]
+
+    @pytest.mark.parametrize("n, seed, dtype", [(4, 5, float), (5, 2, complex)],
+                             ids=["real", "complex"])
+    def test_ground_level_outside_m0_reads_its_block(self, n, seed, dtype, monkeypatch):
+        """Seeds that draw an operator whose ground level lies at m != 0: at N = 4 in
+        the real block of m = N / 2, at N = 5 in a complex block, whose vector psi
+        gives the real Re psi of the same level."""
+        operator = _random_invariant_operator(n, np.random.default_rng(seed))
+        assert self.assert_lowest_block_vector(operator, monkeypatch).dtype == dtype
 
     @pytest.mark.parametrize("n", [3, 5, 7])
-    def test_flip_odd_ground_level_takes_the_dense_vectors(self, n):
+    def test_flip_odd_ground_level_reads_its_block(self, n, monkeypatch):
         """-sum z_j z_{j+1} + sum x_j commutes with the shift and the flip, and for odd
         N its ground level is flip-odd: the product of all z_j carries the ground
         vector of the chain at -Gamma, which is flip-even, to it and anticommutes
-        with the flip. The trivial block misses it, so the vectors are dense."""
+        with the flip. The trivial block misses it, and the flip-odd block gives it."""
         operator = quantum.transverse_field_chain(n, -1.0).operator
         assert _shift_invariant(operator)
-        values, ground = spectral._solve(operator, keep_ground_vector=True)
-        expected, vectors = np.linalg.eigh(operator.dense())
-        assert _same_bits(values, expected) and _same_bits(ground, vectors[:, 0])
-        lowest = [np.linalg.eigvalsh(block)[0]
-                  for block, _, _ in spectral._symmetry_blocks(operator)]
-        assert min(lowest) < lowest[0]
+        assert self.assert_lowest_block_vector(operator, monkeypatch).dtype == float
 
     def test_tunnelling_partner_below_by_roundoff_takes_no_dense_solve(self, monkeypatch):
         """At Gamma = 0.05 and N = 12 the flip-odd partner lies 2.8e-14 above E0, and
