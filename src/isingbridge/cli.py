@@ -294,8 +294,8 @@ def cmd_reverse(args) -> int:
         witness = max((v for k, v in profile.items() if k >= 4), default=0.0)
         checks = {
             "multibody-witness": witness > 1e-6,
-            "generator-conditions":
-                max(result.condition_residuals.values()) <= reverse.CONDITION_TOL,
+            "generator-conditions": all(r <= reverse.CONDITION_TOL
+                                        for r in result.condition_residuals.values()),
         }
         payload = {"locality_profile": {str(k): v for k, v in profile.items()},
                    "condition_residuals": result.condition_residuals,
@@ -315,7 +315,8 @@ def cmd_reverse(args) -> int:
     checks = {
         "roundtrip-generator": w_dev <= 1e-10 * max(1.0, rate_max),
         "roundtrip-energy-table": h0_dev <= 1e-9,
-        "generator-conditions": max(result.condition_residuals.values()) <= reverse.CONDITION_TOL,
+        "generator-conditions": all(r <= reverse.CONDITION_TOL
+                                    for r in result.condition_residuals.values()),
     }
     payload = {"roundtrip_generator_deviation": w_dev,
                "generator_max_rate": rate_max,

@@ -151,12 +151,11 @@ def quantum_to_classical(hamiltonian: QuantumHamiltonian) -> ReverseMapResult:
     generator = MarkovGenerator(operator=w, beta=1.0, energies=energy_table, rule=None)
 
     residuals = _generator_conditions(generator)
-    worst = max(residuals.values())
-    if worst > CONDITION_TOL:
-        name = max(residuals, key=residuals.get)
-        raise RuntimeError(
-            f"recovered matrix fails the {name} condition "
-            f"(residual {residuals[name]:.3g} > {CONDITION_TOL:g})")
+    for name, residual in residuals.items():
+        if not residual <= CONDITION_TOL:  # NaN fails too
+            raise RuntimeError(
+                f"recovered matrix fails the {name} condition "
+                f"(residual {residual:.3g}, not <= {CONDITION_TOL:g})")
 
     return ReverseMapResult(energy_table=energy_table, generator=generator,
                             beta_effective=1.0, ground_shift=shift,

@@ -8,9 +8,11 @@ closed-form hopping of one flip under a rule; `asymmetry` is the relative
 asymmetry of a dense matrix; `anneal_sample` is the ground probability and
 overlap of one sampled anneal state; `schedule_values` is beta(t) and
 beta_dot(t) of a schedule in scalar `math`, and `ScalarSchedule` serves an
-engine from it one time at a time. They read only `model.n_spins` and
-`model.terms` (or a schedule's fields), and use no package code, so an error
-in the tables cannot reach its own oracle. Configurations follow the
+engine from it one time at a time; `mc_chains` runs single-flip Monte Carlo
+one attempt at a time, with the rates of each attempt's own deltas. They read
+only `model.n_spins` and `model.terms` (or a schedule's fields), and use no
+package code but the `rates` of a rule they are given, so an error in the
+tables cannot reach its own oracle. Configurations follow the
 package convention: bit i of the index is 0 for sigma_i = +1 and 1 for
 sigma_i = -1.
 """
@@ -173,6 +175,38 @@ class ScalarSchedule:
 
     def beta_dot(self, times):
         return self._values(times, 1)
+
+
+def mc_chains(model, rule, betas, n_seeds: int, seed0: int, start=None, burn_in=None):
+    """(final states, energy trace, visit histogram or None) of n_seeds lockstep chains
+    with one sweep of N attempts per entry of `betas`.
+
+    Chains start uniformly at random, or all at the index `start`. Every attempt
+    draws n_seeds sites, then n_seeds uniforms, and accepts where a uniform is
+    below `rule.rates` of that attempt's n_seeds deltas. The trace holds the mean
+    energy before the first sweep and after each; with `burn_in` the states after
+    each sweep from `burn_in` on are counted.
+    """
+    n = model.n_spins
+    table = energy_table(model)
+    rng = np.random.default_rng(seed0)
+    if start is None:
+        states = rng.integers(0, table.size, size=n_seeds, dtype=np.int64)
+    else:
+        states = np.full(n_seeds, start, dtype=np.int64)
+    trace = [table[states].mean()]
+    histogram = None if burn_in is None else np.zeros(table.size, dtype=np.int64)
+    for sweep, beta in enumerate(betas):
+        for _ in range(n):
+            sites = rng.integers(0, n, size=n_seeds)
+            flipped = states ^ (np.int64(1) << sites)
+            delta = table[flipped] - table[states]
+            accept = rng.random(n_seeds) < rule.rates(beta, delta, n)
+            states = np.where(accept, flipped, states)
+        trace.append(table[states].mean())
+        if histogram is not None and sweep >= burn_in:
+            np.add.at(histogram, states, 1)
+    return states, np.array(trace), histogram
 
 
 def mapped_chain_hamiltonian(n: int, k: float, rule):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from isingbridge import cli, fermion, markov, quantum, reverse, spectral, spins
-from test_reverse import unconverged_model
+from test_reverse import make_condition_nan, unconverged_model
 
 
 def run_cli(*argv):
@@ -257,6 +257,14 @@ class TestReverse:
         lines = capsys.readouterr().err.strip().splitlines()
         assert code == 1 and len(lines) == 1
         assert lines[0].startswith("numeric failure: recovered matrix fails the")
+
+    def test_nan_generator_condition_writes_no_report(self, tmp_path, capsys, monkeypatch):
+        make_condition_nan(monkeypatch, "detailed-balance")
+        code = run_cli("reverse", "--chain", "6", "--out", str(tmp_path))
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and len(lines) == 1
+        assert lines[0].startswith("numeric failure: recovered matrix fails the detailed-balance")
+        assert not (tmp_path / "reverse.json").exists()
 
     @pytest.mark.parametrize("argv", [
         # the gap of all of H, 1 - tanh 10 = 4.1e-9, is the splitting from the flip-odd

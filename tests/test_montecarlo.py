@@ -5,6 +5,94 @@ import pytest
 from scipy import stats
 
 from isingbridge import anneal, markov, montecarlo, spins
+import oracles
+from test_spectral import _same_bits
+from test_spins import random_model
+
+
+class Counted:
+    """A rule that counts its `rates` calls."""
+
+    calls = 0
+
+    def rates(self, *args):
+        self.calls += 1
+        return super().rates(*args)
+
+
+class CountingHeatBath(Counted, markov.HeatBath):
+    pass
+
+
+class CountingMetropolis(Counted, markov.Metropolis):
+    pass
+
+
+COUNTING = {"heatbath": CountingHeatBath, "metropolis": CountingMetropolis}
+
+
+def assert_matches_reference(model, rule_name, schedule, n_sweeps, n_seeds, seed0,
+                             start=None, burn_in=None) -> int:
+    """Run the chains and the one-attempt-at-a-time reference on one stream, require
+    final states, energy trace and histogram to agree bit for bit, and return the
+    number of `rates` calls of the run."""
+    rule = COUNTING[rule_name]()
+    histogram = {} if burn_in is None else {"track_histogram": True,
+                                            "histogram_burn_in": burn_in}
+    report = montecarlo.mc_simulated_annealing(
+        model, rule, schedule, n_sweeps=n_sweeps, n_seeds=n_seeds, seed0=seed0,
+        start="random" if start is None else start, **histogram)
+    calls = rule.calls
+    betas = schedule.beta(np.minimum(np.arange(n_sweeps, dtype=float), schedule.t_final))
+    states, trace, visits = oracles.mc_chains(model, rule, betas, n_seeds, seed0,
+                                              start, burn_in)
+    assert _same_bits(report.final_states, states)
+    assert _same_bits(report.energy_trace, trace)
+    if visits is None:
+        assert report.state_histogram is None
+    else:
+        assert _same_bits(report.state_histogram, visits)
+    return calls
+
+
+CHAIN4 = spins.chain_model(4, [1.0] * 4)
+CHAIN6 = spins.chain_model(6, [1.0] * 6)
+FIELDS5 = random_model(5, 10, np.random.default_rng(0))  # four fields among its terms
+RANDOM8 = random_model(8, 14, np.random.default_rng(1))
+
+
+class TestRoutes:
+    """2^N <= n_seeds tabulates each sweep's rates in one call; fewer chains evaluate
+    every attempt's own. Either way the report is the reference's, bit for bit."""
+
+    @pytest.mark.parametrize("model, rule, schedule, n_sweeps, n_seeds, start, burn_in", [
+        (CHAIN6, "heatbath", anneal.frozen_schedule(0.5, 250.0), 250, 800, None, 50),
+        (CHAIN6, "heatbath", anneal.LinearBeta(0.0, 3.0, 2000.0), 2000, 100, None, None),
+        (CHAIN4, "metropolis", anneal.LinearBeta(0.0, 2.0, 100.0), 100, 32, None, None),
+        (FIELDS5, "heatbath", anneal.LinearBeta(0.0, 2.0, 60.0), 60, 32, None, 10),
+        (FIELDS5, "metropolis", anneal.LinearBeta(0.0, 2.0, 60.0), 60, 32, 5, None),
+        (FIELDS5, "heatbath", anneal.LinearBeta(0.5, 1.5, 60.0), 60, 40, 5, None),
+        (FIELDS5, "metropolis", anneal.LinearBeta(0.5, 1.5, 60.0), 60, 40, None, 10),
+    ], ids=["chain6-frozen-800", "chain6-100", "chain4-metropolis-32",
+            "fields5-heatbath-32", "fields5-metropolis-32", "fields5-heatbath-40",
+            "fields5-metropolis-40"])
+    def test_table_route_is_the_reference(self, model, rule, schedule, n_sweeps, n_seeds,
+                                          start, burn_in):
+        assert model.n_states <= n_seeds
+        calls = assert_matches_reference(model, rule, schedule, n_sweeps, n_seeds,
+                                         seed0=17, start=start, burn_in=burn_in)
+        assert calls == n_sweeps
+
+    @pytest.mark.parametrize("model, rule, n_sweeps, n_seeds", [
+        (spins.chain_model(10, [1.0] * 10), "heatbath", 200, 200),
+        (RANDOM8, "metropolis", 100, 64),
+        # above the N x 2^N array cap the table is never built, however many chains run
+        (spins.chain_model(17, [1.0] * 17), "heatbath", 1, 1 << 17),
+    ], ids=["chain10-200", "random8-64", "chain17-cap"])
+    def test_attempt_route_is_the_reference(self, model, rule, n_sweeps, n_seeds):
+        schedule = anneal.LinearBeta(0.0, 3.0, float(n_sweeps))
+        calls = assert_matches_reference(model, rule, schedule, n_sweeps, n_seeds, seed0=29)
+        assert calls == n_sweeps * model.n_spins
 
 
 class TestAcceptanceSampling:
@@ -122,6 +210,32 @@ class TestValidation:
             montecarlo.mc_simulated_annealing(model, markov.HEAT_BATH, schedule,
                                               n_sweeps=10, n_seeds=4, seed0=0,
                                               start=16)
+
+    @pytest.mark.parametrize("argument, value", [
+        ("start", 2.7), ("n_seeds", 2.5), ("n_sweeps", 2.5)])
+    def test_non_integer_count_rejected(self, argument, value):
+        kwargs = {"n_sweeps": 10, "n_seeds": 4, "seed0": 0, argument: value}
+        with pytest.raises(ValueError, match=f"{argument} must be an integer"):
+            montecarlo.mc_simulated_annealing(
+                spins.chain_model(4, [1.0] * 4), markov.HEAT_BATH,
+                anneal.frozen_schedule(0.5, 10.0), **kwargs)
+
+    @pytest.mark.parametrize("ground_energy", [math.nan, math.inf, -math.inf])
+    def test_non_finite_ground_energy_rejected(self, ground_energy):
+        with pytest.raises(ValueError, match="ground_energy must be finite"):
+            montecarlo.mc_simulated_annealing(
+                spins.chain_model(4, [1.0] * 4), markov.HEAT_BATH,
+                anneal.frozen_schedule(0.5, 10.0), n_sweeps=10, n_seeds=4, seed0=0,
+                ground_energy=ground_energy)
+
+    @pytest.mark.parametrize("p, q", [
+        (np.ones(4) / 4, np.array([1.0])),
+        (np.ones((2, 2)) / 4, np.ones((2, 2)) / 4),
+        (np.ones(4) / 4, np.ones((1, 4)) / 4),
+    ], ids=["lengths", "two-dimensional", "broadcast"])
+    def test_total_variation_needs_one_shape(self, p, q):
+        with pytest.raises(ValueError, match="1-D distributions of one shape"):
+            montecarlo.total_variation(p, q)
 
     @pytest.mark.parametrize("burn_in", [-1, 10, 11], ids=["negative", "all", "beyond"])
     def test_burn_in_must_leave_a_sweep(self, burn_in):

@@ -19,7 +19,9 @@ and the reverse map round-trips through a symmetric sector of at most half
 the configurations. Models whose terms come with all their translates
 commute with the cyclic shift, and their spectra from momentum blocks match
 the dense ones; with an odd-order term the reverse map on the shift's orbits
-matches it on the whole H.
+matches it on the whole H. Monte Carlo chains, on the per-sweep rate table
+when they outnumber the configurations and per attempt otherwise, are the
+one-attempt-at-a-time reference bit for bit.
 """
 
 import json
@@ -31,6 +33,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from isingbridge import anneal, cli, markov, quantum, reverse, spectral, spins
 import oracles
+from test_montecarlo import assert_matches_reference
 from test_reverse import deviation, mapped
 from test_spectral import _same_bits, assert_blocks_match_dense
 from test_spins import random_model
@@ -405,3 +408,17 @@ def test_walsh_expansion_reconstructs_its_table(n, scale, seed):
     table = scale * np.random.default_rng(seed).normal(size=1 << n)
     rebuilt = reverse.extract_couplings(table).reconstruct()
     assert np.abs(rebuilt - table).max() <= 1e-12 * max(1.0, np.abs(table).max())
+
+
+@PROPERTY_SETTINGS
+@given(models(), st.sampled_from(["heatbath", "metropolis"]), st.booleans(), st.data(),
+       betas, betas, st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_monte_carlo_routes_match_the_reference(model, rule, table_side, data, beta0,
+                                                rise, n_sweeps, seed):
+    size = model.n_states
+    n_seeds = data.draw(st.integers(size, 2 * size) if table_side
+                        else st.integers(1, size - 1))
+    schedule = anneal.LinearBeta(beta0, beta0 + rise, float(n_sweeps))
+    calls = assert_matches_reference(model, rule, schedule, n_sweeps, n_seeds, seed,
+                                     burn_in=n_sweeps // 2)
+    assert calls == (n_sweeps if size <= n_seeds else n_sweeps * model.n_spins)

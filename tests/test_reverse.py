@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,22 @@ class TestPerronGroundState:
         assert sorted(calls) == ["_group", "_translation_invariant", "block"]
 
 
+CONDITIONS = ("offdiagonal-sign", "probability-conservation", "stationarity",
+              "detailed-balance")
+
+
+def make_condition_nan(monkeypatch, name):
+    """Patch the reverse map's residuals so that the condition `name` reads NaN."""
+    original = reverse._generator_conditions
+
+    def with_nan(generator):
+        residuals = original(generator)
+        assert tuple(residuals) == CONDITIONS
+        return {**residuals, name: math.nan}
+
+    monkeypatch.setattr(reverse, "_generator_conditions", with_nan)
+
+
 class TestQuantumToClassical:
     def test_roundtrip_recovers_generator(self):
         model = spins.chain_model(4, [1.0] * 4)
@@ -128,6 +146,14 @@ class TestQuantumToClassical:
         monkeypatch.setattr(reverse, "CONDITION_TOL", 1e-18)
         with pytest.raises(RuntimeError, match="recovered matrix fails the"):
             reverse.quantum_to_classical(ham)
+
+    @pytest.mark.parametrize("name", CONDITIONS)
+    def test_nan_condition_is_a_numeric_failure(self, name, monkeypatch):
+        """A NaN residual fails its condition in any position: no ordering comparison
+        or max over the residuals may pass it."""
+        make_condition_nan(monkeypatch, name)
+        with pytest.raises(RuntimeError, match=f"fails the {name} condition"):
+            reverse.quantum_to_classical(quantum.transverse_field_chain(4, 0.7))
 
     def test_unconverged_ground_vector_raises(self):
         """The shift is half the gap, so each solve cuts the change by only 3, from 18;
